@@ -156,10 +156,6 @@ class PartialAssignment:
         return Fraction(1, 2 ** (len(word) + outside))
 
 
-def assignment_measure(a: PartialAssignment) -> Fraction:
-    return a.measure()
-
-
 class PrefixFreeSet:
     """A finite set of pairwise prefix-incomparable words.
 
@@ -215,21 +211,28 @@ class PrefixFreeSet:
         return total
 
 
-def prefix_set_from_file(path: str) -> PrefixFreeSet:
-    """Load one word per line; '#' starts a comment, blank lines ignored."""
-    words = []
+def data_lines(path: str, what: str = "") -> Iterator[tuple[int, str]]:
+    """(line number, text) of each data line of a file: '#' starts a
+    comment, surrounding blanks and blank lines are dropped.  A failure to
+    read raises SpecParseError("cannot read <what><path>: ...")."""
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    words.append(check_word(line))
-                except ValueError as exc:
-                    raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
+                if line:
+                    yield lineno, line
     except OSError as exc:
-        raise SpecParseError(f"cannot read prefix set {path}: {exc}") from exc
+        raise SpecParseError(f"cannot read {what}{path}: {exc}") from exc
+
+
+def prefix_set_from_file(path: str) -> PrefixFreeSet:
+    """Load one word per line; '#' starts a comment, blank lines ignored."""
+    words = []
+    for lineno, line in data_lines(path, "prefix set "):
+        try:
+            words.append(check_word(line))
+        except ValueError as exc:
+            raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
     try:
         return PrefixFreeSet(words)
     except PrefixFreeError as exc:

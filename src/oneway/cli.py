@@ -226,63 +226,37 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_demo_table(rows: list[tuple[str, bool]], out: Callable[[str], None]) -> int:
-    ok = all(good for _, good in rows)
-    for line, _ in rows:
+def _run_demo(script: str, out: Callable[[str], None]) -> int:
+    # (toy, elements swept, inverter, extractor(g, toy, n)) per script; built
+    # per call so that a module name rebound at run time (a tracer) applies
+    make_toy, elements, inverter, extract = {
+        # read-back positions reach pair(63,108)+1 = 14815, so a 10^4 horizon
+        # cannot host the full n<64 sweep; rerun the same schedule under 2*10^4
+        "prop-simple": (
+            lambda: StagedEnumeration.from_pairs(collatz_toy(64, 10**4).pairs(),
+                                                 horizon=2 * 10**4,
+                                                 label="collatz:64(h=2e4)"),
+            64, reference_inverter_simple, extract_simple),
+        "thm-surjection": (
+            lambda: collatz_toy(32, 10**5), 32, reference_inverter_surjection,
+            lambda g, toy, n: extract_randomized(g, one_way_surjection(toy), "", toy, n)),
+        "thm-two1": (lambda: collatz_toy(32, 10**5), 32, reference_inverter_two_to_one,
+                     extract_two_to_one),
+    }[script]
+    toy = make_toy()
+    g = inverter(toy)
+    lines, ok = [], True
+    for n in range(elements):
+        verdict = extract(g, toy, n)
+        expected = toy.entry_stage(n) is not None
+        good = verdict.member == expected
+        ok = ok and good
+        lines.append(f"{verdict.line()} expected={'true' if expected else 'false'}"
+                     f"{'' if good else ' MISMATCH'}")
+    for line in lines:
         out(line)
     out("PASS" if ok else "FAIL")
     return 0 if ok else 2
-
-
-def _demo_prop_simple(out: Callable[[str], None]) -> int:
-    base = collatz_toy(64, 10**4)
-    # read-back positions reach pair(63,108)+1 = 14815, so a 10^4 horizon
-    # cannot host the full n<64 sweep; rerun the same schedule under 2*10^4
-    toy = StagedEnumeration.from_pairs(base.pairs(), horizon=2 * 10**4,
-                                       label="collatz:64(h=2e4)")
-    g = reference_inverter_simple(toy)
-    rows = []
-    for n in range(64):
-        verdict = extract_simple(g, toy, n)
-        expected = toy.entry_stage(n) is not None
-        good = verdict.member == expected
-        rows.append((f"{verdict.line()} expected={'true' if expected else 'false'}"
-                     f"{'' if good else ' MISMATCH'}", good))
-    return _run_demo_table(rows, out)
-
-
-def _demo_thm_surjection(out: Callable[[str], None]) -> int:
-    toy = collatz_toy(32, 10**5)
-    f = one_way_surjection(toy)
-    g = reference_inverter_surjection(toy)
-    rows = []
-    for n in range(32):
-        verdict = extract_randomized(g, f, "", toy, n)
-        expected = toy.entry_stage(n) is not None
-        good = verdict.member == expected
-        rows.append((f"{verdict.line()} expected={'true' if expected else 'false'}"
-                     f"{'' if good else ' MISMATCH'}", good))
-    return _run_demo_table(rows, out)
-
-
-def _demo_thm_two1(out: Callable[[str], None]) -> int:
-    toy = collatz_toy(32, 10**5)
-    g = reference_inverter_two_to_one(toy)
-    rows = []
-    for n in range(32):
-        verdict = extract_two_to_one(g, toy, n)
-        expected = toy.entry_stage(n) is not None
-        good = verdict.member == expected
-        rows.append((f"{verdict.line()} expected={'true' if expected else 'false'}"
-                     f"{'' if good else ' MISMATCH'}", good))
-    return _run_demo_table(rows, out)
-
-
-_DEMOS = {
-    "prop-simple": _demo_prop_simple,
-    "thm-surjection": _demo_thm_surjection,
-    "thm-two1": _demo_thm_two1,
-}
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -314,7 +288,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                                    args.depth)
         print(f"branches={count.branches} surviving={count.surviving}")
         return 0
-    return _DEMOS[args.script](print)
+    return _run_demo(args.script, print)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -13,6 +13,11 @@ stage s; z-permission: z(⟨k_s,s⟩) = 1).  Variant 2 keys them on the update
 counter d_s (halting: d_s enumerated; z-permission: column d_s of z has a
 prefix in the word enumeration).  The halting clause is checked first and
 short-circuits, so a halting stage reads nothing from z.
+
+`Marker` runs the recursion; `k_keyed` and `d_keyed` are the permission
+rules.  The emitters and the reference inverter keep one marker per map on
+the evaluation's tape, so output bit 2s runs (and its step budget pays for)
+only the stages that no earlier bit on that tape has run.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .enumeration import (
     column_hit,
 )
 from .errors import DivergenceError, HorizonError, InjectivityError
-from .streams import BitSource, OracleTape, RealFunction, column_source, column_of
+from .streams import BitSource, OracleTape, RealFunction, column_source
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,6 @@ class MarkerTrace:
     k_final: int
     d_final: int
 
-    @property
-    def stages(self) -> int:
-        return len(self.steps)
-
     def k_at(self, s: int) -> int:
         if s == len(self.steps):
             return self.k_final
@@ -85,9 +86,6 @@ class MarkerTrace:
 
     def p_values(self) -> tuple[int, ...]:
         return tuple(step.p for step in self.steps)
-
-    def used_positions(self) -> frozenset[int]:
-        return frozenset(step.p for step in self.steps)
 
     def least_stage_with_k(self, value: int) -> Optional[int]:
         for s in range(len(self.steps) + 1):
@@ -140,35 +138,82 @@ class MarkerTrace:
 PermissionFn = Callable[[int, int, int], Optional[str]]
 
 
-def _marker_run(stages: int, permission_at: PermissionFn) -> MarkerTrace:
-    if stages < 0:
-        raise ValueError("stages must be a natural")
-    k = d = 0
-    steps = []
-    for s in range(stages):
-        perm = permission_at(k, d, s)
-        if perm is None:
-            steps.append(MarkerStep(s, k, d, s + 1, None))
-        else:
-            steps.append(MarkerStep(s, k, d, k, perm))
-            k = s + 1
-            d += 1
-    return MarkerTrace(tuple(steps), k, d)
+class Marker:
+    """The movable-marker recursion, run forward one stage at a time.
+
+    rows[s] = (k_s, d_s, p_s, permission at stage s); k, d follow the last
+    stage.  A stage commits only after its permission is decided, so a read
+    that raises mid-stage leaves the marker as it was.  The permission rule
+    is passed in, never stored: a marker kept on a tape holds no reference
+    back to the tape.
+    """
+
+    def __init__(self):
+        self.k = self.d = 0
+        self.rows: list[tuple[int, int, int, Optional[str]]] = []
+
+    @staticmethod
+    def on(tape: OracleTape, key: object) -> "Marker":
+        """The marker of map `key` over this tape, created on first use."""
+        return tape.markers.get(key) or tape.markers.setdefault(key, Marker())
+
+    def advance_to(self, stages: int, permission: PermissionFn) -> "Marker":
+        """Run the stages below `stages` that have not run yet."""
+        if stages < 0:
+            raise ValueError("stages must be a natural")
+        rows = self.rows
+        for s in range(len(rows), stages):
+            k, d = self.k, self.d
+            perm = permission(k, d, s)
+            if perm is None:
+                rows.append((k, d, s + 1, None))
+            else:
+                rows.append((k, d, k, perm))
+                self.k, self.d = s + 1, d + 1
+        return self
+
+    def trace(self) -> MarkerTrace:
+        return MarkerTrace(tuple(MarkerStep(s, *row) for s, row in enumerate(self.rows)),
+                           self.k, self.d)
+
+
+def k_keyed(w: StagedEnumeration, z: Callable[[int], int]) -> PermissionFn:
+    """Variant 1: halting when k_s is enumerated by stage s, else z(⟨k_s,s⟩)."""
+
+    def permission(k: int, d: int, s: int) -> Optional[str]:
+        if w.member_at_stage(k, s):
+            return "halting"
+        if z(pair(k, s)) == 1:
+            return "z"
+        return None
+
+    return permission
+
+
+def d_keyed(w: StagedEnumeration, u: StagedStringEnumeration,
+            z: Callable[[int], int]) -> PermissionFn:
+    """Variant 2: halting when d_s is enumerated by stage s, else column d_s of z hitting U_s."""
+
+    def permission(k: int, d: int, s: int) -> Optional[str]:
+        if w.member_at_stage(d, s):
+            return "halting"
+        if column_hit(u, BitSource(f"column:{d}", lambda i: z(pair(d, i))), s):
+            return "z"
+        return None
+
+    return permission
+
+
+def odd_half(tape: OracleTape) -> Callable[[int], int]:
+    """z of an input x⊕z, read through the tape: z(i) is input bit 2i+1."""
+    return lambda i: tape.read(2 * i + 1)
 
 
 def marker_run_v1(w: StagedEnumeration, z: BitSource, stages: int) -> MarkerTrace:
     """Marker recursion with permissions keyed on k_s."""
     if stages > w.horizon:
         raise HorizonError(f"marker run of {stages} stages beyond horizon {w.horizon}")
-
-    def permission(k: int, d: int, s: int) -> Optional[str]:
-        if w.member_at_stage(k, s):
-            return "halting"
-        if z.bit(pair(k, s)) == 1:
-            return "z"
-        return None
-
-    return _marker_run(stages, permission)
+    return Marker().advance_to(stages, k_keyed(w, z.bit)).trace()
 
 
 def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
@@ -177,15 +222,7 @@ def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
     if stages > w.horizon or stages > u.horizon:
         raise HorizonError(
             f"marker run of {stages} stages beyond horizons ({w.horizon}, {u.horizon})")
-
-    def permission(k: int, d: int, s: int) -> Optional[str]:
-        if w.member_at_stage(d, s):
-            return "halting"
-        if column_hit(u, column_of(z, d), s):
-            return "z"
-        return None
-
-    return _marker_run(stages, permission)
+    return Marker().advance_to(stages, d_keyed(w, u, z.bit)).trace()
 
 
 class Injection:
@@ -339,6 +376,7 @@ def two_to_one_v1(w: StagedEnumeration) -> RealFunction:
     through the tape (input positions 2⟨k,t⟩+1), then the selected x bit is
     input position 2·p_s.  Odd output bits copy z through.
     """
+    key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         if m % 2 == 1:
@@ -347,16 +385,8 @@ def two_to_one_v1(w: StagedEnumeration) -> RealFunction:
         if s + 1 > w.horizon:
             raise HorizonError(
                 f"output bit {m} needs marker stage {s + 1} beyond horizon {w.horizon}")
-
-        def permission(k: int, d: int, t: int) -> Optional[str]:
-            if w.member_at_stage(k, t):
-                return "halting"
-            if tape.read(2 * pair(k, t) + 1) == 1:
-                return "z"
-            return None
-
-        trace = _marker_run(s + 1, permission)
-        return tape.read(2 * trace.steps[s].p)
+        marker = Marker.on(tape, key).advance_to(s + 1, k_keyed(w, odd_half(tape)))
+        return tape.read(2 * marker.rows[s][2])
 
     return RealFunction(f"two1({w.label})", emit)
 
@@ -365,6 +395,7 @@ def two_to_one_v2(w: StagedEnumeration, u: StagedStringEnumeration) -> RealFunct
     """Same skeleton as the k-keyed map, but permissions are keyed on the
     update counter: halting on d_t entering w, z-permission when column d_t
     of z extends a word of U_t."""
+    key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         if m % 2 == 1:
@@ -374,17 +405,8 @@ def two_to_one_v2(w: StagedEnumeration, u: StagedStringEnumeration) -> RealFunct
         if s + 1 > cap:
             raise HorizonError(
                 f"output bit {m} needs marker stage {s + 1} beyond horizon {cap}")
-
-        def permission(k: int, d: int, t: int) -> Optional[str]:
-            if w.member_at_stage(d, t):
-                return "halting"
-            col = BitSource(f"tape-column:{d}", lambda i, d=d: tape.read(2 * pair(d, i) + 1))
-            if column_hit(u, col, t):
-                return "z"
-            return None
-
-        trace = _marker_run(s + 1, permission)
-        return tape.read(2 * trace.steps[s].p)
+        marker = Marker.on(tape, key).advance_to(s + 1, d_keyed(w, u, odd_half(tape)))
+        return tape.read(2 * marker.rows[s][2])
 
     return RealFunction(f"two2({w.label},{u.label})", emit)
 

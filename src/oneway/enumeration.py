@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from .bitcore import Word, check_word, comparable
+from .bitcore import Word, check_word, comparable, data_lines
 from .errors import HorizonError, SpecParseError
 from .streams import BitSource
 
@@ -54,8 +54,6 @@ class StagedEnumeration:
         for s, n in pairs:
             if s in schedule:
                 raise SpecParseError(f"stage {s} repeated (pair ({s}, {n}))")
-            if n in schedule.values():
-                raise SpecParseError(f"element {n} repeated (pair ({s}, {n}))")
             schedule[s] = n
         if horizon is None:
             horizon = max(schedule, default=0)
@@ -225,21 +223,12 @@ class DecidedSet:
         return f"DecidedSet({self.label}, {len(self._members)} members, horizon={self.horizon})"
 
 
-def _data_lines(path: str):
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield lineno, line
-    except OSError as exc:
-        raise SpecParseError(f"cannot read {path}: {exc}") from exc
-
-
-def _split_horizon(path: str, rows: list[tuple[int, list[str]]]) -> tuple[Optional[int], list[tuple[int, list[str]]]]:
+def _split_horizon(path: str) -> tuple[Optional[int], list[tuple[int, list[str]]]]:
+    """The data lines of a file, split into fields, and its `horizon N`."""
     horizon = None
     data = []
-    for lineno, parts in rows:
+    for lineno, line in data_lines(path):
+        parts = line.split()
         if parts[0] == "horizon":
             if len(parts) != 2 or horizon is not None:
                 raise SpecParseError(f"{path}:{lineno}: bad horizon directive")
@@ -257,8 +246,7 @@ def enumeration_from_file(path: str) -> StagedEnumeration:
 
     Without a horizon directive the horizon is the largest listed stage.
     """
-    rows = [(lineno, line.split()) for lineno, line in _data_lines(path)]
-    horizon, data = _split_horizon(path, rows)
+    horizon, data = _split_horizon(path)
     pairs = []
     for lineno, parts in data:
         if len(parts) != 2:
@@ -275,8 +263,7 @@ def enumeration_from_file(path: str) -> StagedEnumeration:
 
 def string_enum_from_file(path: str) -> StagedStringEnumeration:
     """Lines `s WORD`; optional `horizon N`; '#' comments."""
-    rows = [(lineno, line.split()) for lineno, line in _data_lines(path)]
-    horizon, data = _split_horizon(path, rows)
+    horizon, data = _split_horizon(path)
     pairs = []
     for lineno, parts in data:
         if len(parts) != 2:
@@ -295,8 +282,7 @@ def string_enum_from_file(path: str) -> StagedStringEnumeration:
 
 def decided_set_from_file(path: str) -> DecidedSet:
     """Lines `n` (one member per line); optional `horizon N`; '#' comments."""
-    rows = [(lineno, line.split()) for lineno, line in _data_lines(path)]
-    horizon, data = _split_horizon(path, rows)
+    horizon, data = _split_horizon(path)
     members = []
     for lineno, parts in data:
         if len(parts) != 1:

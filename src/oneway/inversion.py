@@ -31,7 +31,8 @@ from .bitcore import (
     comparable,
     pair,
 )
-from .constructions import marker_run_v1, two_to_one_v1, z_builder_v1
+from .constructions import Marker, k_keyed, marker_run_v1, odd_half, two_to_one_v1, \
+    z_builder_v1
 from .enumeration import StagedEnumeration
 from .errors import (
     ConsistencyError,
@@ -52,8 +53,8 @@ from .streams import (
     Representation,
     evaluate_bit,
     finite,
-    flipped_at,
     interleaved,
+    mutate_beyond_use,
     output_source,
     representation_of,
     source_agrees,
@@ -167,20 +168,20 @@ def reference_inverter_two_to_one(w: StagedEnumeration,
     when the scan instead shows the marker parked on q through every
     searched stage, the bit is the unread one and the witness answers 0.
     """
+    key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         if m % 2 == 1:
             return tape.read(m)
         q = m // 2
-        k = 0
-        for t in range(search_stages):
-            if w.member_at_stage(k, t) or tape.read(2 * pair(k, t) + 1) == 1:
-                p_t, k = k, t + 1
-            else:
-                p_t = t + 1
-            if p_t == q:
+        marker = Marker.on(tape, key)
+        permission = k_keyed(w, odd_half(tape))
+        # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
+        for t in range(max(q - 1, 0), search_stages):
+            if marker.advance_to(t + 1, permission).rows[t][2] == q:
                 return tape.read(2 * t)
-        if k == q:
+        # this marker never runs past search_stages, so k is k_{search_stages}
+        if marker.advance_to(search_stages, permission).k == q:
             return 0
         raise DivergenceError(m, f"position {q} not selected within {search_stages} stages")
 
@@ -194,9 +195,7 @@ def _bit_use_soundness(g: RealFunction, x: BitSource, m: int,
     base_bit, use = evaluate_bit(g, x, m)
     rng = random.Random(seed)
     for _ in range(trials):
-        mutated = x
-        for p in {use + rng.randrange(256) for _ in range(rng.randint(1, 3))}:
-            mutated = flipped_at(mutated, p)
+        _, mutated = mutate_beyond_use(x, use, rng)
         got, _ = evaluate_bit(g, mutated, m)
         if got != base_bit:
             raise UseSoundnessError(
@@ -324,17 +323,19 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     dropped (their candidate words never halt, so they are never collected).
     """
     leaves: list[DovetailLeaf] = []
+    # depth-first with an explicit stack: a reader that scans far for its
+    # first 1 forks once per position and would nest thousands deep
+    stack: list[dict[int, str]] = [{}]
     nodes = 0
-
-    def explore(assign: dict[int, str]) -> None:
-        nonlocal nodes
+    while stack:
+        assign = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise MeasureThresholdError(
                 f"dovetail fork tree exceeded {node_budget} nodes; "
                 f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
 
-        def bit_at(i: int) -> int:
+        def bit_at(i: int, assign: dict[int, str] = assign) -> int:
             if i < len(sigma):
                 return int(sigma[i])
             if i in assign:
@@ -345,11 +346,10 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
         try:
             g.emit(tape, bit_index)
         except _Fork as fork:
-            for b in "01":
-                explore({**assign, fork.position: b})
-            return
+            stack.extend({**assign, fork.position: b} for b in "10")
+            continue
         except (DivergenceError, _BudgetExhausted):
-            return
+            continue
         length = max(tape.use, len(sigma))
         pattern = PartialAssignment.of_dict(assign)
         leaves.append(DovetailLeaf(
@@ -357,8 +357,6 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
             use=tape.use,
             length=length,
             words=2 ** (length - len(sigma) - len(pattern.constraints))))
-
-    explore({})
     return leaves
 
 

@@ -9,7 +9,9 @@ barriers apply to every construction uniformly.
 
 Partiality is desk-scale: every output bit gets a step budget (one step per
 tape read, default 10^6) and budget exhaustion surfaces as a divergence
-error, never nontermination.
+error, never nontermination.  Work an emitter keeps on the tape across bits
+is paid for once, by the bit that does it: an even bit 2s of a two-to-one
+map pays only for the marker stages no earlier bit on that tape has run.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .bitcore import Word, check_word, pair, unpair
+from .bitcore import Word, check_word, data_lines, pair, unpair
 from .errors import (
     DivergenceError,
     HorizonError,
@@ -109,13 +111,23 @@ def column_of(w: BitSource, n: int) -> BitSource:
     return BitSource(f"column:{n}:{w.spec}", lambda i: w.bit(pair(n, i)))
 
 
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
 def random_source(seed: int) -> BitSource:
+    """Bit i is the i-th draw of random.Random(seed).getrandbits(1): the top
+    bit of the i-th 32-bit word, which getrandbits(32·n) packs little-endian.
+    Batches double from 64 to 32K words; the cache holds a byte per bit."""
     rng = random.Random(seed)
-    cache: list[int] = []
+    cache = bytearray()
+    words = 64
 
     def bit(i: int) -> int:
+        nonlocal words
         while len(cache) <= i:
-            cache.append(rng.getrandbits(1))
+            batch = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+            cache.extend(batch[3::4].translate(_TOP_BIT))
+            words = min(2 * words, 1 << 15)
         return cache[i]
 
     return BitSource(f"random:{seed}", bit)
@@ -125,27 +137,20 @@ def columns_from_file(path: str) -> BitSource:
     """Column file: lines `COL WORD`; column COL carries WORD then zeros;
     unlisted columns are all zero.  '#' comments and blank lines ignored."""
     assignments: dict[int, BitSource] = {}
-    try:
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise SpecParseError(f"{path}:{lineno}: expected `COL WORD`")
-                try:
-                    col = int(parts[0])
-                    word = check_word(parts[1])
-                except ValueError as exc:
-                    raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
-                if col < 0:
-                    raise SpecParseError(f"{path}:{lineno}: negative column {col}")
-                if col in assignments:
-                    raise SpecParseError(f"{path}:{lineno}: column {col} listed twice")
-                assignments[col] = finite(word)
-    except OSError as exc:
-        raise SpecParseError(f"cannot read column file {path}: {exc}") from exc
+    for lineno, line in data_lines(path, "column file "):
+        parts = line.split()
+        if len(parts) != 2:
+            raise SpecParseError(f"{path}:{lineno}: expected `COL WORD`")
+        try:
+            col = int(parts[0])
+            word = check_word(parts[1])
+        except ValueError as exc:
+            raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
+        if col < 0:
+            raise SpecParseError(f"{path}:{lineno}: negative column {col}")
+        if col in assignments:
+            raise SpecParseError(f"{path}:{lineno}: column {col} listed twice")
+        assignments[col] = finite(word)
     return column_source(assignments, zeros())
 
 
@@ -167,6 +172,8 @@ class OracleTape:
         self._budget_left = budget
         self._read_order: list[int] = []
         self._read_set: set[int] = set()
+        # per-map state kept across output bits (two-to-one markers)
+        self.markers: dict[object, object] = {}
 
     def reset_budget(self) -> None:
         self._budget_left = self._budget_limit
@@ -385,6 +392,18 @@ class UseSoundnessReport:
         return not self.violations
 
 
+def mutate_beyond_use(x: BitSource, use: int,
+                      rng: random.Random) -> tuple[tuple[int, ...], BitSource]:
+    """One mutation draw: 1 to 3 positions in [use, use + 256), and x with
+    those positions flipped."""
+    count = rng.randint(1, 3)
+    positions = tuple(sorted({use + rng.randrange(256) for _ in range(count)}))
+    mutated = x
+    for p in positions:
+        mutated = flipped_at(mutated, p)
+    return positions, mutated
+
+
 def use_soundness_check(f: RealFunction, x: BitSource, n: int,
                         trials: int, seed: int = 0) -> UseSoundnessReport:
     """Mutate positions beyond the reported use; the output must not move.
@@ -397,11 +416,7 @@ def use_soundness_check(f: RealFunction, x: BitSource, n: int,
     rng = random.Random(seed)
     violations = []
     for _ in range(trials):
-        count = rng.randint(1, 3)
-        positions = tuple(sorted({base.use + rng.randrange(256) for _ in range(count)}))
-        mutated = x
-        for p in positions:
-            mutated = flipped_at(mutated, p)
+        positions, mutated = mutate_beyond_use(x, base.use, rng)
         got = evaluate(f, mutated, n)
         if got.output != base.output:
             violations.append((positions, base.output, got.output))

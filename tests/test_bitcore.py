@@ -8,7 +8,6 @@ import pytest
 from oneway.bitcore import (
     PartialAssignment,
     PrefixFreeSet,
-    assignment_measure,
     check_word,
     comparable,
     deinterleave,
@@ -127,7 +126,6 @@ class TestPartialAssignment:
         assert PartialAssignment().measure() == 1
         a = PartialAssignment.of_dict({0: "1", 7: "0", 100: "1"})
         assert a.measure() == Fraction(1, 8)
-        assert assignment_measure(a) == Fraction(1, 8)
 
     def test_union_and_consistency(self):
         a = PartialAssignment.of_dict({0: "1", 4: "0"})

@@ -35,6 +35,7 @@ from oneway.errors import DivergenceError, HorizonError, InjectivityError
 from oneway.streams import (
     column_source,
     evaluate,
+    evaluate_bit,
     finite,
     interleaved,
     ones,
@@ -244,6 +245,17 @@ class TestTwoToOne:
         f = two_to_one_v2(empty_enum(20), u)
         with pytest.raises(HorizonError):
             evaluate(f, interleaved(zeros(), ones()), 8)
+
+    def test_even_bit_budget_pays_only_new_stages(self):
+        # with every stage permitted on its first z read, bit 2s adds one
+        # stage (one read) and reads x(p_s): two reads however large s is
+        u = StagedStringEnumeration.from_pairs([(0, "1")], horizon=200)
+        x_and_z = interleaved(periodic("01"), ones())
+        for f in (two_to_one_v1(empty_enum(200)), two_to_one_v2(empty_enum(200), u)):
+            assert evaluate(f, x_and_z, 256, budget=2) == evaluate(f, x_and_z, 256)
+            # a fresh tape runs all s+1 stages for bit 2s
+            with pytest.raises(DivergenceError):
+                evaluate_bit(f, x_and_z, 20, budget=2)
 
 
 class TestZBuilderAndColumns:

@@ -32,6 +32,7 @@ from oneway.errors import (
 from oneway.inversion import (
     FiberCount,
     InverterUnderTest,
+    _dovetail_leaves,
     extract_randomized,
     extract_simple,
     extract_two_to_one,
@@ -262,6 +263,17 @@ class TestExtractRandomized:
         _, f, w = self.fixture()
         with pytest.raises(ValueError, match="binary inverter"):
             extract_randomized(reference_inverter_simple(w), f, "", w, 2)
+
+    def test_deep_fork_tree_needs_no_recursion(self):
+        # scanning for the first 1 forks once per position: 1,200 deep
+        def emit(tape, m):
+            for i in range(1200):
+                if tape.read(i):
+                    return 1
+            return 0
+
+        leaves = _dovetail_leaves(RealFunction("scan", emit), "", 0, 100000, 10**6)
+        assert sorted(leaf.use for leaf in leaves) == list(range(1, 1201)) + [1200]
 
 
 class TestExtractTwoToOne:

@@ -77,6 +77,16 @@ class TestSources:
         assert a.prefix(64) == b.prefix(64)
         assert random_source(8).prefix(64) != a.prefix(64)
 
+    @pytest.mark.parametrize("seed", [0, 1, 3, 7, 12345])
+    def test_random_source_is_the_getrandbits_stream(self, seed):
+        rng = random.Random(seed)
+        want = [rng.getrandbits(1) for _ in range(100_000)]
+        stream = random_source(seed)
+        assert [stream.bit(i) for i in range(len(want))] == want
+        deep = random_source(seed)  # the first read is a deep one
+        assert deep.bit(len(want) - 1) == want[-1]
+        assert [deep.bit(i) for i in range(0, len(want), 97)] == want[::97]
+
     def test_column_source_and_column_of(self):
         # column 1 carries ones, default is the all-zeros backdrop
         w = column_source({1: ones()}, zeros())
