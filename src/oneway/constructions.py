@@ -152,6 +152,11 @@ class Marker:
         self.k = self.d = 0
         self.rows: list[tuple[int, int, int, Optional[str]]] = []
 
+    def __copy__(self) -> "Marker":
+        twin = Marker()
+        twin.k, twin.d, twin.rows = self.k, self.d, list(self.rows)
+        return twin
+
     @staticmethod
     def on(tape: OracleTape, key: object) -> "Marker":
         """The marker of map `key` over this tape, created on first use."""

@@ -1,4 +1,4 @@
-"""Inverters and the adversaries that exploit them.
+"""Inverters, the adversaries that exploit them, and fiber evidence.
 
 The extraction procedures turn any working inverter of the shipped one-way
 maps into a decision procedure for the driving enumeration: the oracle-use
@@ -7,28 +7,27 @@ show up.  Reference inverters built from full knowledge of the toy set make
 the reductions executable end to end; the toy stands where no computable
 inverter could.
 
-The randomized extraction dovetails candidate oracle words in (length, lex)
-order, collecting minimal halting prefixes until they cover more than half
-of the conditioning cylinder.  Candidate words are never enumerated one by
-one - the collected set is represented symbolically by the fork tree of the
-inverter's reads, one leaf per read pattern, with exact word counts and
-rational measures per length class.  The crossing length class, and hence
-the stage bound, is computed exactly.
+No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
+splits a computation at the first open position it reads, so a leaf stands
+for every word that agrees with its read pattern.  The randomized extraction
+collects halting patterns in (length, lex) order until they cover more than
+half of the conditioning cylinder, with exact counts and measures per length
+class; fiber counts add up the patterns that fit a target.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .bitcore import (
     PartialAssignment,
     PrefixFreeSet,
     Word,
     check_word,
-    comparable,
     pair,
 )
 from .constructions import Marker, k_keyed, marker_run_v1, odd_half, two_to_one_v1, \
@@ -38,6 +37,7 @@ from .errors import (
     ConsistencyError,
     DeskError,
     DivergenceError,
+    HorizonError,
     MeasureThresholdError,
     NotInRangeError,
     NotSingletonError,
@@ -56,8 +56,7 @@ from .streams import (
     interleaved,
     mutate_beyond_use,
     output_source,
-    representation_of,
-    source_agrees,
+    preimage_levels,
     zeros,
 )
 
@@ -107,9 +106,7 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
         depth_cap = rep.depth
     if depth_cap > rep.depth:
         raise ValueError(f"depth cap {depth_cap} exceeds representation depth {rep.depth}")
-    level = [""]
-    for depth in range(depth_cap + 1):
-        survivors = [s for s in level if source_agrees(y, rep.map_word(s))]
+    for depth, survivors in enumerate(preimage_levels(rep, y, depth_cap)):
         if not survivors:
             raise NotInRangeError(f"target not in range at depth {depth}")
         if depth >= n and len({s[:n] for s in survivors}) == 1:
@@ -118,7 +115,6 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
             raise NotSingletonError(
                 f"{len(survivors)} surviving words at depth {depth}; "
                 f"fiber not provably singleton at desk scale")
-        level = [s + b for s in survivors for b in "01"]
     raise NotSingletonError(
         f"no {n}-bit consensus by depth {depth_cap}; "
         f"fiber not provably singleton at desk scale")
@@ -249,6 +245,46 @@ class _Fork(Exception):
         super().__init__(str(position))
 
 
+def _fork_tree(run: Callable[[dict[int, str]], object], node_budget: float,
+               exhausted: DeskError, owned_from: int = 0) -> Iterator[tuple[dict[int, str], Any]]:
+    """The leaves of the fork-on-read tree of `run`, lazily, depth first.
+
+    `run(assignment)` raises `_Fork(p)` at the first position p it reads
+    that the assignment leaves open, and the node splits on p, 0 before 1.
+    Leaves are yielded as (assignment, result).  A fork below `owned_from`
+    propagates to an enclosing tree; past `node_budget` nodes the tree
+    raises `exhausted`.
+    """
+    stack, nodes = [{}], 0
+    while stack:
+        assign = stack.pop()
+        nodes += 1
+        if nodes > node_budget:
+            raise exhausted
+        try:
+            result = run(assign)
+        except _Fork as fork:
+            if fork.position < owned_from:
+                raise
+            stack.extend({**assign, fork.position: b} for b in "10")
+            continue
+        yield assign, result
+
+
+def _fork_source(spec: str, word: Word, assign: dict[int, str]) -> BitSource:
+    """`word`, then the assignment; a read anywhere else forks."""
+
+    def bit_at(i: int) -> int:
+        if i < len(word):
+            return int(word[i])
+        b = assign.get(i)
+        if b is None:
+            raise _Fork(i)
+        return int(b)
+
+    return BitSource(spec, bit_at)
+
+
 @dataclass(frozen=True)
 class DovetailLeaf:
     """One read pattern of the inverter: every candidate word consistent
@@ -322,41 +358,24 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     or beyond |sigma| splits the cylinder in two.  Paths that diverge are
     dropped (their candidate words never halt, so they are never collected).
     """
-    leaves: list[DovetailLeaf] = []
-    # depth-first with an explicit stack: a reader that scans far for its
-    # first 1 forks once per position and would nest thousands deep
-    stack: list[dict[int, str]] = [{}]
-    nodes = 0
-    while stack:
-        assign = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise MeasureThresholdError(
-                f"dovetail fork tree exceeded {node_budget} nodes; "
-                f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
 
-        def bit_at(i: int, assign: dict[int, str] = assign) -> int:
-            if i < len(sigma):
-                return int(sigma[i])
-            if i in assign:
-                return int(assign[i])
-            raise _Fork(i)
-
-        tape = OracleTape(BitSource("dovetail-candidate", bit_at), budget=run_budget)
+    def run(assign: dict[int, str]) -> Optional[int]:
+        tape = OracleTape(_fork_source("dovetail-candidate", sigma, assign), budget=run_budget)
         try:
             g.emit(tape, bit_index)
-        except _Fork as fork:
-            stack.extend({**assign, fork.position: b} for b in "10")
-            continue
         except (DivergenceError, _BudgetExhausted):
-            continue
-        length = max(tape.use, len(sigma))
-        pattern = PartialAssignment.of_dict(assign)
-        leaves.append(DovetailLeaf(
-            assignment=pattern,
-            use=tape.use,
-            length=length,
-            words=2 ** (length - len(sigma) - len(pattern.constraints))))
+            return None
+        return tape.use
+
+    exhausted = MeasureThresholdError(
+        f"dovetail fork tree exceeded {node_budget} nodes; "
+        f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
+    leaves: list[DovetailLeaf] = []
+    for assign, use in _fork_tree(run, node_budget, exhausted):
+        if use is not None:
+            length = max(use, len(sigma))
+            leaves.append(DovetailLeaf(PartialAssignment.of_dict(assign), use, length,
+                                       2 ** (length - len(sigma) - len(assign))))
     return leaves
 
 
@@ -475,22 +494,23 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                        budget: int = 1000000) -> FiberCount:
     """Count depth-`depth` input words still consistent with the target.
 
-    The plain survivor count treats every unconstrained position as a
-    branching point, which inflates genuinely two-element fibers with bits
-    the function has not read yet.  `branches` therefore counts at read
-    resolution: survivors whose deep probe succeeds are grouped by their
-    bits on the positions the probe run actually read, and each position
-    below `depth` that the run never reads contributes one free factor of
-    two.
+    `surviving` counts the words whose image under a read barrier at
+    `depth` (what `Representation` computes) is comparable with `y_prefix`:
+    a fork tree on the positions below `depth` splits only where f reads,
+    and each leaf stands for 2^(open positions) words.
 
-    How tight the count is depends on how much of the target the caller
-    supplies.  Every bit of `y_prefix` is a check the continuation must
-    pass, so a prefix that extends through the outputs publishing each
-    selection the run makes below `depth` pins the deep branches down to
-    the true fiber; a bare `depth`-bit prefix leaves later selections free
-    to wander.  Reads at or past `probe_len` (default: comfortably past
-    both the supplied prefix and the pairing positions consulted near
-    `depth`) truncate, so deeper behaviour neither constrains nor helps.
+    `branches` counts at read resolution, so bits f has not read do not
+    inflate a genuinely two-element fiber.  A surviving class is extendable
+    when a nested fork tree over the positions from `depth` on finds a
+    continuation passing every bit of `y_prefix`.  The extendable classes'
+    distinct patterns on the positions below `depth` read by the passing
+    bits of the least extendable word, times two per other position below
+    `depth`, give `branches`; a target through the outputs publishing each
+    selection made below `depth` pins this to the true fiber.  A bit that
+    reads from `probe_len` on (default: past the prefix and the pairings
+    consulted near `depth`), runs out of steps or diverges passes without
+    reads; its step budget pays only for marker stages new to its tape.
+    More than `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
     if depth < 0:
@@ -499,106 +519,68 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
         probe_len = max(2 * pair(depth + 2, depth + 2) + 4,
                         2 * len(y_prefix) + 2)
     probe_len = max(probe_len, depth)
-    rep = representation_of(f, depth, out_cap=max(len(y_prefix), 1))
-
-    def compatible(word: Word) -> bool:
-        return comparable(rep.map_word(word), y_prefix)
-
-    level = [""]
-    for _ in range(depth):
-        level = [s + b for s in level if compatible(s) for b in "01"]
-    survivors = [s for s in level if compatible(s)]
-    if not survivors:
-        return FiberCount(0, 0)
-
-    reads_budget = [budget]
-    witness_reads: Optional[tuple[int, ...]] = None
-    classes: set[tuple[str, ...]] = set()
-    extendable = 0
-    for word in survivors:
-        reads = _probe_extension(f, word, y_prefix, probe_len, reads_budget)
-        if reads is None:
-            continue
-        extendable += 1
-        if witness_reads is None:
-            witness_reads = reads
-        inside = [p for p in witness_reads if p < depth]
-        classes.add(tuple(word[p] for p in sorted(inside)))
-    if extendable == 0:
-        return FiberCount(0, len(survivors))
-    free = depth - len([p for p in witness_reads if p < depth])
-    return FiberCount(len(classes) * 2 ** free, len(survivors))
-
-
-def _probe_extension(f: RealFunction, word: Word, y_prefix: Word,
-                     probe_len: int, budget: list[int]) -> Optional[tuple[int, ...]]:
-    """Read positions of one successful deep continuation of `word`, if any.
-
-    Simulates f on word + symbolic continuation: unread positions beyond
-    |word| fork on demand, each output bit is matched against y_prefix, and
-    a mismatch backtracks.  A fork at a position that itself indexes a
-    checked output bit is validated immediately, so a wrong guess dies
-    before the sweep reaches it.  A read past `probe_len` or a divergence
-    truncates that bit's run, which still counts as success (the shorter
-    output stays compatible) but contributes no reads.  Positions the
-    computation never reads stay unassigned.
-    """
     n_out = len(y_prefix)
+    exhausted = DeskError("fiber probe budget exhausted")
+    runs = iter(range(budget))
 
-    def probe_source(assign: dict[int, str]) -> BitSource:
-        def bit_at(i: int) -> int:
-            if i >= probe_len:
-                raise _ReadBeyondBarrier(i)
-            if i < len(word):
-                return int(word[i])
-            if i in assign:
-                return int(assign[i])
-            raise _Fork(i)
-        return BitSource("fiber-probe", bit_at)
-
-    # Depth-first over fork guesses, stack instead of recursion: deep sweeps
-    # fork once per fresh position and would otherwise nest thousands deep.
-    alternatives: list[tuple[tuple[int, ...], dict[int, str], frozenset[int]]] = []
-    pending: tuple[int, ...] = tuple(range(n_out))
-    assign: dict[int, str] = {}
-    reads: frozenset[int] = frozenset()
-    idx = 0
-    while True:
-        if idx == len(pending):
-            return tuple(sorted(reads))
-        j = pending[idx]
-        if budget[0] <= 0:
-            raise DeskError("fiber probe budget exhausted")
-        budget[0] -= 1
-        tape = OracleTape(probe_source(assign))
-        failed = False
-        try:
-            b = f.emit(tape, j)
-        except _Fork as fork:
-            # Retry j first: its own check kills a wrong guess at once.
-            # Validating the forked position next still pins it before the
-            # tail sweep, without burying j's check under nested forks.
-            rest = pending[idx:idx + 1]
-            if fork.position < n_out:
-                rest = rest + (fork.position,)
-            rest = rest + pending[idx + 1:]
-            alternatives.append((rest, {**assign, fork.position: "1"}, reads))
-            pending, assign, idx = rest, {**assign, fork.position: "0"}, 0
-            continue
-        except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError):
-            idx += 1
-            continue
+    def continuation(word_class: dict[int, str], guess: dict[int, str],
+                     resume: dict) -> Optional[tuple[int, ...]]:
+        """Positions the passing bits read under one guess; None on a mismatch.
+        A run that forks at a read of bit j leaves its tape and the bits from
+        j on to both children (the 1-child runs last and takes them): they
+        check j again first, then the guessed position if it indexes an output bit."""
+        key = tuple(guess.items())
+        tape, pending, mark = (resume.pop if key and key[-1][1] == "1" else resume.get)(key[:-1])
+        tape = tape.branch(_fork_source("fiber-probe", "", {**word_class, **guess}))
+        if key and key[-1][0] < n_out:
+            pending = pending[:1] + (key[-1][0],) + pending[1:]
+        reads = None
+        for idx, j in enumerate(pending):
+            resume[key] = (tape, pending[idx:], mark)  # where both children resume if j forks
+            if next(runs, None) is None:
+                raise exhausted
+            tape.reset_budget()
+            try:
+                if f.emit(tape, j) != int(y_prefix[j]):
+                    break
+            except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError):
+                tape.rollback_reads(mark)
+            mark = tape.read_mark()
         else:
-            if b != int(y_prefix[j]):
-                failed = True
-            else:
-                reads = reads | frozenset(tape.positions_read())
-                idx += 1
-        if failed:
-            if not alternatives:
-                return None
-            pending, assign, reads = alternatives.pop()
-            idx = 0
+            reads = tape.positions_read()
+        resume.pop(key, None)
+        return reads
+
+    def classify(word_class: dict[int, str]) -> tuple[bool, Optional[tuple[int, ...]]]:
+        """(image comparable, the witness reads if the class is extendable)."""
+        tape = OracleTape(_fork_source("fiber-probe", "", word_class), barrier=depth)
+        for j in range(max(n_out, 1)):
+            tape.reset_budget()
+            try:
+                b = f.emit(tape, j)
+            except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError, HorizonError):
+                break
+            if j < n_out and b != int(y_prefix[j]):
+                return False, None
+        resume = {(): (OracleTape(zeros(), barrier=probe_len), tuple(range(n_out)), 0)}
+        deep = _fork_tree(lambda guess: continuation(word_class, guess, resume),
+                          budget, exhausted, owned_from=depth)
+        return True, next((reads for _, reads in deep if reads is not None), None)
+
+    surviving, extendable = 0, []
+    # image runs are not probe runs, so `budget` does not bound this tree
+    for word_class, (survives, reads) in _fork_tree(classify, float("inf"), exhausted):
+        if survives:
+            surviving += 2 ** (depth - len(word_class))
+            if reads is not None:
+                least = "".join(word_class.get(p, "0") for p in range(depth))
+                extendable.append((least, word_class, reads))
+    if not extendable:
+        return FiberCount(0, surviving)
+    inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]
+    patterns = {pattern for _, word_class, _ in extendable
+                for pattern in itertools.product(*(word_class.get(p, "01") for p in inside))}
+    return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
 
 
 @dataclass(frozen=True)

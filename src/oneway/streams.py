@@ -16,9 +16,10 @@ map pays only for the marker stages no earlier bit on that tape has run.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .bitcore import Word, check_word, data_lines, pair, unpair
 from .errors import (
@@ -198,6 +199,14 @@ class OracleTape:
         """Number of distinct positions read so far (for rollback bookkeeping)."""
         return len(self._read_order)
 
+    def branch(self, source: BitSource) -> "OracleTape":
+        """A copy, per-map state included, over a source that agrees on every read."""
+        twin = copy.copy(self)
+        twin.source, twin._read_order, twin._read_set = \
+            source, list(self._read_order), set(self._read_set)
+        twin.markers = {key: copy.copy(state) for key, state in self.markers.items()}
+        return twin
+
     def rollback_reads(self, mark: int) -> None:
         """Forget positions first read after `mark` (use stays monotone)."""
         for pos in self._read_order[mark:]:
@@ -362,21 +371,23 @@ def source_agrees(y: BitSource, word: Word) -> bool:
     return all(y.bit(i) == int(ch) for i, ch in enumerate(word))
 
 
-def preimage_tree(rep: Representation, y: BitSource, depth: int) -> list[Word]:
-    """All words σ, |σ| ≤ depth, whose image under rep is a prefix of y.
-
-    Downward closed, so the search prunes: once map_word(σ) disagrees with
-    y, monotonicity kills every extension of σ.  Sorted (length, lex).
-    """
-    if depth > rep.depth:
-        raise ValueError(f"tree depth {depth} exceeds representation depth {rep.depth}")
-    out: list[Word] = []
+def preimage_levels(rep: Representation, y: BitSource, depth: int) -> Iterator[list[Word]]:
+    """For each length 0..depth, the words σ in lex order whose image under
+    rep is a prefix of y.  A level extends only the survivors of the last:
+    once map_word(σ) disagrees with y, no extension of σ agrees."""
     level = [""]
     for _ in range(depth + 1):
         keep = [s for s in level if source_agrees(y, rep.map_word(s))]
-        out.extend(keep)
+        yield keep
         level = [s + b for s in keep for b in "01"]
-    return sorted(out, key=lambda w: (len(w), w))
+
+
+def preimage_tree(rep: Representation, y: BitSource, depth: int) -> list[Word]:
+    """All words σ, |σ| ≤ depth, whose image under rep is a prefix of y,
+    sorted (length, lex)."""
+    if depth > rep.depth:
+        raise ValueError(f"tree depth {depth} exceeds representation depth {rep.depth}")
+    return [s for level in preimage_levels(rep, y, depth) for s in level]
 
 
 @dataclass(frozen=True)

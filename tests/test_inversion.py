@@ -9,6 +9,7 @@ from oneway.constructions import (
     bit_select,
     double_injection,
     identity_injection,
+    marker_run_v1,
     one_way_surjection,
     shift_injection,
     simple_one_way,
@@ -23,6 +24,7 @@ from oneway.enumeration import (
 )
 from oneway.errors import (
     ConsistencyError,
+    DeskError,
     DivergenceError,
     HorizonError,
     MeasureThresholdError,
@@ -54,6 +56,8 @@ from oneway.streams import (
     representation_of,
     zeros,
 )
+
+from test_acceptance import calibrated_len
 
 
 def enum(pairs, horizon):
@@ -363,6 +367,35 @@ class TestFiberBranchCount:
         f = two_to_one_v2(w, u)
         y = evaluate(f, interleaved(random_source(11), zeros()), 94).output
         assert fiber_branch_count(f, y, 16).branches == 2
+
+    @pytest.mark.parametrize("depth", [20, 24])
+    def test_deep_counts_follow_the_marker_trace(self, depth):
+        # words are never listed, so depth 24 costs what the reads cost
+        w = enum([], 10**6)
+        f = two_to_one_v1(w)
+        for z in (zeros(), ones()):
+            ylen, missing = calibrated_len(marker_run_v1(w, z, 512), depth)
+            y = evaluate(f, interleaved(random_source(11), z), ylen).output
+            assert fiber_branch_count(f, y, depth).branches == (2 if missing else 1)
+        y = evaluate(f, interleaved(random_source(11), zeros()), 182).output
+        assert fiber_branch_count(f, y, 24) == FiberCount(2, 688128)
+
+    def test_budget_exhaustion_is_a_desk_error(self):
+        # the probe scans past depth for a 1 and forks once per position;
+        # the budget on probe emitter runs stops it
+        def scan(tape, m):
+            i = 2
+            while not tape.read(i):
+                i += 1
+            return 1
+
+        with pytest.raises(DeskError, match="^fiber probe budget exhausted$"):
+            fiber_branch_count(RealFunction("scan", scan), "1", 2,
+                               probe_len=10**6, budget=500)
+        f = two_to_one_v1(enum([], 10**6))
+        y = evaluate(f, interleaved(random_source(11), zeros()), 90).output
+        with pytest.raises(DeskError, match="^fiber probe budget exhausted$"):
+            fiber_branch_count(f, y, 16, budget=50)
 
 
 class TestInvertsAtFiniteStage:
