@@ -230,39 +230,41 @@ def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
     return Marker().advance_to(stages, d_keyed(w, u, z.bit)).trace()
 
 
+@dataclass(frozen=True)
 class Injection:
-    """An injective position map with collision detection on the fly.
+    """A position map claimed injective; `check_injective` tests the claim
+    over a stated range.  The optional inverse returns None for values
+    outside the range."""
 
-    Every applied value is remembered; a repeat from a different argument
-    raises.  The optional inverse returns None for values outside the range.
-    """
-
-    def __init__(self, name: str, fn: Callable[[int], int],
-                 inverse: Optional[Callable[[int], Optional[int]]] = None):
-        self.name = name
-        self._fn = fn
-        self._inverse = inverse
-        self._seen: dict[int, int] = {}
+    name: str
+    fn: Callable[[int], int]
+    inverse: Optional[Callable[[int], Optional[int]]] = None
 
     def apply(self, n: int) -> int:
         if n < 0:
             raise ValueError(f"{self.name} takes naturals, got {n}")
-        v = self._fn(n)
+        v = self.fn(n)
         if v < 0:
             raise ValueError(f"{self.name}({n}) = {v} is not a natural")
-        prior = self._seen.setdefault(v, n)
-        if prior != n:
-            raise InjectivityError(f"{self.name} maps {prior} and {n} both to {v}")
         return v
+
+    def check_injective(self, limit: int) -> None:
+        """Raise InjectivityError if two arguments below `limit` share a value."""
+        seen: dict[int, int] = {}
+        for n in range(limit):
+            v = self.apply(n)
+            prior = seen.setdefault(v, n)
+            if prior != n:
+                raise InjectivityError(f"{self.name} maps {prior} and {n} both to {v}")
 
     @property
     def invertible(self) -> bool:
-        return self._inverse is not None
+        return self.inverse is not None
 
     def invert(self, m: int) -> Optional[int]:
-        if self._inverse is None:
+        if self.inverse is None:
             raise ValueError(f"{self.name} carries no inverse")
-        return self._inverse(m)
+        return self.inverse(m)
 
 
 def identity_injection() -> Injection:

@@ -11,6 +11,9 @@ Two public families:
 
 The CLI maps SpecParseError to exit code 1 and DeskError (plus ValueError
 from argument misuse) to exit code 2.
+
+The private exceptions leave ``streams`` only through ``OracleTape.read``;
+``OracleTape.emit`` and ``try_emit`` turn them into outcomes.
 """
 
 from __future__ import annotations

@@ -37,13 +37,10 @@ from .errors import (
     ConsistencyError,
     DeskError,
     DivergenceError,
-    HorizonError,
     MeasureThresholdError,
     NotInRangeError,
     NotSingletonError,
     UseSoundnessError,
-    _BudgetExhausted,
-    _ReadBeyondBarrier,
 )
 from .streams import (
     DEFAULT_BUDGET,
@@ -51,6 +48,7 @@ from .streams import (
     OracleTape,
     RealFunction,
     Representation,
+    barrier_image,
     evaluate_bit,
     finite,
     interleaved,
@@ -242,31 +240,34 @@ def _validate_zero_inversion(g: InverterUnderTest, w: StagedEnumeration,
 class _Fork(Exception):
     def __init__(self, position: int):
         self.position = position
+        self.resume: Any = None  # a checkpoint the run hands to both children
         super().__init__(str(position))
 
 
-def _fork_tree(run: Callable[[dict[int, str]], object], node_budget: float,
+def _fork_tree(run: Callable[[dict[int, str], Any], object], node_budget: float,
                exhausted: DeskError, owned_from: int = 0) -> Iterator[tuple[dict[int, str], Any]]:
     """The leaves of the fork-on-read tree of `run`, lazily, depth first.
 
-    `run(assignment)` raises `_Fork(p)` at the first position p it reads
-    that the assignment leaves open, and the node splits on p, 0 before 1.
+    `run(assignment, resume)` raises `_Fork(p)` at the first position p it
+    reads that the assignment leaves open, and the node splits on p, 0
+    before 1; both children get the fork's `resume` (None at the root).
     Leaves are yielded as (assignment, result).  A fork below `owned_from`
-    propagates to an enclosing tree; past `node_budget` nodes the tree
-    raises `exhausted`.
+    propagates to an enclosing tree, without its checkpoint; past
+    `node_budget` nodes the tree raises `exhausted`.
     """
-    stack, nodes = [{}], 0
+    stack, nodes = [({}, None)], 0
     while stack:
-        assign = stack.pop()
+        assign, resume = stack.pop()
         nodes += 1
         if nodes > node_budget:
             raise exhausted
         try:
-            result = run(assign)
+            result = run(assign, resume)
         except _Fork as fork:
             if fork.position < owned_from:
+                fork.resume = None
                 raise
-            stack.extend({**assign, fork.position: b} for b in "10")
+            stack.extend(({**assign, fork.position: b}, fork.resume) for b in "10")
             continue
         yield assign, result
 
@@ -359,13 +360,9 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     dropped (their candidate words never halt, so they are never collected).
     """
 
-    def run(assign: dict[int, str]) -> Optional[int]:
+    def run(assign: dict[int, str], _resume: None) -> Optional[int]:
         tape = OracleTape(_fork_source("dovetail-candidate", sigma, assign), budget=run_budget)
-        try:
-            g.emit(tape, bit_index)
-        except (DivergenceError, _BudgetExhausted):
-            return None
-        return tape.use
+        return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
         f"dovetail fork tree exceeded {node_budget} nodes; "
@@ -509,8 +506,10 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     selection made below `depth` pins this to the true fiber.  A bit that
     reads from `probe_len` on (default: past the prefix and the pairings
     consulted near `depth`), runs out of steps or diverges passes without
-    reads; its step budget pays only for marker stages new to its tape.
-    More than `budget` probe emitter runs raise DeskError.
+    reads; its step budget pays only for marker stages new to its tape.  A
+    probed bit that needs enumeration stages past the horizon raises
+    HorizonError (the image check truncates there instead).  More than
+    `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
     if depth < 0:
@@ -524,46 +523,35 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     runs = iter(range(budget))
 
     def continuation(word_class: dict[int, str], guess: dict[int, str],
-                     resume: dict) -> Optional[tuple[int, ...]]:
+                     resume: Optional[tuple[OracleTape, tuple[int, ...]]]
+                     ) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
-        A run that forks at a read of bit j leaves its tape and the bits from
-        j on to both children (the 1-child runs last and takes them): they
-        check j again first, then the guessed position if it indexes an output bit."""
-        key = tuple(guess.items())
-        tape, pending, mark = (resume.pop if key and key[-1][1] == "1" else resume.get)(key[:-1])
+        A run that forks at a read of bit j hands its tape and the bits from
+        j on to both children: they check j again first, then the guessed
+        position if it indexes an output bit."""
+        tape, pending = resume or (OracleTape(zeros(), barrier=probe_len), tuple(range(n_out)))
         tape = tape.branch(_fork_source("fiber-probe", "", {**word_class, **guess}))
-        if key and key[-1][0] < n_out:
-            pending = pending[:1] + (key[-1][0],) + pending[1:]
-        reads = None
+        if guess and (guessed := next(reversed(guess))) < n_out:
+            pending = pending[:1] + (guessed,) + pending[1:]
         for idx, j in enumerate(pending):
-            resume[key] = (tape, pending[idx:], mark)  # where both children resume if j forks
             if next(runs, None) is None:
                 raise exhausted
-            tape.reset_budget()
             try:
-                if f.emit(tape, j) != int(y_prefix[j]):
-                    break
-            except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError):
-                tape.rollback_reads(mark)
-            mark = tape.read_mark()
-        else:
-            reads = tape.positions_read()
-        resume.pop(key, None)
-        return reads
+                b = tape.try_emit(f, j)
+            except _Fork as fork:
+                fork.resume = (tape, pending[idx:])
+                raise
+            if b is not None and b != int(y_prefix[j]):
+                return None
+        return tape.positions_read()
 
-    def classify(word_class: dict[int, str]) -> tuple[bool, Optional[tuple[int, ...]]]:
+    def classify(word_class: dict[int, str],
+                 _resume: None) -> tuple[bool, Optional[tuple[int, ...]]]:
         """(image comparable, the witness reads if the class is extendable)."""
         tape = OracleTape(_fork_source("fiber-probe", "", word_class), barrier=depth)
-        for j in range(max(n_out, 1)):
-            tape.reset_budget()
-            try:
-                b = f.emit(tape, j)
-            except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError, HorizonError):
-                break
-            if j < n_out and b != int(y_prefix[j]):
-                return False, None
-        resume = {(): (OracleTape(zeros(), barrier=probe_len), tuple(range(n_out)), 0)}
-        deep = _fork_tree(lambda guess: continuation(word_class, guess, resume),
+        if barrier_image(f, tape, max(n_out, 1), y_prefix) is None:
+            return False, None
+        deep = _fork_tree(lambda guess, resume: continuation(word_class, guess, resume),
                           budget, exhausted, owned_from=depth)
         return True, next((reads for _, reads in deep if reads is not None), None)
 

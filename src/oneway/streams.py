@@ -7,19 +7,20 @@ oracle-use of an evaluation is (max position read) + 1.  A RealFunction
 emits output bits one at a time through a tape, so use accounting and read
 barriers apply to every construction uniformly.
 
-Partiality is desk-scale: every output bit gets a step budget (one step per
-tape read, default 10^6) and budget exhaustion surfaces as a divergence
-error, never nontermination.  Work an emitter keeps on the tape across bits
-is paid for once, by the bit that does it: an even bit 2s of a two-to-one
-map pays only for the marker stages no earlier bit on that tape has run.
+Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
+budget (one step per tape read, default 10^6), and budget exhaustion
+surfaces as a divergence error, never nontermination.  Work an emitter keeps
+on the tape across bits is paid for once, by the bit that does it: an even
+bit 2s of a two-to-one map pays only for the marker stages no earlier bit on
+that tape has run.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional
 
 from .bitcore import Word, check_word, data_lines, pair, unpair
 from .errors import (
@@ -161,7 +162,8 @@ class OracleTape:
     One tape per evaluation; never share across concurrent evaluations.
     `use` is (max position read) + 1, monotone over the tape's lifetime.
     An optional barrier turns reads at positions ≥ barrier into the internal
-    barrier exception, which is how representations truncate their output.
+    barrier exception.  `emit` and `try_emit` run one output bit under a
+    fresh step budget and turn the internal exceptions into outcomes.
     """
 
     def __init__(self, source: BitSource, barrier: Optional[int] = None,
@@ -171,13 +173,10 @@ class OracleTape:
         self.use = 0
         self._budget_limit = budget
         self._budget_left = budget
-        self._read_order: list[int] = []
-        self._read_set: set[int] = set()
+        self._reads: dict[int, None] = {}  # distinct positions, first-read order
+        self._open: Optional[tuple[int, int]] = None  # (bit, read count) try_emit left
         # per-map state kept across output bits (two-to-one markers)
         self.markers: dict[object, object] = {}
-
-    def reset_budget(self) -> None:
-        self._budget_left = self._budget_limit
 
     def read(self, i: int) -> int:
         if i < 0:
@@ -190,31 +189,48 @@ class OracleTape:
         b = self.source.bit(i)
         if i + 1 > self.use:
             self.use = i + 1
-        if i not in self._read_set:
-            self._read_set.add(i)
-            self._read_order.append(i)
+        self._reads[i] = None
         return b
 
-    def read_mark(self) -> int:
-        """Number of distinct positions read so far (for rollback bookkeeping)."""
-        return len(self._read_order)
+    def emit(self, f: RealFunction, m: int) -> int:
+        """Output bit m of f, under a fresh step budget; running out of steps
+        is a DivergenceError for bit m."""
+        self._budget_left = self._budget_limit
+        try:
+            return f.emit(self, m)
+        except _BudgetExhausted:
+            raise DivergenceError(m, "step budget exhausted") from None
+
+    def try_emit(self, f: RealFunction, m: int) -> Optional[int]:
+        """Output bit m of f, or None when it reads past the barrier or
+        diverges (budget included).  A failed bit's reads are forgotten, also
+        before a HorizonError propagates, so positions_read() covers exactly
+        the bits emitted; use stays monotone.  A fork of a search source
+        passes through untouched and leaves bit m open: rerun on a branch of
+        this tape, a failing bit m also forgets the reads made before the fork."""
+        mark = self._open[1] if self._open and self._open[0] == m else len(self._reads)
+        self._open = (m, mark)
+        try:
+            b = self.emit(f, m)
+        except (_ReadBeyondBarrier, DivergenceError, HorizonError) as exc:
+            self._open = None
+            while len(self._reads) > mark:
+                self._reads.popitem()  # dicts pop the latest insertion
+            if isinstance(exc, HorizonError):
+                raise
+            return None
+        self._open = None
+        return b
 
     def branch(self, source: BitSource) -> "OracleTape":
         """A copy, per-map state included, over a source that agrees on every read."""
         twin = copy.copy(self)
-        twin.source, twin._read_order, twin._read_set = \
-            source, list(self._read_order), set(self._read_set)
+        twin.source, twin._reads = source, dict(self._reads)
         twin.markers = {key: copy.copy(state) for key, state in self.markers.items()}
         return twin
 
-    def rollback_reads(self, mark: int) -> None:
-        """Forget positions first read after `mark` (use stays monotone)."""
-        for pos in self._read_order[mark:]:
-            self._read_set.discard(pos)
-        del self._read_order[mark:]
-
     def positions_read(self) -> tuple[int, ...]:
-        return tuple(sorted(self._read_set))
+        return tuple(sorted(self._reads))
 
 
 @dataclass(frozen=True)
@@ -251,25 +267,14 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     computation; the step budget is per output bit.
     """
     tape = OracleTape(x, budget=budget)
-    bits = []
-    for m in range(n):
-        tape.reset_budget()
-        try:
-            bits.append(str(f.emit(tape, m)))
-        except _BudgetExhausted:
-            raise DivergenceError(m, "step budget exhausted") from None
-    return EvalResult("".join(bits), tape.use)
+    return EvalResult("".join(str(tape.emit(f, m)) for m in range(n)), tape.use)
 
 
 def evaluate_bit(f: RealFunction, x: BitSource, m: int,
                  budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Output bit m on a fresh tape: (bit, oracle-use of that bit alone)."""
     tape = OracleTape(x, budget=budget)
-    try:
-        b = f.emit(tape, m)
-    except _BudgetExhausted:
-        raise DivergenceError(m, "step budget exhausted") from None
-    return b, tape.use
+    return tape.emit(f, m), tape.use
 
 
 def identity_function() -> RealFunction:
@@ -298,23 +303,38 @@ def output_source(f: RealFunction, x: BitSource,
 
     def bit(i: int) -> int:
         if i not in cache:
-            tape.reset_budget()
-            try:
-                cache[i] = f.emit(tape, i)
-            except _BudgetExhausted:
-                raise DivergenceError(i, "step budget exhausted") from None
+            cache[i] = tape.emit(f, i)
         return cache[i]
 
     return BitSource(f"{f.name}({x.spec})", bit)
 
 
+def barrier_image(f: RealFunction, tape: OracleTape, n: int,
+                  target: Optional[Word] = None) -> Optional[Word]:
+    """Output bits 0..n-1 of f on `tape` up to the first one that is missing
+    (read past the barrier, divergence, horizon overrun); None as soon as a
+    bit differs from `target`, which may be shorter than n."""
+    bits = []
+    for j in range(n):
+        try:
+            b = tape.try_emit(f, j)
+        except HorizonError:
+            break
+        if b is None:
+            break
+        if target is not None and j < len(target) and b != int(target[j]):
+            return None
+        bits.append(str(b))
+    return "".join(bits)
+
+
 class Representation:
     """Finite-depth view of the monotone word map of a RealFunction.
 
-    map_word(σ) is the longest output computable from the prefix σ alone,
-    obtained by running the emitter against a read barrier at |σ|.  Any
-    failure to produce the next bit (barrier, budget, genuine divergence,
-    horizon overrun) truncates the output; monotone by construction.
+    map_word(σ) is the longest output computable from the prefix σ alone:
+    the `barrier_image` of the emitter under a read barrier at |σ|, which
+    any failure to produce the next bit (barrier, budget, genuine
+    divergence, horizon overrun) truncates; monotone by construction.
     """
 
     def __init__(self, f: RealFunction, depth: int, out_cap: int,
@@ -327,7 +347,11 @@ class Representation:
         self.budget = budget
         self._memo: dict[Word, tuple[Word, tuple[int, ...]]] = {}
 
-    def _run(self, sigma: Word) -> tuple[Word, tuple[int, ...]]:
+    def map_word(self, sigma: Word) -> Word:
+        return self.map_with_reads(sigma)[0]
+
+    def map_with_reads(self, sigma: Word) -> tuple[Word, tuple[int, ...]]:
+        """(map_word(σ), sorted positions read by the emitted bits)."""
         check_word(sigma)
         if len(sigma) > self.depth:
             raise ValueError(f"word of length {len(sigma)} exceeds depth {self.depth}")
@@ -335,28 +359,9 @@ class Representation:
         if hit is not None:
             return hit
         tape = OracleTape(finite(sigma), barrier=len(sigma), budget=self.budget)
-        bits = []
-        for j in range(self.out_cap):
-            tape.reset_budget()
-            mark = tape.read_mark()
-            try:
-                bits.append(str(self.f.emit(tape, j)))
-            except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError,
-                    HorizonError):
-                # drop the aborted bit's reads so positions_read() covers
-                # exactly the emitted output
-                tape.rollback_reads(mark)
-                break
-        result = ("".join(bits), tape.positions_read())
+        result = (barrier_image(self.f, tape, self.out_cap), tape.positions_read())
         self._memo[sigma] = result
         return result
-
-    def map_word(self, sigma: Word) -> Word:
-        return self._run(sigma)[0]
-
-    def map_with_reads(self, sigma: Word) -> tuple[Word, tuple[int, ...]]:
-        """(map_word(σ), sorted positions read by the emitted bits)."""
-        return self._run(sigma)
 
 
 def representation_of(f: RealFunction, depth: int,

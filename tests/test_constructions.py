@@ -124,11 +124,11 @@ class TestInjections:
 
     def test_collision_detected(self):
         bad = Injection("bad", lambda n: n // 2)
-        bad.apply(0)
         with pytest.raises(InjectivityError, match="maps 0 and 1 both to 0"):
-            bad.apply(1)
-        # repeats of the same argument stay fine
-        assert bad.apply(0) == 0
+            bad.check_injective(2)
+        bad.check_injective(1)
+        # apply is pure: it keeps no history, so a collision never raises there
+        assert [bad.apply(0), bad.apply(1), bad.apply(0)] == [0, 0, 0]
 
     def test_no_inverse(self):
         p = Injection("fwd", lambda n: n + 3)
@@ -148,7 +148,8 @@ class TestInjections:
     def test_surjection_injection_is_injective_at_scale(self):
         from oneway.enumeration import collatz_toy
         p = surjection_injection(collatz_toy(16, 100))
-        values = [p.apply(m) for m in range(512)]  # collision would raise
+        p.check_injective(512)
+        values = [p.apply(m) for m in range(512)]
         assert len(set(values)) == 512
         for m in range(512):
             assert p.invert(values[m]) == m

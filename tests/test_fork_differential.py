@@ -418,6 +418,20 @@ def test_explicit_probe_len_and_shallow_depths_match():
     assert fiber_branch_count(f, "", 4) == ref_fiber_branch_count(f, "", 4)
 
 
+def test_bit_failing_after_a_fork_leaves_no_witness_reads():
+    # class {0:'0'}: the guess 1 -> '0' sends bit 0 to position 5, past the
+    # barrier at 3, after the fork on 1; the reads of 0 must not outlive it
+    def emit(tape, m):
+        a, c = tape.read(0), tape.read(1)
+        if a == 0 and c == 0:
+            tape.read(5)
+        return a
+
+    f = RealFunction("late-barrier", emit)
+    assert fiber_branch_count(f, "0", 1, 3) == ref_fiber_branch_count(f, "0", 1, 3) \
+        == FiberCount(2, 2)
+
+
 # -------------------------------------------------------- property: fibers
 
 @st.composite

@@ -279,6 +279,17 @@ class TestExtractRandomized:
         leaves = _dovetail_leaves(RealFunction("scan", emit), "", 0, 100000, 10**6)
         assert sorted(leaf.use for leaf in leaves) == list(range(1, 1201)) + [1200]
 
+    def test_horizon_overrun_is_an_error(self):
+        # a diverging candidate is dropped, but a horizon overrun is not
+        # divergence: it stops the whole search
+        def emit(tape, m):
+            if tape.read(0):
+                raise HorizonError("stage 9 beyond horizon 8")
+            return 0
+
+        with pytest.raises(HorizonError, match="stage 9 beyond horizon 8"):
+            _dovetail_leaves(RealFunction("horizon", emit), "", 0, 100, 10**6)
+
 
 class TestExtractTwoToOne:
     def fixture(self):
@@ -379,6 +390,13 @@ class TestFiberBranchCount:
             assert fiber_branch_count(f, y, depth).branches == (2 if missing else 1)
         y = evaluate(f, interleaved(random_source(11), zeros()), 182).output
         assert fiber_branch_count(f, y, 24) == FiberCount(2, 688128)
+
+    def test_probe_past_the_horizon_is_an_error(self):
+        # the image check truncates at the horizon; a probed bit does not
+        f = two_to_one_v1(collatz_toy(16, 6))
+        with pytest.raises(HorizonError,
+                           match="^output bit 12 needs marker stage 7 beyond horizon 6$"):
+            fiber_branch_count(f, "0111110101110101", 6)
 
     def test_budget_exhaustion_is_a_desk_error(self):
         # the probe scans past depth for a 1 and forks once per position;

@@ -136,11 +136,14 @@ class TestOracleTape:
         assert tape.positions_read() == (1, 4)
 
     def test_rollback(self):
+        # a failed bit's reads are forgotten; reads of earlier bits stay
+        def late_divergence(tape, m):
+            tape.read(9)
+            raise DivergenceError(m, "stuck")
+
         tape = OracleTape(zeros())
         tape.read(0)
-        mark = tape.read_mark()
-        tape.read(9)
-        tape.rollback_reads(mark)
+        assert tape.try_emit(RealFunction("stuck", late_divergence), 1) is None
         assert tape.positions_read() == (0,)
         assert tape.use == 10  # use stays monotone by contract
 
@@ -151,8 +154,71 @@ class TestOracleTape:
         from oneway.errors import _BudgetExhausted
         with pytest.raises(_BudgetExhausted):
             tape.read(0)
-        tape.reset_budget()
-        assert tape.read(0) == 0
+        # every bit run starts from a full budget
+        three_reads = RealFunction("three", lambda t, m: t.read(0) + t.read(1) + t.read(2))
+        assert tape.emit(three_reads, 0) == 0
+        assert tape.emit(three_reads, 1) == 0
+
+    def test_emit_budget_names_the_bit(self):
+        four_reads = RealFunction("four", lambda t, m: sum(t.read(i) for i in range(4)))
+        tape = OracleTape(zeros(), budget=3)
+        with pytest.raises(DivergenceError,
+                           match="^no output bit at index 7: step budget exhausted$"):
+            tape.emit(four_reads, 7)
+
+    @pytest.mark.parametrize("why", ["barrier", "divergence", "budget"])
+    def test_try_emit_failure_leaves_no_reads(self, why):
+        def emit(tape, m):
+            tape.read(1)
+            tape.read(2)
+            if why == "divergence":
+                raise DivergenceError(m, "stuck")
+            return tape.read(5)
+
+        tape = OracleTape(zeros(), barrier=5 if why == "barrier" else None,
+                          budget=2 if why == "budget" else 10)
+        tape.read(0)
+        assert tape.try_emit(RealFunction(why, emit), 0) is None
+        assert tape.positions_read() == (0,)
+
+    def test_try_emit_reraises_horizon_without_reads(self):
+        def emit(tape, m):
+            tape.read(3)
+            raise HorizonError("stage 9 beyond horizon 8")
+
+        tape = OracleTape(zeros())
+        with pytest.raises(HorizonError, match="stage 9 beyond horizon 8"):
+            tape.try_emit(RealFunction("horizon", emit), 0)
+        assert tape.positions_read() == ()
+        assert tape.use == 4
+
+    def test_branch_rerun_of_interrupted_bit_forgets_reads_before_the_interruption(self):
+        class Interrupt(Exception):
+            pass
+
+        def source_bit(i):
+            if i == 1:
+                raise Interrupt()
+            return 0
+
+        def emit(tape, m):
+            tape.read(3)
+            tape.read(1)
+            return tape.read(5)
+
+        f = RealFunction("interrupted", emit)
+        tape = OracleTape(BitSource("open at 1", source_bit), barrier=5)
+        tape.read(0)
+        with pytest.raises(Interrupt):
+            tape.try_emit(f, 0)
+        assert tape.positions_read() == (0, 3)  # bit 0 is still open
+        rerun = tape.branch(zeros())
+        assert rerun.try_emit(f, 0) is None
+        assert rerun.positions_read() == (0,)
+        # another bit on a branch starts its own rollback point
+        other = tape.branch(zeros())
+        assert other.try_emit(f, 1) is None
+        assert other.positions_read() == (0, 3)
 
     def test_barrier(self):
         from oneway.errors import _ReadBeyondBarrier
