@@ -126,13 +126,17 @@ class MarkerTrace:
                 assert updated, f"permission without update at stage {s}"
                 assert ps[s] == ks[s], f"p should vacate k at update stage {s}"
         assert len(set(ps)) == len(ps), "p not injective"
+        # range identity: {p_t : t < s} = {0..s} − {k_s}.  p is injective, so
+        # the left side has s elements, and equality holds exactly when the
+        # newest p and k_s lie in 0..s and k_s is not among the p values.
         seen: set[int] = set()
         for s in range(S + 1):
             if s > 0:
                 seen.add(ps[s - 1])
-            expected = set(range(s + 1)) - {ks[s]}
-            assert seen == expected, (
-                f"range identity fails at stage {s}: {sorted(seen)} != {sorted(expected)}")
+            assert (s == 0 or 0 <= ps[s - 1] <= s) and 0 <= ks[s] <= s \
+                and ks[s] not in seen, (
+                f"range identity fails at stage {s}: {sorted(seen)} != "
+                f"{sorted(set(range(s + 1)) - {ks[s]})}")
 
 
 PermissionFn = Callable[[int, int, int], Optional[str]]
@@ -160,7 +164,7 @@ class Marker:
     @staticmethod
     def on(tape: OracleTape, key: object) -> "Marker":
         """The marker of map `key` over this tape, created on first use."""
-        return tape.markers.get(key) or tape.markers.setdefault(key, Marker())
+        return tape.state.get(key) or tape.state.setdefault(key, Marker())
 
     def advance_to(self, stages: int, permission: PermissionFn) -> "Marker":
         """Run the stages below `stages` that have not run yet."""
@@ -355,11 +359,19 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
     set input bit at positions ≤ j lies in the decided set, and diverges
     otherwise.  On its domain (reals whose 1-bits are all decided) the map
     is injective once the enumeration has listed every decided member.
+
+    The guard keeps on the evaluation's tape how many leading positions
+    passed, and bit 2j+1 checks only the positions from there to j, so n
+    output bits make O(n) reads and an odd bit's step budget pays only for
+    positions no earlier bit on that tape checked.  The count moves only
+    after a whole scan passes, so a bit that stops mid-scan (divergence,
+    barrier, horizon, a search fork) leaves it as it was.
     """
     for n in sorted(w.limit_members()):
         if n > d.horizon or not d.contains(n):
             raise ValueError(
                 f"enumeration lists {n} but the decided set does not contain it")
+    key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         j, odd = divmod(m, 2)
@@ -368,9 +380,13 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
             if w.new_element_at(s) == n:
                 return tape.read(n)
             return 0
-        for i in range(j + 1):
+        checked = tape.state.get(key, 0)
+        if j < checked:
+            return 0
+        for i in range(checked, j + 1):
             if tape.read(i) == 1 and not d.contains(i):
                 raise DivergenceError(m, f"input bit {i} is set but undecided")
+        tape.state[key] = j + 1
         return 0
 
     return RealFunction(f"inj({w.label},{d.label})", emit)

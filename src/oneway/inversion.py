@@ -506,10 +506,10 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     selection made below `depth` pins this to the true fiber.  A bit that
     reads from `probe_len` on (default: past the prefix and the pairings
     consulted near `depth`), runs out of steps or diverges passes without
-    reads; its step budget pays only for marker stages new to its tape.  A
-    probed bit that needs enumeration stages past the horizon raises
-    HorizonError (the image check truncates there instead).  More than
-    `budget` probe emitter runs raise DeskError.
+    reads; its step budget pays only for marker stages and guard positions
+    new to its tape.  A probed bit that needs enumeration stages past the
+    horizon raises HorizonError (the image check truncates there instead).
+    More than `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
     if depth < 0:

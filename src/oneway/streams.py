@@ -12,7 +12,8 @@ budget (one step per tape read, default 10^6), and budget exhaustion
 surfaces as a divergence error, never nontermination.  Work an emitter keeps
 on the tape across bits is paid for once, by the bit that does it: an even
 bit 2s of a two-to-one map pays only for the marker stages no earlier bit on
-that tape has run.
+that tape has run, and an odd bit 2j+1 of the partial injection only for the
+guard positions no earlier bit on that tape has checked.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ class OracleTape:
         self._budget_left = budget
         self._reads: dict[int, None] = {}  # distinct positions, first-read order
         self._open: Optional[tuple[int, int]] = None  # (bit, read count) try_emit left
-        # per-map state kept across output bits (two-to-one markers)
-        self.markers: dict[object, object] = {}
+        # per-map state kept across output bits (markers, guard progress)
+        self.state: dict[object, object] = {}
 
     def read(self, i: int) -> int:
         if i < 0:
@@ -226,7 +227,7 @@ class OracleTape:
         """A copy, per-map state included, over a source that agrees on every read."""
         twin = copy.copy(self)
         twin.source, twin._reads = source, dict(self._reads)
-        twin.markers = {key: copy.copy(state) for key, state in self.markers.items()}
+        twin.state = {key: copy.copy(value) for key, value in self.state.items()}
         return twin
 
     def positions_read(self) -> tuple[int, ...]:

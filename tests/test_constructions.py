@@ -8,6 +8,8 @@ from oneway.bitcore import pair
 from oneway.constructions import (
     ConstructionHandle,
     Injection,
+    MarkerStep,
+    MarkerTrace,
     bit_select,
     double_injection,
     identity_injection,
@@ -108,6 +110,36 @@ class TestMarkerV2:
         u = StagedStringEnumeration.from_pairs([(2, "00")], horizon=4)
         with pytest.raises(HorizonError):
             marker_run_v2(empty_enum(10), u, zeros(), 5)
+
+
+def hand_trace(rows, k_final, d_final):
+    """A trace from (k, d, p, permission) rows, one per stage."""
+    return MarkerTrace(tuple(MarkerStep(s, *row) for s, row in enumerate(rows)),
+                       k_final, d_final)
+
+
+class TestMarkerTraceInvariants:
+    @pytest.mark.parametrize("trace, message", [
+        (hand_trace([(0, 0, 1, None)], 2, 0), "k jump at stage 0: 0->2"),
+        (hand_trace([(5, 0, 1, None), (5, 0, 2, None), (5, 0, 3, None)], 3, 0),
+         "k decreased at stage 2"),
+        (hand_trace([(0, 0, 1, None), (0, 1, 2, None)], 0, 1), "d miscount at stage 0"),
+        (hand_trace([(0, 0, 0, None)], 1, 1), "update without permission at stage 0"),
+        (hand_trace([(0, 0, 1, None), (0, 0, 1, None)], 0, 0),
+         "p should be s+1 at idle stage 1"),
+        (hand_trace([(0, 0, 0, "z")], 0, 0), "permission without update at stage 0"),
+        (hand_trace([(0, 0, 1, "halting")], 1, 1), "p should vacate k at update stage 0"),
+        # k_0 = 1 keeps every stage locally consistent but selects 1 twice
+        (hand_trace([(1, 0, 1, None), (1, 0, 1, "z")], 2, 1), "p not injective"),
+        (hand_trace([], 1, 0), "range identity fails at stage 0: [] != [0]"),
+        (hand_trace([(-1, 0, 1, None)], -1, 0), "range identity fails at stage 0: [] != [0]"),
+        (hand_trace([(3, 0, 1, None), (3, 0, 2, None)], 3, 0),
+         "range identity fails at stage 0: [] != [0]"),
+    ])
+    def test_each_violation_names_its_stage(self, trace, message):
+        with pytest.raises(AssertionError) as exc:
+            trace.assert_invariants()
+        assert str(exc.value) == message
 
 
 class TestInjections:
@@ -257,6 +289,18 @@ class TestTwoToOne:
             # a fresh tape runs all s+1 stages for bit 2s
             with pytest.raises(DivergenceError):
                 evaluate_bit(f, x_and_z, 20, budget=2)
+
+    def test_odd_bit_budget_pays_only_new_guard_positions(self):
+        # bit 2j+1 checks only position j once the bits before it ran on the
+        # same tape; on a fresh tape it checks all j+1 positions
+        B = 3
+        f = partial_injection(StagedEnumeration.from_pairs([(1, 2)], horizon=64),
+                              DecidedSet({2, 5}, horizon=64))
+        x = finite("001001")
+        assert evaluate(f, x, 4 * B + 8, budget=B) == evaluate(f, x, 4 * B + 8)
+        with pytest.raises(DivergenceError) as exc:
+            evaluate_bit(f, x, 2 * B + 1, budget=B)
+        assert (exc.value.bit_index, exc.value.reason) == (2 * B + 1, "step budget exhausted")
 
 
 class TestZBuilderAndColumns:
