@@ -56,13 +56,16 @@ def _parse_nat(text: str, where: str) -> int:
     return int(text)
 
 
-def _split_enum(rest: str) -> tuple[StagedEnumeration, str, str]:
-    """Consume an ENUM spec from the front of `rest`.
+def _split_enum(spec: str) -> tuple[StagedEnumeration, str, str]:
+    """Consume the ENUM spec that follows the family head of `spec`.
 
     Returns (enumeration, its spec text, the unconsumed remainder after a
     separating colon).  collatz takes up to two numeric segments greedily.
     """
+    head, _, rest = spec.partition(":")
     parts = rest.split(":")
+    if not parts[0]:
+        raise SpecParseError(f"{head} needs an enumeration: {spec!r}")
     if parts[0] == "collatz":
         numeric = []
         i = 1
@@ -90,23 +93,21 @@ def parse_construction(spec: str) -> ConstructionHandle:
         fn = bit_select(maker()) if head == "bitselect" else witness_function(maker())
         return ConstructionHandle(head, spec, fn)
     if head in ("simple", "surj", "two1"):
-        if not rest:
-            raise SpecParseError(f"{head} needs an enumeration: {spec!r}")
-        w, enum_spec, leftover = _split_enum(rest)
+        w, enum_spec, leftover = _split_enum(spec)
         if leftover:
             raise SpecParseError(f"trailing {leftover!r} after {head}:{enum_spec}")
         fn = {"simple": simple_one_way, "surj": one_way_surjection,
               "two1": two_to_one_v1}[head](w)
         return ConstructionHandle(head, f"{head}:{enum_spec}", fn, w=w)
     if head == "inj":
-        w, enum_spec, leftover = _split_enum(rest)
+        w, enum_spec, leftover = _split_enum(spec)
         if not leftover:
             raise SpecParseError(f"inj needs a decided-set file: {spec!r}")
         d = decided_set_from_file(leftover)
         return ConstructionHandle(
             "inj", f"inj:{enum_spec}:{leftover}", partial_injection(w, d), w=w, d=d)
     if head == "two2":
-        w, enum_spec, leftover = _split_enum(rest)
+        w, enum_spec, leftover = _split_enum(spec)
         if not leftover:
             raise SpecParseError(f"two2 needs a string-enumeration file: {spec!r}")
         u = string_enum_from_file(leftover)

@@ -2,6 +2,12 @@
 one-way surjection, the partial injection, and the marker-based two-to-one
 maps, each parameterized by staged enumerations.
 
+Most of them copy one chosen input bit: `streams.selection(name, sel)` is
+that emitter, and the simple map, bit selections, witness maps, the
+surjection and the partial injection's even half only supply `sel`.  Both
+two-to-one maps are `_marker_map(name, cap, rule)`, which differ only in
+their horizon cap and permission rule.
+
 The movable-marker recursion is shared between both two-to-one variants:
 
     k_0 = 0;  k_{s+1} = s+1 if stage s grants permission, else k_s
@@ -33,7 +39,7 @@ from .enumeration import (
     column_hit,
 )
 from .errors import DivergenceError, HorizonError, InjectivityError
-from .streams import BitSource, OracleTape, RealFunction, column_source
+from .streams import BitSource, OracleTape, RealFunction, column_source, selection
 
 
 @dataclass(frozen=True)
@@ -311,8 +317,7 @@ def surjection_injection(w: StagedEnumeration) -> Injection:
 
 def bit_select(p: Injection, name: Optional[str] = None) -> RealFunction:
     """Output bit n = input bit p(n)."""
-    return RealFunction(name or f"bitselect({p.name})",
-                        lambda tape, m: tape.read(p.apply(m)))
+    return selection(name or f"bitselect({p.name})", p.apply)
 
 
 def preimage_witness(p: Injection, y: BitSource) -> BitSource:
@@ -328,24 +333,22 @@ def preimage_witness(p: Injection, y: BitSource) -> BitSource:
 
 def witness_function(p: Injection, name: Optional[str] = None) -> RealFunction:
     """The witness map itself as a function on reals: x ↦ preimageWitness(p, x)."""
+    return selection(name or f"witness({p.name})", p.invert)
 
-    def emit(tape: OracleTape, m: int) -> int:
-        n = p.invert(m)
-        return 0 if n is None else tape.read(n)
 
-    return RealFunction(name or f"witness({p.name})", emit)
+def _entry_select(w: StagedEnumeration) -> Callable[[int], Optional[int]]:
+    """⟨n,s⟩ ↦ n when n enters w at stage s, else None."""
+
+    def sel(m: int) -> Optional[int]:
+        n, s = unpair(m)
+        return n if w.new_element_at(s) == n else None
+
+    return sel
 
 
 def simple_one_way(w: StagedEnumeration) -> RealFunction:
     """Output bit ⟨n,s⟩ = input bit n when n enters w at stage s, else 0."""
-
-    def emit(tape: OracleTape, m: int) -> int:
-        n, s = unpair(m)
-        if w.new_element_at(s) == n:
-            return tape.read(n)
-        return 0
-
-    return RealFunction(f"simple({w.label})", emit)
+    return selection(f"simple({w.label})", _entry_select(w))
 
 
 def one_way_surjection(w: StagedEnumeration) -> RealFunction:
@@ -371,15 +374,15 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
         if n > d.horizon or not d.contains(n):
             raise ValueError(
                 f"enumeration lists {n} but the decided set does not contain it")
+    # the simple map's selection, not its factory: a traced run attributes
+    # emits to families by factory
+    even = selection(f"simple({w.label})", _entry_select(w)).emit
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         j, odd = divmod(m, 2)
         if not odd:
-            n, s = unpair(j)
-            if w.new_element_at(s) == n:
-                return tape.read(n)
-            return 0
+            return even(tape, j)
         checked = tape.state.get(key, 0)
         if j < checked:
             return 0
@@ -392,46 +395,40 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
     return RealFunction(f"inj({w.label},{d.label})", emit)
 
 
-def two_to_one_v1(w: StagedEnumeration) -> RealFunction:
-    """f(x⊕z) = h(x)⊕z with h(x; s) = x(p_s) from the k-keyed marker run.
-
-    Even output bit 2s needs the marker through stage s; permissions read z
-    through the tape (input positions 2⟨k,t⟩+1), then the selected x bit is
-    input position 2·p_s.  Odd output bits copy z through.
-    """
+def _marker_map(name: str, cap: int,
+                rule: Callable[[OracleTape], PermissionFn]) -> RealFunction:
+    """f(x⊕z) = h(x)⊕z with h(x; s) = x(p_s), p_s from the marker run under
+    `rule(tape)` through stage s.  Odd output bits copy z through; even bit
+    2s reads the permissions' z bits, then input position 2·p_s, and needs
+    marker stage s+1 within `cap`."""
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         if m % 2 == 1:
             return tape.read(m)
         s = m // 2
-        if s + 1 > w.horizon:
-            raise HorizonError(
-                f"output bit {m} needs marker stage {s + 1} beyond horizon {w.horizon}")
-        marker = Marker.on(tape, key).advance_to(s + 1, k_keyed(w, odd_half(tape)))
-        return tape.read(2 * marker.rows[s][2])
-
-    return RealFunction(f"two1({w.label})", emit)
-
-
-def two_to_one_v2(w: StagedEnumeration, u: StagedStringEnumeration) -> RealFunction:
-    """Same skeleton as the k-keyed map, but permissions are keyed on the
-    update counter: halting on d_t entering w, z-permission when column d_t
-    of z extends a word of U_t."""
-    key = object()
-
-    def emit(tape: OracleTape, m: int) -> int:
-        if m % 2 == 1:
-            return tape.read(m)
-        s = m // 2
-        cap = min(w.horizon, u.horizon)
         if s + 1 > cap:
             raise HorizonError(
                 f"output bit {m} needs marker stage {s + 1} beyond horizon {cap}")
-        marker = Marker.on(tape, key).advance_to(s + 1, d_keyed(w, u, odd_half(tape)))
+        marker = Marker.on(tape, key).advance_to(s + 1, rule(tape))
         return tape.read(2 * marker.rows[s][2])
 
-    return RealFunction(f"two2({w.label},{u.label})", emit)
+    return RealFunction(name, emit)
+
+
+def two_to_one_v1(w: StagedEnumeration) -> RealFunction:
+    """The marker map with permissions keyed on the marker k_s; they read z
+    at input positions 2⟨k,t⟩+1."""
+    return _marker_map(f"two1({w.label})", w.horizon,
+                       lambda tape: k_keyed(w, odd_half(tape)))
+
+
+def two_to_one_v2(w: StagedEnumeration, u: StagedStringEnumeration) -> RealFunction:
+    """The marker map with permissions keyed on the update counter: halting
+    on d_t entering w, z-permission when column d_t of z extends a word of
+    U_t."""
+    return _marker_map(f"two2({w.label},{u.label})", min(w.horizon, u.horizon),
+                       lambda tape: d_keyed(w, u, odd_half(tape)))
 
 
 def z_builder_v1(n: int, zeta: Word = "") -> BitSource:

@@ -30,8 +30,8 @@ from .bitcore import (
     check_word,
     pair,
 )
-from .constructions import Marker, k_keyed, marker_run_v1, odd_half, two_to_one_v1, \
-    z_builder_v1
+from .constructions import Marker, k_keyed, marker_run_v1, odd_half, simple_one_way, \
+    surjection_injection, two_to_one_v1, z_builder_v1
 from .enumeration import StagedEnumeration
 from .errors import (
     ConsistencyError,
@@ -55,6 +55,7 @@ from .streams import (
     mutate_beyond_use,
     output_source,
     preimage_levels,
+    selection,
     zeros,
 )
 
@@ -100,6 +101,8 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
     the depth cap (or a survivor population past `survivor_cap`) means the
     fiber is not provably a singleton at desk scale.
     """
+    if n < 0:
+        raise ValueError(f"bit count must be a natural, got {n}")
     if depth_cap is None:
         depth_cap = rep.depth
     if depth_cap > rep.depth:
@@ -125,13 +128,11 @@ def reference_inverter_simple(w: StagedEnumeration) -> InverterUnderTest:
     entering element's bit back from the position that published it.
     """
 
-    def emit(tape: OracleTape, m: int) -> int:
+    def sel(m: int) -> Optional[int]:
         s = w.entry_stage(m)
-        if s is None:
-            return 0
-        return tape.read(pair(m, s))
+        return None if s is None else pair(m, s)
 
-    return InverterUnderTest(RealFunction(f"refinv-simple({w.label})", emit))
+    return InverterUnderTest(selection(f"refinv-simple({w.label})", sel))
 
 
 def reference_inverter_surjection(w: StagedEnumeration) -> InverterUnderTest:
@@ -140,17 +141,13 @@ def reference_inverter_surjection(w: StagedEnumeration) -> InverterUnderTest:
     Candidate bit j is y at the selection preimage of j, read at input
     position 2·(that index) because the input interleaves (y, r).
     """
-    from .constructions import surjection_injection
-
     p = surjection_injection(w)
 
-    def emit(tape: OracleTape, m: int) -> int:
+    def sel(m: int) -> Optional[int]:
         idx = p.invert(m)
-        if idx is None:
-            return 0
-        return tape.read(2 * idx)
+        return None if idx is None else 2 * idx
 
-    return InverterUnderTest(RealFunction(f"refinv-surj({w.label})", emit), binary=True)
+    return InverterUnderTest(selection(f"refinv-surj({w.label})", sel), binary=True)
 
 
 def reference_inverter_two_to_one(w: StagedEnumeration,
@@ -222,8 +219,6 @@ def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
 def _validate_zero_inversion(g: InverterUnderTest, w: StagedEnumeration,
                              n: int) -> None:
     """f(g(0^ω)) must look like 0^ω at every position the argument consults."""
-    from .constructions import simple_one_way
-
     f = simple_one_way(w)
     x = output_source(g.g, zeros())
     fx = output_source(f, x)

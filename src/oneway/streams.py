@@ -196,6 +196,8 @@ class OracleTape:
     def emit(self, f: RealFunction, m: int) -> int:
         """Output bit m of f, under a fresh step budget; running out of steps
         is a DivergenceError for bit m."""
+        if m < 0:
+            raise ValueError(f"output bit must be a natural, got {m}")
         self._budget_left = self._budget_limit
         try:
             return f.emit(self, m)
@@ -267,6 +269,8 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     One tape serves all n bits, so `use` covers the whole prefix
     computation; the step budget is per output bit.
     """
+    if n < 0:
+        raise ValueError(f"bit count must be a natural, got {n}")
     tape = OracleTape(x, budget=budget)
     return EvalResult("".join(str(tape.emit(f, m)) for m in range(n)), tape.use)
 
@@ -278,8 +282,18 @@ def evaluate_bit(f: RealFunction, x: BitSource, m: int,
     return tape.emit(f, m), tape.use
 
 
+def selection(name: str, sel: Callable[[int], Optional[int]]) -> RealFunction:
+    """Output bit m is input bit sel(m), or 0 where sel(m) is None."""
+
+    def emit(tape: OracleTape, m: int) -> int:
+        i = sel(m)
+        return 0 if i is None else tape.read(i)
+
+    return RealFunction(name, emit)
+
+
 def identity_function() -> RealFunction:
-    return RealFunction("identity", lambda tape, m: tape.read(m))
+    return selection("identity", lambda m: m)
 
 
 def constant_function(source: BitSource, name: Optional[str] = None) -> RealFunction:

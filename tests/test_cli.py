@@ -248,6 +248,8 @@ class TestSpecErrors:
              "['double', 'identity', 'shift']"),
             ("simple:collatz:16:1000:9", "trailing '9' after simple:collatz:16:1000"),
             ("simple", "simple needs an enumeration: 'simple'"),
+            ("inj", "inj needs an enumeration: 'inj'"),
+            ("two2", "two2 needs an enumeration: 'two2'"),
         ],
     )
     def test_construction_grammar(self, capsys, fn, message):
@@ -278,6 +280,20 @@ class TestSpecErrors:
         )
         assert code == 1
         assert err.startswith(f"error: cannot read {tmp_path}/gone.enum")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["eval", "--fn", "identity", "--input", "zeros", "--bits", "-3"],
+             "bit count must be a natural, got -3"),
+            (["invert-tree", "--fn", "identity", "--target", "zeros", "--bits", "-1",
+              "--depth", "4"], "bit count must be a natural, got -1"),
+            (["extract", "--mode", "simple", "--fn", "simple:collatz", "--n", "-1"],
+             "output bit must be a natural, got -1"),
+        ],
+    )
+    def test_negative_counts_are_domain_errors(self, capsys, argv, message):
+        assert err_line(capsys, argv) == (2, f"error: {message}")
 
     def test_unknown_verb(self, capsys):
         code, err = err_line(capsys, ["nonsense-verb"])

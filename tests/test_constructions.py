@@ -201,6 +201,11 @@ class TestBitSelectAndWitness:
         assert evaluate(witness_function(shift_injection()), periodic("1"), 5).output \
             == "01111"
 
+    def test_negative_output_bit_rejected(self):
+        # double's inverse maps -1 to None, which once gave the bit (0, 0)
+        with pytest.raises(ValueError, match="output bit must be a natural, got -1"):
+            evaluate_bit(witness_function(double_injection()), zeros(), -1)
+
     @pytest.mark.parametrize("make", [identity_injection, double_injection,
                                       shift_injection])
     def test_select_inverts_witness(self, make):

@@ -1,14 +1,21 @@
-"""Every name a library module imports is used in that module, and every
+"""Every name a library module imports is used in that module, every
 import is of the standard library or of oneway itself (the package declares
-no dependencies)."""
+no dependencies) and sits at module level, and every library name the
+benchmark's layer tracer wraps still exists."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).parent.parent / "src" / "oneway").glob("*.py"))
+import oneway.constructions as C
+import oneway.enumeration as E
+import oneway.inversion as INV
+
+ROOT = Path(__file__).parent.parent
+MODULES = sorted((ROOT / "src" / "oneway").glob("*.py"))
 SOURCES = [p for p in MODULES if p.name != "__init__.py"]  # __init__ imports to re-export
 
 
@@ -52,3 +59,37 @@ def test_foreign_import_detected():
     tree = ast.parse("import os.path\nfrom . import streams\nfrom numpy.linalg import norm\n"
                      "import oneway.bitcore, hypothesis\n")
     assert foreign_imports(tree) == ["numpy.linalg (line 3)", "hypothesis (line 4)"]
+
+
+def function_imports(tree: ast.Module) -> list[str]:
+    """Import statements, with their lines, inside function bodies."""
+    return [f"{func.name} (line {node.lineno})"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert function_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_function_import_detected():
+    tree = ast.parse("import os\n\ndef f():\n    from . import streams\n    return streams\n")
+    assert function_imports(tree) == ["f (line 4)"]
+
+
+def test_traced_entry_points_exist(capsys):
+    """A library name the tracer wraps by name and no longer finds reads 0
+    in every per-layer metric it feeds; a rename must carry the tracer along."""
+    spec = importlib.util.spec_from_file_location(
+        "layertrace_probe", ROOT / "perfbench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    missing = [name for name in layertrace._FACTORIES if not hasattr(C, name)]
+    missing += [name for name in layertrace._REFINV if not hasattr(INV, name)]
+    missing += [name for name, (home, _) in layertrace._SPANS.items()
+                if not hasattr(home or E.StagedEnumeration, name)]
+    assert missing == []
+    layertrace._targets()
+    assert "is gone" not in capsys.readouterr().err

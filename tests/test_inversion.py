@@ -101,6 +101,11 @@ class TestUniquePathInvert:
         with pytest.raises(ValueError, match="depth cap 9 exceeds"):
             unique_path_invert(rep, zeros(), 4, depth_cap=9)
 
+    def test_negative_bit_count(self):
+        rep = representation_of(bit_select(identity_injection()), 8)
+        with pytest.raises(ValueError, match="bit count must be a natural, got -1"):
+            unique_path_invert(rep, zeros(), -1)
+
     def test_survivor_cap(self):
         rep = representation_of(RealFunction("const0", lambda tape, m: 0), 8)
         with pytest.raises(NotSingletonError, match="16 surviving words at depth 4"):
@@ -188,6 +193,11 @@ class TestExtractRandomized:
     def fixture(self):
         w = enum([(1, 2)], 20)
         return reference_inverter_surjection(w), one_way_surjection(w), w
+
+    def test_negative_element(self):
+        g, f, w = self.fixture()
+        with pytest.raises(ValueError, match="output bit must be a natural, got -2"):
+            extract_randomized(g, f, "", w, -1)
 
     def test_member_crossing(self):
         g, f, w = self.fixture()

@@ -1,0 +1,333 @@
+"""The selection emitter and the marker-map skeleton against the nine
+hand-written emitters they replaced.
+
+Every "copy one chosen input bit" map of the library (the identity, bit
+selections, witness maps, the simple map, the surjection, the even half of
+the partial injection and the two reference inverters of those shapes) and
+the two two-to-one marker maps once wrote out their own emit body.  The
+references below are those bodies, kept as test-only copies.  Per bit on one
+tape, every family must give the same bit or error, the same `use` and the
+same positions read; representations and fiber counts must agree too.
+"""
+
+import random
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oneway.bitcore import pair, unpair
+from oneway.constructions import (
+    Marker,
+    bit_select,
+    d_keyed,
+    double_injection,
+    identity_injection,
+    k_keyed,
+    odd_half,
+    one_way_surjection,
+    partial_injection,
+    shift_injection,
+    simple_one_way,
+    surjection_injection,
+    two_to_one_v1,
+    two_to_one_v2,
+    witness_function,
+)
+from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration, \
+    collatz_toy
+from oneway.errors import DivergenceError, HorizonError
+from oneway.inversion import InverterUnderTest, fiber_branch_count, \
+    reference_inverter_simple, reference_inverter_surjection
+from oneway.streams import (
+    OracleTape,
+    RealFunction,
+    Representation,
+    column_source,
+    evaluate,
+    finite,
+    flipped_at,
+    identity_function,
+    interleaved,
+    ones,
+    periodic,
+    random_source,
+    zeros,
+)
+
+
+# ---------------------------------------------------------------- references
+
+def ref_identity_function():
+    return RealFunction("identity", lambda tape, m: tape.read(m))
+
+
+def ref_bit_select(p, name: Optional[str] = None):
+    return RealFunction(name or f"bitselect({p.name})",
+                        lambda tape, m: tape.read(p.apply(m)))
+
+
+def ref_witness_function(p, name: Optional[str] = None):
+    def emit(tape, m):
+        n = p.invert(m)
+        return 0 if n is None else tape.read(n)
+
+    return RealFunction(name or f"witness({p.name})", emit)
+
+
+def ref_simple_one_way(w):
+    def emit(tape, m):
+        n, s = unpair(m)
+        if w.new_element_at(s) == n:
+            return tape.read(n)
+        return 0
+
+    return RealFunction(f"simple({w.label})", emit)
+
+
+def ref_one_way_surjection(w):
+    return ref_bit_select(surjection_injection(w), name=f"surj({w.label})")
+
+
+def ref_partial_injection(w, d):
+    for n in sorted(w.limit_members()):
+        if n > d.horizon or not d.contains(n):
+            raise ValueError(
+                f"enumeration lists {n} but the decided set does not contain it")
+    key = object()
+
+    def emit(tape, m):
+        j, odd = divmod(m, 2)
+        if not odd:
+            n, s = unpair(j)
+            if w.new_element_at(s) == n:
+                return tape.read(n)
+            return 0
+        checked = tape.state.get(key, 0)
+        if j < checked:
+            return 0
+        for i in range(checked, j + 1):
+            if tape.read(i) == 1 and not d.contains(i):
+                raise DivergenceError(m, f"input bit {i} is set but undecided")
+        tape.state[key] = j + 1
+        return 0
+
+    return RealFunction(f"inj({w.label},{d.label})", emit)
+
+
+def ref_two_to_one_v1(w):
+    key = object()
+
+    def emit(tape, m):
+        if m % 2 == 1:
+            return tape.read(m)
+        s = m // 2
+        if s + 1 > w.horizon:
+            raise HorizonError(
+                f"output bit {m} needs marker stage {s + 1} beyond horizon {w.horizon}")
+        marker = Marker.on(tape, key).advance_to(s + 1, k_keyed(w, odd_half(tape)))
+        return tape.read(2 * marker.rows[s][2])
+
+    return RealFunction(f"two1({w.label})", emit)
+
+
+def ref_two_to_one_v2(w, u):
+    key = object()
+
+    def emit(tape, m):
+        if m % 2 == 1:
+            return tape.read(m)
+        s = m // 2
+        cap = min(w.horizon, u.horizon)
+        if s + 1 > cap:
+            raise HorizonError(
+                f"output bit {m} needs marker stage {s + 1} beyond horizon {cap}")
+        marker = Marker.on(tape, key).advance_to(s + 1, d_keyed(w, u, odd_half(tape)))
+        return tape.read(2 * marker.rows[s][2])
+
+    return RealFunction(f"two2({w.label},{u.label})", emit)
+
+
+def ref_reference_inverter_simple(w):
+    def emit(tape, m):
+        s = w.entry_stage(m)
+        if s is None:
+            return 0
+        return tape.read(pair(m, s))
+
+    return InverterUnderTest(RealFunction(f"refinv-simple({w.label})", emit))
+
+
+def ref_reference_inverter_surjection(w):
+    p = surjection_injection(w)
+
+    def emit(tape, m):
+        idx = p.invert(m)
+        if idx is None:
+            return 0
+        return tape.read(2 * idx)
+
+    return InverterUnderTest(RealFunction(f"refinv-surj({w.label})", emit), binary=True)
+
+
+# ------------------------------------------------------------------ fixtures
+
+TOY = collatz_toy(64, 10**5)
+U2 = StagedStringEnumeration.from_pairs([(3, "01"), (9, "110"), (40, "111")], horizon=10**5)
+DECIDED = DecidedSet(set(range(64)) | set(range(100, 4096, 3)), horizon=4096)
+SHORT = StagedEnumeration.from_pairs([(2, 1), (5, 0)], horizon=12)
+U_SHORT = StagedStringEnumeration.from_pairs([(1, "1")], horizon=9)
+
+# label -> (the library's map, the reference); each built fresh per call
+FAMILIES = {
+    "identity": lambda: (identity_function(), ref_identity_function()),
+    "bitselect:identity": lambda: (bit_select(identity_injection()),
+                                   ref_bit_select(identity_injection())),
+    "bitselect:double": lambda: (bit_select(double_injection()),
+                                 ref_bit_select(double_injection())),
+    "bitselect:shift": lambda: (bit_select(shift_injection()),
+                                ref_bit_select(shift_injection())),
+    "witness:double": lambda: (witness_function(double_injection()),
+                               ref_witness_function(double_injection())),
+    "witness:shift": lambda: (witness_function(shift_injection()),
+                              ref_witness_function(shift_injection())),
+    "simple": lambda: (simple_one_way(TOY), ref_simple_one_way(TOY)),
+    "surj": lambda: (one_way_surjection(TOY), ref_one_way_surjection(TOY)),
+    "inj": lambda: (partial_injection(TOY, DECIDED), ref_partial_injection(TOY, DECIDED)),
+    "two1": lambda: (two_to_one_v1(TOY), ref_two_to_one_v1(TOY)),
+    "two2": lambda: (two_to_one_v2(TOY, U2), ref_two_to_one_v2(TOY, U2)),
+    "two1:short": lambda: (two_to_one_v1(SHORT), ref_two_to_one_v1(SHORT)),
+    "two2:short": lambda: (two_to_one_v2(SHORT, U_SHORT),
+                           ref_two_to_one_v2(SHORT, U_SHORT)),
+    "refinv-simple": lambda: (reference_inverter_simple(TOY).g,
+                              ref_reference_inverter_simple(TOY).g),
+    "refinv-surj": lambda: (reference_inverter_surjection(TOY).g,
+                            ref_reference_inverter_surjection(TOY).g),
+}
+
+SOURCES = {
+    "random": lambda: random_source(7),
+    "periodic": lambda: periodic("1101000"),
+    "flip": lambda: flipped_at(periodic("10"), 33),
+    "columns": lambda: column_source({0: finite("1011"), 3: ones(), 5: periodic("01")},
+                                     zeros()),
+    "interleave": lambda: interleaved(random_source(11), periodic("011")),
+}
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+def bit_by_bit(f, x, order, barrier=None, searching=False, reads_every=1):
+    """Emit the bits of `order` on one tape (through `try_emit` when
+    searching); after each, the bit or its error and the use, and the
+    positions read after every `reads_every`-th bit and after the last."""
+    tape = OracleTape(x, barrier=barrier)
+    run = tape.try_emit if searching else tape.emit
+    rows = []
+    for idx, m in enumerate(order):
+        row = (outcome(run, f, m), tape.use)
+        if idx % reads_every == 0 or idx == len(order) - 1:
+            row += (tape.positions_read(),)
+        rows.append(row)
+    return rows
+
+
+# --------------------------------------------------------------------- tests
+
+def test_names_and_inverter_kinds_match():
+    for label, make in FAMILIES.items():
+        new, old = make()
+        assert new.name == old.name, label
+    assert reference_inverter_simple(TOY).binary is False
+    assert reference_inverter_surjection(TOY).binary is True
+    assert reference_inverter_surjection(TOY).declared_total is True
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bits_use_and_reads_match_per_bit(family, source):
+    new, old = FAMILIES[family]()
+    x = SOURCES[source]()
+    # every bit of the first 256 with its reads, then every 64th to 2,048
+    assert bit_by_bit(new, x, range(256)) == bit_by_bit(old, x, range(256))
+    assert bit_by_bit(new, x, range(2048), reads_every=64) == \
+        bit_by_bit(old, x, range(2048), reads_every=64)
+    for n in (1, 2, 17, 256, 2048):
+        assert outcome(lambda: tuple(evaluate(new, x, n))) == \
+            outcome(lambda: tuple(evaluate(old, x, n))), n
+
+
+def test_marker_maps_raise_the_same_horizon_error():
+    for family, bit in (("two1:short", 24), ("two2:short", 18)):
+        new, old = FAMILIES[family]()
+        assert outcome(new.emit, OracleTape(zeros()), bit) == \
+            outcome(old.emit, OracleTape(zeros()), bit)
+        assert outcome(evaluate, new, random_source(5), 64)[0] is HorizonError
+    two1, _ = FAMILIES["two1:short"]()
+    assert outcome(evaluate, two1, zeros(), 64) == \
+        (HorizonError, "output bit 24 needs marker stage 13 beyond horizon 12")
+    two2, _ = FAMILIES["two2:short"]()
+    assert outcome(evaluate, two2, zeros(), 64) == \
+        (HorizonError, "output bit 18 needs marker stage 10 beyond horizon 9")
+
+
+def test_partial_injection_diverges_the_same_way():
+    w = StagedEnumeration.from_pairs([(0, 2), (3, 5)], horizon=100)
+    d = DecidedSet({1, 2, 5}, horizon=40)
+    new, old = partial_injection(w, d), ref_partial_injection(w, d)
+    x = finite("0110001")
+    assert bit_by_bit(new, x, range(64)) == bit_by_bit(old, x, range(64))
+    assert outcome(evaluate, new, x, 64) == outcome(evaluate, old, x, 64) == \
+        (DivergenceError, "no output bit at index 13: input bit 6 is set but undecided")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_representation_matches_for_every_word_to_depth_8(family):
+    new, old = FAMILIES[family]()
+    got, want = Representation(new, 8, 48), Representation(old, 8, 48)
+    for length in range(9):
+        for i in range(2 ** length):
+            sigma = format(i, f"0{length}b") if length else ""
+            assert got.map_with_reads(sigma) == want.map_with_reads(sigma), sigma
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_searching_on_a_barrier_matches(family):
+    new, old = FAMILIES[family]()
+    order = list(range(40)) + [7, 3, 80, 1]
+    for barrier in (0, 5, 17):
+        x = periodic("0110")
+        assert bit_by_bit(new, x, order, barrier, searching=True) == \
+            bit_by_bit(old, x, order, barrier, searching=True), barrier
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fiber_counts_match(family):
+    new, old = FAMILIES[family]()
+    y = evaluate(old, finite("0110"), 8).output
+    assert fiber_branch_count(new, y, 4) == fiber_branch_count(old, y, 4)
+
+
+# ------------------------------------------------- property: prefix monotone
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from(sorted(FAMILIES)), st.text("01", max_size=40),
+       st.integers(0, 300), st.integers(0, 80))
+def test_longer_evaluation_extends_the_shorter(family, word, seed, n):
+    """evaluate(f, x, n) is a prefix of evaluate(f, x, n+1), with no larger
+    use; when the shorter run fails, the longer fails the same way."""
+    f, _ = FAMILIES[family]()
+    x = interleaved(finite(word), random_source(seed)) if seed % 2 else finite(word)
+    short, long = outcome(evaluate, f, x, n), outcome(evaluate, f, x, n + 1)
+    if isinstance(short, tuple):
+        assert long == short
+    elif not isinstance(long, tuple):
+        assert long.output.startswith(short.output)
+        assert len(long.output) == n + 1
+        assert short.use <= long.use

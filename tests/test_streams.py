@@ -255,6 +255,18 @@ class TestEvaluate:
             evaluate(RealFunction("spin", spin), zeros(), 2, budget=50)
         assert err.value.bit_index == 0
 
+    def test_negative_bit_or_count_rejected(self):
+        # the emitter never reads, so only the tape's own check can object
+        never_reads = RealFunction("const0", lambda tape, m: 0)
+        for run in (OracleTape(zeros()).emit, OracleTape(zeros()).try_emit):
+            with pytest.raises(ValueError, match="output bit must be a natural, got -1"):
+                run(never_reads, -1)
+        with pytest.raises(ValueError, match="output bit must be a natural, got -2"):
+            evaluate_bit(never_reads, zeros(), -2)
+        with pytest.raises(ValueError, match="bit count must be a natural, got -3"):
+            evaluate(never_reads, zeros(), -3)
+        assert tuple(evaluate(never_reads, zeros(), 0)) == ("", 0)
+
     def test_budget_is_per_output_bit(self):
         # 3 reads per bit never trips a 4-read budget, no matter how many bits
         probe = RealFunction("probe3", lambda tape, m: [tape.read(m) for _ in range(3)][-1])
