@@ -12,6 +12,10 @@ where NAME is identity, double, or shift, and ENUM is either
 
 Source specs:  zeros | ones | periodic:WORD | finite:WORD | random:SEED |
 flip:POS:SRC | interleave(SRC,SRC) | columns:FILE
+where flip and interleave nest at most 64 deep around any source.
+
+main(argv) may be called repeatedly in one process; the argument parser is
+built once, at import.
 """
 
 from __future__ import annotations
@@ -128,14 +132,25 @@ def _split_top_comma(text: str) -> tuple[str, str]:
     raise SpecParseError(f"expected two comma-separated sources in {text!r}")
 
 
+MAX_SOURCE_NESTING = 64  # flip/interleave layers around one source
+
+
 def parse_source(spec: str) -> BitSource:
+    return _parse_source(spec, 0)
+
+
+def _parse_source(spec: str, depth: int) -> BitSource:
+    """The source of `spec`, which sits inside `depth` flip/interleave layers."""
+    if depth > MAX_SOURCE_NESTING:
+        raise SpecParseError(
+            f"source spec nests flip/interleave deeper than {MAX_SOURCE_NESTING} layers")
     if spec == "zeros":
         return zeros()
     if spec == "ones":
         return ones()
     if spec.startswith("interleave(") and spec.endswith(")"):
         left, right = _split_top_comma(spec[len("interleave("):-1])
-        return interleaved(parse_source(left), parse_source(right))
+        return interleaved(_parse_source(left, depth + 1), _parse_source(right, depth + 1))
     head, _, rest = spec.partition(":")
     if head == "periodic":
         return periodic(_parse_word(rest, "periodic"))
@@ -149,7 +164,8 @@ def parse_source(spec: str) -> BitSource:
         pos_text, _, inner = rest.partition(":")
         if not inner:
             raise SpecParseError(f"flip needs a position and a source: {spec!r}")
-        return flipped_at(parse_source(inner), _parse_nat(pos_text, "flip position"))
+        return flipped_at(_parse_source(inner, depth + 1),
+                          _parse_nat(pos_text, "flip position"))
     raise SpecParseError(f"unknown source {spec!r}")
 
 
@@ -196,6 +212,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("demo", help="scripted end-to-end reductions")
     p.add_argument("script", choices=["prop-simple", "thm-surjection", "thm-two1"])
     return parser
+
+
+# nothing in it depends on a call's arguments, so every main call reuses it
+_PARSER = _build_parser()
 
 
 _EXTRACT_FAMILY = {"simple": "simple", "randomized": "surj", "two1": "two1"}
@@ -294,7 +314,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _dispatch(args)
     except SpecParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

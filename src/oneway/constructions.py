@@ -295,22 +295,21 @@ def surjection_injection(w: StagedEnumeration) -> Injection:
     """p(⟨n,s⟩) = 2n when n enters w at s, else 2⟨n,s⟩+1.
 
     Injective because each element enters at most once: entries land on
-    distinct even values, everything else on distinct odd values.
+    distinct even values, everything else on distinct odd values.  Both
+    directions ask `w.entrant`, a table lookup below pair(0, horizon+1), so
+    neither unpairs an index whose stage is known to lie within the horizon.
     """
 
     def fn(m: int) -> int:
-        n, s = unpair(m)
-        if w.new_element_at(s) == n:
-            return 2 * n
-        return 2 * m + 1
+        n = w.entrant(m)
+        return 2 * m + 1 if n is None else 2 * n
 
     def inverse(v: int) -> Optional[int]:
         if v % 2 == 0:
             s = w.entry_stage(v // 2)
             return None if s is None else pair(v // 2, s)
         m = v // 2
-        n, s = unpair(m)
-        return None if w.new_element_at(s) == n else m
+        return m if w.entrant(m) is None else None
 
     return Injection(f"surj-p({w.label})", fn, inverse)
 
@@ -336,19 +335,9 @@ def witness_function(p: Injection, name: Optional[str] = None) -> RealFunction:
     return selection(name or f"witness({p.name})", p.invert)
 
 
-def _entry_select(w: StagedEnumeration) -> Callable[[int], Optional[int]]:
-    """⟨n,s⟩ ↦ n when n enters w at stage s, else None."""
-
-    def sel(m: int) -> Optional[int]:
-        n, s = unpair(m)
-        return n if w.new_element_at(s) == n else None
-
-    return sel
-
-
 def simple_one_way(w: StagedEnumeration) -> RealFunction:
     """Output bit ⟨n,s⟩ = input bit n when n enters w at stage s, else 0."""
-    return selection(f"simple({w.label})", _entry_select(w))
+    return selection(f"simple({w.label})", w.entrant)
 
 
 def one_way_surjection(w: StagedEnumeration) -> RealFunction:
@@ -376,7 +365,7 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
                 f"enumeration lists {n} but the decided set does not contain it")
     # the simple map's selection, not its factory: a traced run attributes
     # emits to families by factory
-    even = selection(f"simple({w.label})", _entry_select(w)).emit
+    even = selection(f"simple({w.label})", w.entrant).emit
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional
 
-from .bitcore import Word, check_word, comparable, data_lines
+from .bitcore import Word, check_word, comparable, data_lines, pair, unpair
 from .errors import HorizonError, SpecParseError
 from .streams import BitSource
 
@@ -43,6 +43,10 @@ class StagedEnumeration:
             by_element[n] = s
         self._by_stage = by_stage
         self._by_element = by_element
+        # ⟨n,s⟩ ↦ n for every entry; below pair(0, horizon+1) every m has a
+        # stage within the horizon, so `entrant` needs no unpair there
+        self._entries = {pair(n, s): n for s, n in by_stage.items()}
+        self._unpair_from = pair(0, horizon + 1)
         self.horizon = horizon
         self.label = label
 
@@ -63,6 +67,19 @@ class StagedEnumeration:
         """The unique element entering at stage s, if any."""
         _check_stage(s, self.horizon)
         return self._by_stage.get(s)
+
+    def entrant(self, m: int) -> Optional[int]:
+        """n when m = ⟨n,s⟩ and n enters at stage s, else None.
+
+        A table lookup for 0 ≤ m < pair(0, horizon+1): s > h forces
+        m ≥ T(h+1) + h+1 = pair(0, h+1), so every such m has its stage within
+        the horizon.  Any other m is unpaired and its stage checked, so a
+        stage past the horizon is a HorizonError.
+        """
+        if 0 <= m < self._unpair_from:
+            return self._entries.get(m)
+        n, s = unpair(m)
+        return n if self.new_element_at(s) == n else None
 
     def member_at_stage(self, n: int, s: int) -> bool:
         """n ∈ W_s, the accumulated set at stage s."""
@@ -90,15 +107,27 @@ class StagedEnumeration:
         return f"StagedEnumeration({self.label}, {len(self._by_element)} elements, horizon={self.horizon})"
 
 
+def _collatz_lengths(starts: Iterable[int]) -> dict[int, int]:
+    """Collatz steps down to 1 from every start and every number its
+    trajectory passes; a tail shared with an earlier trajectory is walked once."""
+    lengths = {1: 0}
+    for n in starts:
+        if n < 1:
+            raise ValueError("collatz trajectories start at positive integers")
+        path = []
+        while n not in lengths:
+            path.append(n)
+            n = n // 2 if n % 2 == 0 else 3 * n + 1
+        steps = lengths[n]
+        for k in reversed(path):
+            steps += 1
+            lengths[k] = steps
+    return lengths
+
+
 def collatz_length(n: int) -> int:
     """Number of Collatz steps from n down to 1."""
-    if n < 1:
-        raise ValueError("collatz trajectories start at positive integers")
-    steps = 0
-    while n != 1:
-        n = n // 2 if n % 2 == 0 else 3 * n + 1
-        steps += 1
-    return steps
+    return _collatz_lengths((n,))[n]
 
 
 def collatz_toy(max_element: int, max_stage: int) -> StagedEnumeration:
@@ -107,12 +136,17 @@ def collatz_toy(max_element: int, max_stage: int) -> StagedEnumeration:
     Element n < max_element enters at its Collatz trajectory length, with
     ties pushed to the next free stage, smaller n first.  Elements forced
     past max_stage are omitted: they model non-halting at desk scale.
+
+    Each trajectory length is computed once, sharing tails between
+    trajectories, and one table serves both the ranking and the stages.
     """
-    ranked = sorted(range(1, max_element), key=lambda n: (collatz_length(n), n))
+    lengths = _collatz_lengths(range(1, max_element))
+    # a stable sort of ascending n: ties keep the smaller n first
+    ranked = sorted(range(1, max_element), key=lengths.__getitem__)
     schedule: dict[int, int] = {}
     prev = -1
     for n in ranked:
-        stage = max(collatz_length(n), prev + 1)
+        stage = max(lengths[n], prev + 1)
         if stage > max_stage:
             break
         schedule[stage] = n

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oneway.bitcore import (
     PartialAssignment,
@@ -52,6 +53,32 @@ def test_pair_dominates_stage():
     for n in range(40):
         for s in range(40):
             assert pair(n, s) >= s
+
+
+# ---------------------------------------------- properties of the pairing
+
+NATS = st.integers(0, 10**12)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(NATS, NATS)
+def test_pair_is_a_bijection_dominating_the_stage(n, s):
+    m = pair(n, s)
+    assert unpair(m) == (n, s)
+    assert pair(*unpair(m)) == m
+    assert m >= s
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.integers(0, 10**6), st.data())
+def test_indices_below_pair_0_h1_have_stage_within_h(h, data):
+    """m < pair(0, h+1) implies unpair(m)[1] <= h: a stage s > h forces
+    m >= T(h+1) + h+1.  The bound is tight: pair(0, h+1) has stage h+1."""
+    bound = pair(0, h + 1)
+    assert unpair(bound) == (0, h + 1)
+    assert unpair(bound - 1)[1] <= h
+    m = data.draw(st.integers(0, bound - 1))
+    assert unpair(m)[1] <= h
 
 
 def test_pair_rejects_negatives():

@@ -6,7 +6,8 @@ and compared against frozen lines, so these double as format regressions.
 
 import pytest
 
-from oneway.cli import main, parse_construction, parse_source
+import oneway.cli as cli
+from oneway.cli import MAX_SOURCE_NESTING, main, parse_construction, parse_source
 
 
 def run_cli(capsys, argv):
@@ -304,6 +305,84 @@ class TestSpecErrors:
         code, err = err_line(capsys, [])
         assert code == 1
         assert "the following arguments are required: verb" in err
+
+
+def nested_flips(layers):
+    return "flip:1:" * layers + "zeros"
+
+
+def nested_interleaves(layers):
+    spec = "zeros"
+    for _ in range(layers):
+        spec = f"interleave({spec},ones)"
+    return spec
+
+
+class TestSourceNesting:
+    @pytest.mark.parametrize("nest", [nested_flips, nested_interleaves])
+    def test_the_cap_parses(self, capsys, nest):
+        # the flips of bit 1 cancel in pairs; each interleave(·,ones) keeps bit 0
+        # from the zeros at its core and takes its odd bits from ones
+        line = "0000 use=4\n" if nest is nested_flips else "0111 use=4\n"
+        code, out, err = run_cli(
+            capsys, ["eval", "--fn", "identity", "--input", nest(MAX_SOURCE_NESTING),
+                     "--bits", "4"])
+        assert (code, out, err) == (0, line, "")
+
+    @pytest.mark.parametrize("layers", [MAX_SOURCE_NESTING + 1, 495])
+    @pytest.mark.parametrize("nest", [nested_flips, nested_interleaves])
+    def test_past_the_cap_is_a_parse_error(self, capsys, nest, layers):
+        code, out, err = run_cli(
+            capsys, ["eval", "--fn", "identity", "--input", nest(layers), "--bits", "4"])
+        assert (code, out) == (1, "")
+        assert err == ("error: source spec nests flip/interleave deeper than "
+                       f"{MAX_SOURCE_NESTING} layers\n")
+
+    def test_the_cap_is_64(self):
+        assert MAX_SOURCE_NESTING == 64
+        assert f"at most {MAX_SOURCE_NESTING} deep" in cli.__doc__
+
+
+class TestParserReuse:
+    """main() parses every call with one parser built at import; no call may
+    see what an earlier one parsed."""
+
+    def fresh(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_PARSER", cli._build_parser())
+            return run_cli(capsys, argv)
+
+    @pytest.mark.parametrize("first,second", [
+        (["extract", "--mode", "two1", "--fn", "two1:collatz:16:100000", "--n", "1",
+          "--upsilon", "101", "--zeta", "01"],
+         ["extract", "--mode", "two1", "--fn", "two1:collatz:16:100000", "--n", "1"]),
+        (["extract", "--mode", "randomized", "--fn", "surj:collatz:16:1000", "--n", "2",
+          "--sigma", "1"],
+         ["extract", "--mode", "randomized", "--fn", "surj:collatz:16:1000", "--n", "2"]),
+    ], ids=["upsilon-zeta", "sigma"])
+    def test_options_do_not_carry_over(self, capsys, monkeypatch, first, second):
+        run_cli(capsys, first)
+        again = run_cli(capsys, second)
+        assert again == self.fresh(capsys, monkeypatch, second)
+        # two1 at n=1: with --zeta 01 it is a domain error, without it a verdict
+        assert again[0] == 0 and again[2] == ""
+
+    def test_a_bad_option_leaves_the_next_call_alone(self, capsys, monkeypatch):
+        good = ["eval", "--fn", "bitselect:double", "--input", "periodic:10", "--bits", "3"]
+        code, err = err_line(capsys, ["eval", "--fn", "identity", "--input", "ones",
+                                       "--bits", "2", "--bogus", "1"])
+        assert code == 1 and err.startswith("error: unrecognized arguments")
+        assert run_cli(capsys, good) == (0, "111 use=5\n", "")
+        assert run_cli(capsys, good) == self.fresh(capsys, monkeypatch, good)
+
+    def test_help_still_exits_zero(self, capsys):
+        for argv in (["--help"], ["eval", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: oneway")
+        assert run_cli(capsys, ["eval", "--fn", "identity", "--input", "ones",
+                                "--bits", "2"]) == (0, "11 use=2\n", "")
 
 
 class TestDemo:

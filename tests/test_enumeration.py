@@ -1,7 +1,9 @@
 """Staged enumerations, the collatz toy, string stages, decided sets, files."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oneway.bitcore import pair, unpair
 from oneway.errors import HorizonError, SpecParseError
 from oneway.enumeration import (
     DecidedSet,
@@ -83,6 +85,89 @@ class TestCollatzToy:
         assert w.max_entry_stage() == 113
         for n, s in ((1, 0), (2, 1), (4, 2), (8, 3), (5, 5), (3, 8), (6, 11), (7, 27)):
             assert w.entry_stage(n) == s
+
+
+def reference_collatz_length(n: int) -> int:
+    steps = 0
+    while n != 1:
+        n = n // 2 if n % 2 == 0 else 3 * n + 1
+        steps += 1
+    return steps
+
+
+def reference_collatz_toy(max_element: int, max_stage: int) -> StagedEnumeration:
+    """The two-pass toy the one-pass `collatz_toy` replaced: every trajectory
+    walked from scratch, once for the ranking and once for the stage."""
+    length = reference_collatz_length
+    ranked = sorted(range(1, max_element), key=lambda n: (length(n), n))
+    schedule = {}
+    prev = -1
+    for n in ranked:
+        stage = max(length(n), prev + 1)
+        if stage > max_stage:
+            break
+        schedule[stage] = n
+        prev = stage
+    return StagedEnumeration(schedule, max_stage, f"collatz:{max_element}:{max_stage}")
+
+
+class TestCollatzOnePass:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.integers(0, 400),
+           st.one_of(st.integers(0, 300), st.sampled_from([10**4, 10**5])))
+    def test_matches_the_two_pass_toy(self, max_element, max_stage):
+        # small max_stage cuts the ranking short; the large ones never do
+        got = collatz_toy(max_element, max_stage)
+        want = reference_collatz_toy(max_element, max_stage)
+        assert got.pairs() == want.pairs()
+        assert (got.horizon, got.label) == (want.horizon, want.label)
+
+    def test_lengths_match_a_fresh_walk(self):
+        for n in range(1, 2000):
+            assert collatz_length(n) == reference_collatz_length(n), n
+        assert [collatz_length(n) for n in (97, 871, 6171)] == [118, 178, 261]
+
+
+def old_entrant(w: StagedEnumeration, m: int):
+    """The per-bit test the table replaced: unpair, then the stage's entry."""
+    n, s = unpair(m)
+    return n if w.new_element_at(s) == n else None
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+class TestEntrant:
+    def test_lookup_and_the_horizon_bound(self):
+        w = StagedEnumeration.from_pairs([(5, 3), (12, 1)], horizon=12)
+        bound = pair(0, 13)
+        assert w.entrant(pair(3, 5)) == 3
+        assert w.entrant(pair(1, 12)) == 1 == w.entrant(bound - 1)
+        assert w.entrant(pair(3, 6)) is None
+        with pytest.raises(HorizonError, match="stage 13 beyond horizon 12"):
+            w.entrant(bound)
+        # past the bound but at stage 0: unpaired, not an error
+        assert w.entrant(pair(17, 0)) is None
+        with pytest.raises(ValueError):
+            w.entrant(-1)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.dictionaries(st.integers(0, 40), st.integers(0, 60), max_size=12),
+           st.integers(0, 40), st.lists(st.integers(0, 3000), max_size=30))
+    def test_agrees_with_unpair_and_new_element_at(self, schedule, extra, ms):
+        stages = {}
+        for s, n in schedule.items():
+            if n not in stages.values():
+                stages[s] = n
+        w = StagedEnumeration(stages, max(stages, default=0) + extra)
+        bound = pair(0, w.horizon + 1)
+        for m in ms + [bound - 1, bound, pair(w.horizon + 5, 0)] + \
+                [pair(n, s) for s, n in stages.items()]:
+            assert outcome(w.entrant, m) == outcome(old_entrant, w, m), m
 
 
 class TestStagedStringEnumeration:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from oneway.bitcore import pair, unpair
 from oneway.constructions import (
+    Injection,
     Marker,
     bit_select,
     d_keyed,
@@ -85,8 +86,29 @@ def ref_simple_one_way(w):
     return RealFunction(f"simple({w.label})", emit)
 
 
+def ref_surjection_injection(w):
+    """p(⟨n,s⟩) as it read before `StagedEnumeration.entrant`: unpair every
+    index and ask the stage for its entry."""
+
+    def fn(m):
+        n, s = unpair(m)
+        if w.new_element_at(s) == n:
+            return 2 * n
+        return 2 * m + 1
+
+    def inverse(v):
+        if v % 2 == 0:
+            s = w.entry_stage(v // 2)
+            return None if s is None else pair(v // 2, s)
+        m = v // 2
+        n, s = unpair(m)
+        return None if w.new_element_at(s) == n else m
+
+    return Injection(f"surj-p({w.label})", fn, inverse)
+
+
 def ref_one_way_surjection(w):
-    return ref_bit_select(surjection_injection(w), name=f"surj({w.label})")
+    return ref_bit_select(ref_surjection_injection(w), name=f"surj({w.label})")
 
 
 def ref_partial_injection(w, d):
@@ -159,7 +181,7 @@ def ref_reference_inverter_simple(w):
 
 
 def ref_reference_inverter_surjection(w):
-    p = surjection_injection(w)
+    p = ref_surjection_injection(w)
 
     def emit(tape, m):
         idx = p.invert(m)
@@ -285,6 +307,47 @@ def test_partial_injection_diverges_the_same_way():
     assert bit_by_bit(new, x, range(64)) == bit_by_bit(old, x, range(64))
     assert outcome(evaluate, new, x, 64) == outcome(evaluate, old, x, 64) == \
         (DivergenceError, "no output bit at index 13: input bit 6 is set but undecided")
+
+
+# the last entry sits at m = pair(1, 12) = pair(0, 13) - 1, the horizon bound
+EDGE = StagedEnumeration.from_pairs([(5, 3), (12, 1)], horizon=12)
+EDGE_FAMILIES = {
+    "simple": lambda w: (simple_one_way(w), ref_simple_one_way(w)),
+    "surj": lambda w: (one_way_surjection(w), ref_one_way_surjection(w)),
+    "refinv-surj": lambda w: (reference_inverter_surjection(w).g,
+                              ref_reference_inverter_surjection(w).g),
+}
+
+
+@pytest.mark.parametrize("w", [EDGE, SHORT, TOY], ids=["edge", "short", "toy"])
+@pytest.mark.parametrize("family", sorted(EDGE_FAMILIES))
+def test_the_horizon_bound_matches(family, w):
+    """At m = bound-1 (stage h), m = bound (stage h+1: a HorizonError) and
+    pair(h+5, 0) (past the bound at stage 0: no error), bit for bit."""
+    new, old = EDGE_FAMILIES[family](w)
+    bound = pair(0, w.horizon + 1)
+    order = [bound - 1, bound, pair(w.horizon + 5, 0), pair(1, 12), pair(3, 5)]
+    # sources that hold no per-position state: the toy's bound is about 5·10^9
+    for x in (ones(), periodic("10"), periodic("0111")):
+        assert bit_by_bit(new, x, order) == bit_by_bit(old, x, order)
+        for m in order:
+            assert outcome(OracleTape(x).emit, new, m) == \
+                outcome(OracleTape(x).emit, old, m), m
+    if family == "surj":
+        p, q = surjection_injection(w), ref_surjection_injection(w)
+        for m in order:
+            assert outcome(p.apply, m) == outcome(q.apply, m), m
+            for v in (2 * m, 2 * m + 1):
+                assert outcome(p.invert, v) == outcome(q.invert, v), v
+
+
+def test_the_bound_cases_raise_where_expected():
+    new, _ = EDGE_FAMILIES["simple"](EDGE)
+    bound = pair(0, 13)
+    assert outcome(OracleTape(ones()).emit, new, bound - 1) == 1
+    assert outcome(OracleTape(ones()).emit, new, bound) == \
+        (HorizonError, "stage 13 beyond horizon 12")
+    assert outcome(OracleTape(ones()).emit, new, pair(17, 0)) == 0
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
