@@ -10,8 +10,9 @@ run the ``row`` lines, the host-slowdown line and the final JSON line are
 kept.
 
 The file gets, per side, the median and quartiles of every end-to-end metric
-over the pairs, the median of every row, the per-layer metrics, and whether
-every run was correct; per metric, the number of pairs the change won.  Runs
+over the pairs, the median of every row, the per-layer metrics, whether
+every run was correct, and the operations attempted and failed over all its
+runs; per metric, the number of pairs the change won.  Runs
 are stored under ``"<workload>@seed<K>"``; an existing ``--out`` file keeps
 its other entries, so several workloads and seeds build up one file.
 Standard library only; each checkout's perfbench imports its own ``src/``.
@@ -88,6 +89,7 @@ def summarise(runs: list[dict], traced: dict) -> dict:
         "host_slowdown": [run["host_slowdown"] for run in runs],
         "per_layer": traced["metrics"],
         "correct": all(run["correct"] for run in runs + [traced]),
+        "attempted": sum(run["attempted"] for run in runs + [traced]),
         "failed": sum(run["failed"] for run in runs + [traced]),
     }
 

@@ -9,6 +9,7 @@ than half a cylinder) must be exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,6 +148,12 @@ class PartialAssignment:
                 raise ValueError(f"constraint at {p} does not fit in length {length}")
             bits[p] = b
         return "".join(bits)
+
+    def words(self, length: int) -> Iterator[Word]:
+        """The length-`length` words matching the constraints, in lex order."""
+        fixed = dict(self.constraints)
+        return ("".join(bits) for bits in
+                itertools.product(*(fixed.get(p, "01") for p in range(length))))
 
     def intersect_word_measure(self, word: Word) -> Fraction:
         """Exact μ of (this class) ∩ ⟦word⟧."""

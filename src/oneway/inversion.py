@@ -9,10 +9,11 @@ inverter could.
 
 No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
 splits a computation at the first open position it reads, so a leaf stands
-for every word that agrees with its read pattern.  The randomized extraction
-collects halting patterns in (length, lex) order until they cover more than
-half of the conditioning cylinder, with exact counts and measures per length
-class; fiber counts add up the patterns that fit a target.
+for every word that agrees with its read pattern.  Unique-path inversion
+grows such read classes one barrier position at a time.  The randomized
+extraction collects halting patterns in (length, lex) order until they cover
+more than half of the conditioning cylinder; fiber counts add up the
+patterns that fit a target.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .bitcore import (
     PartialAssignment,
@@ -54,7 +55,6 @@ from .streams import (
     interleaved,
     mutate_beyond_use,
     output_source,
-    preimage_levels,
     selection,
     zeros,
 )
@@ -90,31 +90,66 @@ class InverterUnderTest:
     binary: bool = False
 
 
+def _class_levels(rep: Representation, y: BitSource,
+                  depth: int) -> Iterator[list[tuple[dict[int, str], OracleTape]]]:
+    """Level d = 0..depth: the read classes of the length-d words whose image
+    under rep is a prefix of y, as (assignment, tape holding the image).  A
+    class reruns on a branch of its tape with the barrier at d+1 and splits
+    only where a bit reads an open position."""
+
+    def grow(assign: dict[int, str], tape: OracleTape) -> Optional[OracleTape]:
+        tape = tape.branch(_fork_source("preimage-class", "", assign))
+        tape.barrier = barrier
+        try:
+            return tape if barrier_image(rep.f, tape, rep.out_cap, y) is not None else None
+        except _Fork as fork:
+            fork.resume = tape
+            raise
+
+    level = [({}, OracleTape(zeros(), budget=rep.budget))]
+    for barrier in range(depth + 1):
+        level = [leaf for leaf in _fork_tree(grow, roots=level) if leaf[1] is not None]
+        yield level
+
+
+def preimage_tree(rep: Representation, y: BitSource, depth: int) -> list[Word]:
+    """All words σ, |σ| ≤ depth, whose image under rep is a prefix of y,
+    sorted (length, lex)."""
+    if depth < 0:
+        raise ValueError(f"tree depth must be a natural, got {depth}")
+    if depth > rep.depth:
+        raise ValueError(f"tree depth {depth} exceeds representation depth {rep.depth}")
+    return [word for d, level in enumerate(_class_levels(rep, y, depth)) for word in
+            sorted(w for assign, _ in level for w in PartialAssignment.of_dict(assign).words(d))]
+
+
 def unique_path_invert(rep: Representation, y: BitSource, n: int,
                        depth_cap: Optional[int] = None,
                        survivor_cap: int = 4096) -> Word:
-    """First n bits of the unique preimage of y, by levelwise consensus.
-
-    Breadth-first over words compatible with y; returns as soon as every
-    survivor of some level shares an n-bit prefix.  Typed failures: an
-    empty level means y is not in the range at that depth; no consensus by
-    the depth cap (or a survivor population past `survivor_cap`) means the
-    fiber is not provably a singleton at desk scale.
-    """
+    """First n bits of the unique preimage of y, by levelwise consensus:
+    breadth-first over the read classes compatible with y, until all classes
+    of a level assign every position below n alike.  An empty level means y
+    is not in the range at that depth; no consensus by the depth cap (or more
+    than `survivor_cap` words surviving) means the fiber is not provably a
+    singleton at desk scale."""
     if n < 0:
         raise ValueError(f"bit count must be a natural, got {n}")
     if depth_cap is None:
         depth_cap = rep.depth
+    if depth_cap < 0 or survivor_cap < 0:
+        raise ValueError(f"caps must be naturals, got {depth_cap} and {survivor_cap}")
     if depth_cap > rep.depth:
         raise ValueError(f"depth cap {depth_cap} exceeds representation depth {rep.depth}")
-    for depth, survivors in enumerate(preimage_levels(rep, y, depth_cap)):
-        if not survivors:
+    for depth, level in enumerate(_class_levels(rep, y, depth_cap)):
+        if not level:
             raise NotInRangeError(f"target not in range at depth {depth}")
-        if depth >= n and len({s[:n] for s in survivors}) == 1:
-            return survivors[0][:n]
-        if len(survivors) > survivor_cap:
+        heads = {tuple(assign.get(p) for p in range(n)) for assign, _ in level}
+        if len(heads) == 1 and None not in (head := heads.pop()):
+            return "".join(head)
+        survivors = sum(2 ** (depth - len(assign)) for assign, _ in level)
+        if survivors > survivor_cap:
             raise NotSingletonError(
-                f"{len(survivors)} surviving words at depth {depth}; "
+                f"{survivors} surviving words at depth {depth}; "
                 f"fiber not provably singleton at desk scale")
     raise NotSingletonError(
         f"no {n}-bit consensus by depth {depth_cap}; "
@@ -239,18 +274,21 @@ class _Fork(Exception):
         super().__init__(str(position))
 
 
-def _fork_tree(run: Callable[[dict[int, str], Any], object], node_budget: float,
-               exhausted: DeskError, owned_from: int = 0) -> Iterator[tuple[dict[int, str], Any]]:
-    """The leaves of the fork-on-read tree of `run`, lazily, depth first.
+def _fork_tree(run: Callable[[dict[int, str], Any], object], node_budget: float = float("inf"),
+               exhausted: Optional[DeskError] = None, owned_from: int = 0,
+               roots: Optional[Iterable] = None) -> Iterator[tuple[dict[int, str], Any]]:
+    """The leaves of the fork-on-read trees of `run`, lazily, depth first.
 
     `run(assignment, resume)` raises `_Fork(p)` at the first position p it
     reads that the assignment leaves open, and the node splits on p, 0
-    before 1; both children get the fork's `resume` (None at the root).
-    Leaves are yielded as (assignment, result).  A fork below `owned_from`
-    propagates to an enclosing tree, without its checkpoint; past
-    `node_budget` nodes the tree raises `exhausted`.
+    before 1; both children get the fork's `resume`.  The trees grow from
+    `roots`, (assignment, resume) pairs in order (default: the empty
+    assignment without a checkpoint).  Leaves are yielded as
+    (assignment, result).  A fork below `owned_from` propagates to an
+    enclosing tree, without its checkpoint; past `node_budget` nodes the
+    tree raises `exhausted`.
     """
-    stack, nodes = [({}, None)], 0
+    stack, nodes = [({}, None)] if roots is None else list(roots)[::-1], 0
     while stack:
         assign, resume = stack.pop()
         nodes += 1
@@ -324,26 +362,11 @@ class DovetailRecord:
         if self.words_collected > cap:
             raise ValueError(f"W_t holds {self.words_collected} words, over cap {cap}")
         base = PartialAssignment.of_word(self.sigma)
-        remaining = self.words_collected
-        collected: list[Word] = []
-        for ell in sorted({leaf.length for leaf in self.leaves}):
-            class_words: list[Word] = []
-            for leaf in self.leaves:
-                if leaf.length != ell:
-                    continue
-                fixed = base.union(leaf.assignment)
-                free = [p for p in range(ell) if fixed.value_at(p) is None]
-                for mask in range(2 ** len(free)):
-                    extra = {p: str((mask >> i) & 1) for i, p in enumerate(free)}
-                    class_words.append(
-                        fixed.union(PartialAssignment.of_dict(extra)).filled_word(ell))
-            class_words.sort()
-            take = min(remaining, len(class_words))
-            collected.extend(class_words[:take])
-            remaining -= take
-            if remaining == 0:
-                break
-        return PrefixFreeSet(collected)
+        # lazily, one length class at a time: classes past the crossing stay unexpanded
+        words = (word for ell in sorted({leaf.length for leaf in self.leaves})
+                 for word in sorted(w for leaf in self.leaves if leaf.length == ell
+                                    for w in base.union(leaf.assignment).words(ell)))
+        return PrefixFreeSet(itertools.islice(words, self.words_collected))
 
 
 def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
@@ -544,7 +567,7 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                  _resume: None) -> tuple[bool, Optional[tuple[int, ...]]]:
         """(image comparable, the witness reads if the class is extendable)."""
         tape = OracleTape(_fork_source("fiber-probe", "", word_class), barrier=depth)
-        if barrier_image(f, tape, max(n_out, 1), y_prefix) is None:
+        if barrier_image(f, tape, n_out, finite(y_prefix)) is None:
             return False, None
         deep = _fork_tree(lambda guess, resume: continuation(word_class, guess, resume),
                           budget, exhausted, owned_from=depth)
@@ -552,7 +575,7 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     surviving, extendable = 0, []
     # image runs are not probe runs, so `budget` does not bound this tree
-    for word_class, (survives, reads) in _fork_tree(classify, float("inf"), exhausted):
+    for word_class, (survives, reads) in _fork_tree(classify):
         if survives:
             surviving += 2 ** (depth - len(word_class))
             if reads is not None:

@@ -1,5 +1,5 @@
-"""Infinite bit sources, oracle tapes with use accounting, representations,
-and preimage trees.
+"""Infinite bit sources, oracle tapes with use accounting, and
+representations.
 
 A BitSource is a total deterministic map position → bit.  An OracleTape
 wraps a source and records exactly how much of it a computation reads; the
@@ -13,7 +13,8 @@ surfaces as a divergence error, never nontermination.  Work an emitter keeps
 on the tape across bits is paid for once, by the bit that does it: an even
 bit 2s of a two-to-one map pays only for the marker stages no earlier bit on
 that tape has run, and an odd bit 2j+1 of the partial injection only for the
-guard positions no earlier bit on that tape has checked.
+guard positions no earlier bit on that tape has checked.  `barrier_image`
+keeps its output bits on the tape, so moving the barrier reruns only the rest.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .bitcore import Word, check_word, data_lines, pair, unpair
 from .errors import (
+    DeskError,
     DivergenceError,
     HorizonError,
     SpecParseError,
@@ -33,6 +35,7 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 10**6
+RANDOM_POSITIONS = 1 << 24  # random_source caches a byte per position below this
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,8 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 def random_source(seed: int) -> BitSource:
     """Bit i is the i-th draw of random.Random(seed).getrandbits(1): the top
     bit of the i-th 32-bit word, which getrandbits(32·n) packs little-endian.
-    Batches double from 64 to 32K words; the cache holds a byte per bit."""
+    Batches double from 64 to 32K words; the cache holds a byte per bit, so
+    positions from RANDOM_POSITIONS on raise DeskError before it grows."""
     rng = random.Random(seed)
     cache = bytearray()
     words = 64
@@ -128,6 +132,8 @@ def random_source(seed: int) -> BitSource:
     def bit(i: int) -> int:
         nonlocal words
         while len(cache) <= i:
+            if i >= RANDOM_POSITIONS:
+                raise DeskError(f"random source position {i} past the {RANDOM_POSITIONS}-bit bound")
             batch = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
             cache.extend(batch[3::4].translate(_TOP_BIT))
             words = min(2 * words, 1 << 15)
@@ -325,22 +331,24 @@ def output_source(f: RealFunction, x: BitSource,
 
 
 def barrier_image(f: RealFunction, tape: OracleTape, n: int,
-                  target: Optional[Word] = None) -> Optional[Word]:
+                  target: Optional[BitSource] = None) -> Optional[Word]:
     """Output bits 0..n-1 of f on `tape` up to the first one that is missing
     (read past the barrier, divergence, horizon overrun); None as soon as a
-    bit differs from `target`, which may be shorter than n."""
-    bits = []
-    for j in range(n):
+    bit differs from `target`, which is read only where a bit is emitted.
+    The bits found stay on the tape, keyed by f, so a later call on it or on
+    a branch of it starts at the first missing bit."""
+    bits = tape.state.setdefault(f, [])
+    while len(bits) < n:
         try:
-            b = tape.try_emit(f, j)
+            b = tape.try_emit(f, len(bits))
         except HorizonError:
             break
         if b is None:
             break
-        if target is not None and j < len(target) and b != int(target[j]):
+        if target is not None and b != target.bit(len(bits)):
             return None
         bits.append(str(b))
-    return "".join(bits)
+    return "".join(bits[:n])
 
 
 class Representation:
@@ -360,7 +368,6 @@ class Representation:
         self.depth = depth
         self.out_cap = out_cap
         self.budget = budget
-        self._memo: dict[Word, tuple[Word, tuple[int, ...]]] = {}
 
     def map_word(self, sigma: Word) -> Word:
         return self.map_with_reads(sigma)[0]
@@ -370,13 +377,8 @@ class Representation:
         check_word(sigma)
         if len(sigma) > self.depth:
             raise ValueError(f"word of length {len(sigma)} exceeds depth {self.depth}")
-        hit = self._memo.get(sigma)
-        if hit is not None:
-            return hit
         tape = OracleTape(finite(sigma), barrier=len(sigma), budget=self.budget)
-        result = (barrier_image(self.f, tape, self.out_cap), tape.positions_read())
-        self._memo[sigma] = result
-        return result
+        return barrier_image(self.f, tape, self.out_cap), tape.positions_read()
 
 
 def representation_of(f: RealFunction, depth: int,
@@ -385,29 +387,6 @@ def representation_of(f: RealFunction, depth: int,
     if out_cap is None:
         out_cap = max(2 * depth + 8, 48)
     return Representation(f, depth, out_cap, budget)
-
-
-def source_agrees(y: BitSource, word: Word) -> bool:
-    return all(y.bit(i) == int(ch) for i, ch in enumerate(word))
-
-
-def preimage_levels(rep: Representation, y: BitSource, depth: int) -> Iterator[list[Word]]:
-    """For each length 0..depth, the words σ in lex order whose image under
-    rep is a prefix of y.  A level extends only the survivors of the last:
-    once map_word(σ) disagrees with y, no extension of σ agrees."""
-    level = [""]
-    for _ in range(depth + 1):
-        keep = [s for s in level if source_agrees(y, rep.map_word(s))]
-        yield keep
-        level = [s + b for s in keep for b in "01"]
-
-
-def preimage_tree(rep: Representation, y: BitSource, depth: int) -> list[Word]:
-    """All words σ, |σ| ≤ depth, whose image under rep is a prefix of y,
-    sorted (length, lex)."""
-    if depth > rep.depth:
-        raise ValueError(f"tree depth {depth} exceeds representation depth {rep.depth}")
-    return [s for level in preimage_levels(rep, y, depth) for s in level]
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ and compared against frozen lines, so these double as format regressions.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oneway.cli as cli
 from oneway.cli import MAX_SOURCE_NESTING, main, parse_construction, parse_source
@@ -40,6 +41,37 @@ class TestParseConstruction:
         assert handle.descriptor == spec
         again = parse_construction(handle.descriptor)
         assert again.descriptor == spec
+
+    @pytest.fixture(scope="class")
+    def spec_files(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("specs")
+        files = {"w.enum": "# two entries\nhorizon 50\n1 2\n4 0\n",
+                 "d.set": "horizon 70\n" + "".join(f"{n}\n" for n in range(70)),
+                 "u.words": "horizon 50\n1 01\n3 110\n"}
+        for name, text in files.items():
+            (d / name).write_text(text)
+        return {name: str(d / name) for name in files}
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(data=st.data())
+    def test_descriptor_round_trip_for_every_family(self, spec_files, data):
+        nat = st.integers(1, 64).map(str)
+        enum = data.draw(st.one_of(
+            st.just("collatz"),
+            nat.map(lambda a: f"collatz:{a}"),
+            st.tuples(nat, st.integers(0, 3000)).map(lambda ab: f"collatz:{ab[0]}:{ab[1]}"),
+            st.just(spec_files["w.enum"])))
+        spec = data.draw(st.sampled_from(
+            ["identity"]
+            + [f"{head}:{inj}" for head in ("bitselect", "witness")
+               for inj in ("identity", "double", "shift")]
+            + [f"{head}:{enum}" for head in ("simple", "surj", "two1")]
+            + [f"inj:{enum}:{spec_files['d.set']}", f"two2:{enum}:{spec_files['u.words']}"]))
+        handle = parse_construction(spec)
+        again = parse_construction(handle.descriptor)
+        assert (handle.family, handle.descriptor) == (again.family, again.descriptor)
+        assert handle.descriptor == spec and handle.family == spec.partition(":")[0]
+        assert again.fn.name == handle.fn.name
 
     def test_collatz_defaults(self):
         handle = parse_construction("simple:collatz")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from oneway.bitcore import pair
 from oneway.constructions import (
@@ -105,6 +106,16 @@ class TestUniquePathInvert:
         rep = representation_of(bit_select(identity_injection()), 8)
         with pytest.raises(ValueError, match="bit count must be a natural, got -1"):
             unique_path_invert(rep, zeros(), -1)
+
+    def test_negative_depth_cap(self):
+        rep = representation_of(bit_select(identity_injection()), 8)
+        with pytest.raises(ValueError, match="caps must be naturals, got -1 and 4096"):
+            unique_path_invert(rep, zeros(), 2, depth_cap=-1)
+
+    def test_negative_survivor_cap(self):
+        rep = representation_of(bit_select(identity_injection()), 8)
+        with pytest.raises(ValueError, match="caps must be naturals, got 8 and -1"):
+            unique_path_invert(rep, zeros(), 2, survivor_cap=-1)
 
     def test_survivor_cap(self):
         rep = representation_of(RealFunction("const0", lambda tape, m: 0), 8)
@@ -277,6 +288,37 @@ class TestExtractRandomized:
         _, f, w = self.fixture()
         with pytest.raises(ValueError, match="binary inverter"):
             extract_randomized(reference_inverter_simple(w), f, "", w, 2)
+
+    @staticmethod
+    @st.composite
+    def surjection_cases(draw):
+        stages = draw(st.lists(st.integers(0, 3), max_size=4, unique=True))
+        elements = draw(st.lists(st.integers(0, 3), min_size=len(stages),
+                                 max_size=len(stages), unique=True))
+        w = enum(list(zip(stages, elements)), 64)
+        g = reference_inverter_surjection(w)
+        if draw(st.booleans()):
+            # reads up to the first 1 of y: leaves of many lengths
+            width = draw(st.integers(1, 12))
+
+            def scan(tape, m):
+                return next((1 for i in range(0, 2 * width, 2) if tape.read(i)), 0)
+
+            g = InverterUnderTest(RealFunction(f"scan{width}", scan), binary=True)
+        return g, one_way_surjection(w), w, draw(st.text("01", max_size=10)), \
+            draw(st.integers(0, 4))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(surjection_cases())
+    def test_materialized_record_has_the_recorded_measure(self, case):
+        g, f, w, sigma, n = case
+        validate = g.g.name.startswith("refinv")
+        record = extract_randomized(g, f, sigma, w, n, validate=validate).evidence
+        assume(record.words_collected <= 4096)
+        words = record.materialize()  # a PrefixFreeSet rejects comparable words
+        assert len(words) == record.words_collected
+        assert all(word.startswith(sigma) for word in words)
+        assert words.intersect_measure(sigma) == record.measure > record.threshold
 
     def test_deep_fork_tree_needs_no_recursion(self):
         # scanning for the first 1 forks once per position: 1,200 deep

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from oneway.errors import DivergenceError, HorizonError, SpecParseError
+from oneway.errors import DeskError, DivergenceError, HorizonError, SpecParseError
+from oneway.inversion import preimage_tree
 from oneway.streams import (
+    RANDOM_POSITIONS,
     BitSource,
     OracleTape,
     RealFunction,
@@ -24,10 +26,8 @@ from oneway.streams import (
     ones,
     output_source,
     periodic,
-    preimage_tree,
     random_source,
     representation_of,
-    source_agrees,
     use_soundness_check,
     zeros,
 )
@@ -86,6 +86,15 @@ class TestSources:
         deep = random_source(seed)  # the first read is a deep one
         assert deep.bit(len(want) - 1) == want[-1]
         assert [deep.bit(i) for i in range(0, len(want), 97)] == want[::97]
+
+    def test_random_source_refuses_far_positions_before_allocating(self):
+        src = random_source(3)
+        with pytest.raises(DeskError, match="past the 16777216-bit bound"):
+            src.bit(10**10)
+        with pytest.raises(DeskError):
+            src.bit(RANDOM_POSITIONS)
+        assert src.prefix(64) == random_source(3).prefix(64)
+        assert src.bit(RANDOM_POSITIONS - 1) in (0, 1)
 
     def test_column_source_and_column_of(self):
         # column 1 carries ones, default is the all-zeros backdrop
@@ -338,12 +347,6 @@ class TestRepresentation:
         assert rep.map_word("111111") == "11"
 
 
-def test_source_agrees():
-    assert source_agrees(periodic("10"), "1010")
-    assert not source_agrees(periodic("10"), "11")
-    assert source_agrees(zeros(), "")
-
-
 def test_preimage_tree_frozen():
     # select(2) against all-ones target: even positions pinned, odd free
     rep = representation_of(select(2), 2)
@@ -355,6 +358,12 @@ def test_preimage_tree_prunes():
     assert preimage_tree(rep, zeros(), 3) == ["", "0", "00", "000"]
     with pytest.raises(ValueError):
         preimage_tree(rep, zeros(), 4)
+
+
+def test_preimage_tree_negative_depth():
+    rep = representation_of(identity_function(), 3)
+    with pytest.raises(ValueError, match="tree depth must be a natural, got -1"):
+        preimage_tree(rep, zeros(), -1)
 
 
 class TestUseSoundness:
