@@ -23,7 +23,7 @@ short-circuits, so a halting stage reads nothing from z.
 `Marker` runs the recursion; `k_keyed` and `d_keyed` are the permission
 rules.  The emitters and the reference inverter keep one marker per map on
 the evaluation's tape, so output bit 2s runs (and its step budget pays for)
-only the stages that no earlier bit on that tape has run.
+only the stages that no earlier bit that succeeded on that tape has run.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ from .enumeration import (
     StagedStringEnumeration,
     column_hit,
 )
-from .errors import DivergenceError, HorizonError, InjectivityError
+from .errors import DivergenceError, HorizonError, InjectivityError, _BudgetExhausted, \
+    _ReadBeyondBarrier
 from .streams import BitSource, OracleTape, RealFunction, column_source, selection
 
 
@@ -153,18 +154,20 @@ class Marker:
 
     rows[s] = (k_s, d_s, p_s, permission at stage s); k, d follow the last
     stage.  A stage commits only after its permission is decided, so a read
-    that raises mid-stage leaves the marker as it was.  The permission rule
-    is passed in, never stored: a marker kept on a tape holds no reference
-    back to the tape.
+    that raises mid-stage leaves the marker as it was.  The first `kept`
+    rows belong to output bits that succeeded; a bit that fails drops the
+    rest (`undo`), as the tape forgets their reads, and one that forks
+    leaves them open.  The permission rule is passed in, never stored: a
+    marker kept on a tape holds no reference back to the tape.
     """
 
     def __init__(self):
-        self.k = self.d = 0
+        self.k = self.d = self.kept = 0
         self.rows: list[tuple[int, int, int, Optional[str]]] = []
 
     def __copy__(self) -> "Marker":
         twin = Marker()
-        twin.k, twin.d, twin.rows = self.k, self.d, list(self.rows)
+        twin.k, twin.d, twin.kept, twin.rows = self.k, self.d, self.kept, list(self.rows)
         return twin
 
     @staticmethod
@@ -186,6 +189,12 @@ class Marker:
                 rows.append((k, d, k, perm))
                 self.k, self.d = s + 1, d + 1
         return self
+
+    def undo(self) -> None:
+        """Drop the stages past `kept`; rows hold k and d, so they come back."""
+        if len(self.rows) > self.kept:
+            self.k, self.d = self.rows[self.kept][:2]
+            del self.rows[self.kept:]
 
     def trace(self) -> MarkerTrace:
         return MarkerTrace(tuple(MarkerStep(s, *row) for s, row in enumerate(self.rows)),
@@ -399,8 +408,14 @@ def _marker_map(name: str, cap: int,
         if s + 1 > cap:
             raise HorizonError(
                 f"output bit {m} needs marker stage {s + 1} beyond horizon {cap}")
-        marker = Marker.on(tape, key).advance_to(s + 1, rule(tape))
-        return tape.read(2 * marker.rows[s][2])
+        marker = Marker.on(tape, key)
+        try:
+            b = tape.read(2 * marker.advance_to(s + 1, rule(tape)).rows[s][2])
+        except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError, HorizonError):
+            marker.undo()
+            raise
+        marker.kept = len(marker.rows)
+        return b
 
     return RealFunction(name, emit)
 

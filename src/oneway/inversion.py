@@ -9,11 +9,12 @@ inverter could.
 
 No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
 splits a computation at the first open position it reads, so a leaf stands
-for every word that agrees with its read pattern.  Unique-path inversion
-grows such read classes one barrier position at a time.  The randomized
+for every word that agrees with its read pattern.  `_class_levels` grows such
+read classes one barrier position at a time; unique-path inversion,
+`preimage_tree` and fiber counts read its levels, the last probing each
+surviving class for a continuation that fits the target.  The randomized
 extraction collects halting patterns in (length, lex) order until they cover
-more than half of the conditioning cylinder; fiber counts add up the
-patterns that fit a target.
+more than half of the conditioning cylinder.
 """
 
 from __future__ import annotations
@@ -363,8 +364,8 @@ class DovetailRecord:
             raise ValueError(f"W_t holds {self.words_collected} words, over cap {cap}")
         base = PartialAssignment.of_word(self.sigma)
         # lazily, one length class at a time: classes past the crossing stay unexpanded
-        words = (word for ell in sorted({leaf.length for leaf in self.leaves})
-                 for word in sorted(w for leaf in self.leaves if leaf.length == ell
+        words = (word for ell, group in itertools.groupby(self.leaves, lambda leaf: leaf.length)
+                 for word in sorted(w for leaf in group
                                     for w in base.union(leaf.assignment).words(ell)))
         return PrefixFreeSet(itertools.islice(words, self.words_collected))
 
@@ -424,14 +425,11 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
     leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget, run_budget)
     leaves.sort(key=lambda leaf: (leaf.length, leaf.pattern(sigma)))
     threshold = Fraction(1, 2 ** (len(sigma) + 1))
-    collected = Fraction(0)
-    words_collected = 0
-    crossing = None
-    for ell in sorted({leaf.length for leaf in leaves}):
-        group = [leaf for leaf in leaves if leaf.length == ell]
-        group_measure = sum(
-            (Fraction(1, 2 ** (len(sigma) + len(leaf.assignment.constraints)))
-             for leaf in group), Fraction(0))
+    collected, words_collected, crossing = Fraction(0), 0, None
+    for ell, group in itertools.groupby(leaves, lambda leaf: leaf.length):
+        group = list(group)
+        group_measure = sum(Fraction(1, 2 ** (len(sigma) + len(leaf.assignment.constraints)))
+                            for leaf in group)
         if collected + group_measure > threshold:
             word_measure = Fraction(1, 2 ** ell)
             need = (threshold - collected) // word_measure + 1
@@ -510,46 +508,44 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     """Count depth-`depth` input words still consistent with the target.
 
     `surviving` counts the words whose image under a read barrier at
-    `depth` (what `Representation` computes) is comparable with `y_prefix`:
-    a fork tree on the positions below `depth` splits only where f reads,
-    and each leaf stands for 2^(open positions) words.
+    `depth` (what `Representation` computes) is comparable with `y_prefix`,
+    2^(open positions) for each class on the last level of `_class_levels`.
 
     `branches` counts at read resolution, so bits f has not read do not
     inflate a genuinely two-element fiber.  A surviving class is extendable
     when a nested fork tree over the positions from `depth` on finds a
-    continuation passing every bit of `y_prefix`.  The extendable classes'
-    distinct patterns on the positions below `depth` read by the passing
-    bits of the least extendable word, times two per other position below
-    `depth`, give `branches`; a target through the outputs publishing each
-    selection made below `depth` pins this to the true fiber.  A bit that
-    reads from `probe_len` on (default: past the prefix and the pairings
-    consulted near `depth`), runs out of steps or diverges passes without
-    reads; its step budget pays only for marker stages and guard positions
-    new to its tape.  A probed bit that needs enumeration stages past the
-    horizon raises HorizonError (the image check truncates there instead).
-    More than `budget` probe emitter runs raise DeskError.
+    continuation passing every bit of `y_prefix`; a continuation that reads
+    an open position below `depth` splits its class first.  The extendable
+    classes' distinct patterns on the positions below `depth` read by the
+    passing bits of the least extendable word, times two per other position
+    below `depth`, give `branches`; a target through the outputs publishing
+    each selection made below `depth` pins this to the true fiber.  A bit
+    that reads from `probe_len` on (default: past the prefix and the
+    pairings consulted near `depth`), runs out of steps or diverges passes
+    without reads; its step budget pays only for marker stages and guard
+    positions new to its tape.  A probed bit that needs enumeration stages
+    past the horizon raises HorizonError (the image check truncates there
+    instead).  More than `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
     if depth < 0:
         raise ValueError("depth must be a natural")
     if probe_len is None:
-        probe_len = max(2 * pair(depth + 2, depth + 2) + 4,
-                        2 * len(y_prefix) + 2)
+        probe_len = max(2 * pair(depth + 2, depth + 2) + 4, 2 * len(y_prefix) + 2)
     probe_len = max(probe_len, depth)
     n_out = len(y_prefix)
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(budget))
 
-    def continuation(word_class: dict[int, str], guess: dict[int, str],
-                     resume: Optional[tuple[OracleTape, tuple[int, ...]]]
+    def continuation(assign: dict[int, str], resume: Optional[tuple[OracleTape, tuple[int, ...]]]
                      ) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         A run that forks at a read of bit j hands its tape and the bits from
         j on to both children: they check j again first, then the guessed
         position if it indexes an output bit."""
         tape, pending = resume or (OracleTape(zeros(), barrier=probe_len), tuple(range(n_out)))
-        tape = tape.branch(_fork_source("fiber-probe", "", {**word_class, **guess}))
-        if guess and (guessed := next(reversed(guess))) < n_out:
+        tape = tape.branch(_fork_source("fiber-probe", "", assign))
+        if resume is not None and (guessed := next(reversed(assign))) < n_out:
             pending = pending[:1] + (guessed,) + pending[1:]
         for idx, j in enumerate(pending):
             if next(runs, None) is None:
@@ -563,24 +559,16 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                 return None
         return tape.positions_read()
 
-    def classify(word_class: dict[int, str],
-                 _resume: None) -> tuple[bool, Optional[tuple[int, ...]]]:
-        """(image comparable, the witness reads if the class is extendable)."""
-        tape = OracleTape(_fork_source("fiber-probe", "", word_class), barrier=depth)
-        if barrier_image(f, tape, n_out, finite(y_prefix)) is None:
-            return False, None
-        deep = _fork_tree(lambda guess, resume: continuation(word_class, guess, resume),
-                          budget, exhausted, owned_from=depth)
-        return True, next((reads for _, reads in deep if reads is not None), None)
+    def witness_reads(word_class: dict[int, str], _resume: None) -> Optional[tuple[int, ...]]:
+        deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
+        return next((reads for _, reads in deep if reads is not None), None)
 
-    surviving, extendable = 0, []
-    # image runs are not probe runs, so `budget` does not bound this tree
-    for word_class, (survives, reads) in _fork_tree(classify):
-        if survives:
-            surviving += 2 ** (depth - len(word_class))
-            if reads is not None:
-                least = "".join(word_class.get(p, "0") for p in range(depth))
-                extendable.append((least, word_class, reads))
+    *_, level = _class_levels(Representation(f, depth, n_out), finite(y_prefix), depth)
+    surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
+    # a split class keeps its image, so this tree reruns none
+    extendable = [("".join(word_class.get(p, "0") for p in range(depth)), word_class, reads)
+                  for word_class, reads in _fork_tree(witness_reads, roots=(
+                      (assign, None) for assign, _ in level)) if reads is not None]
     if not extendable:
         return FiberCount(0, surviving)
     inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]

@@ -11,10 +11,11 @@ Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
 budget (one step per tape read, default 10^6), and budget exhaustion
 surfaces as a divergence error, never nontermination.  Work an emitter keeps
 on the tape across bits is paid for once, by the bit that does it: an even
-bit 2s of a two-to-one map pays only for the marker stages no earlier bit on
-that tape has run, and an odd bit 2j+1 of the partial injection only for the
-guard positions no earlier bit on that tape has checked.  `barrier_image`
-keeps its output bits on the tape, so moving the barrier reruns only the rest.
+bit 2s of a two-to-one map pays only for the marker stages no earlier bit
+that succeeded on that tape has run, and an odd bit 2j+1 of the partial
+injection only for the guard positions no earlier bit on that tape has
+checked.  `barrier_image` keeps its output bits on the tape, so moving the
+barrier reruns only the rest.
 """
 
 from __future__ import annotations
@@ -233,9 +234,9 @@ class OracleTape:
 
     def branch(self, source: BitSource) -> "OracleTape":
         """A copy, per-map state included, over a source that agrees on every read."""
-        twin = copy.copy(self)
-        twin.source, twin._reads = source, dict(self._reads)
-        twin.state = {key: copy.copy(value) for key, value in self.state.items()}
+        twin = object.__new__(type(self))
+        twin.__dict__ = {**self.__dict__, "source": source, "_reads": dict(self._reads),
+                         "state": {key: copy.copy(value) for key, value in self.state.items()}}
         return twin
 
     def positions_read(self) -> tuple[int, ...]:

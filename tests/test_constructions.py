@@ -35,6 +35,7 @@ from oneway.enumeration import (
 )
 from oneway.errors import DivergenceError, HorizonError, InjectivityError
 from oneway.streams import (
+    OracleTape,
     column_source,
     evaluate,
     evaluate_bit,
@@ -294,6 +295,28 @@ class TestTwoToOne:
             # a fresh tape runs all s+1 stages for bit 2s
             with pytest.raises(DivergenceError):
                 evaluate_bit(f, x_and_z, 20, budget=2)
+
+    def test_failed_bit_leaves_no_stage_the_tape_forgot(self):
+        # bit 4 runs stage 1, which reads position 9, then fails under the
+        # barrier at stage 2; bit 2 needs stage 1, so it runs it again
+        f = two_to_one_v1(empty_enum(10**6))
+        x = interleaved(random_source(5), ones())
+        tape = OracleTape(x, barrier=10)
+        assert tape.try_emit(f, 4) is None
+        tape.barrier = None
+        fresh = OracleTape(x)
+        assert [tape.emit(f, m) for m in range(5)] == [fresh.emit(f, m) for m in range(5)]
+        assert tape.positions_read() == fresh.positions_read() == (0, 1, 2, 3, 4, 9, 25)
+
+    def test_bit_out_of_steps_keeps_no_stages(self):
+        # a retry under the same budget starts from the same stage, so it
+        # runs out of steps the same way
+        u = StagedStringEnumeration.from_pairs([(0, "1")], horizon=200)
+        x_and_z = interleaved(periodic("01"), ones())
+        for f in (two_to_one_v1(empty_enum(200)), two_to_one_v2(empty_enum(200), u)):
+            tape = OracleTape(x_and_z, budget=2)
+            assert [tape.try_emit(f, 20) for _ in range(12)] == [None] * 12
+            assert tape.positions_read() == ()
 
     def test_odd_bit_budget_pays_only_new_guard_positions(self):
         # bit 2j+1 checks only position j once the bits before it ran on the

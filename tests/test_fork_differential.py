@@ -66,6 +66,7 @@ from oneway.streams import (
 from test_acceptance import calibrated_len, seeded_enumeration, \
     seeded_string_enumeration
 from test_marker_differential import outcome
+from test_properties import marker_maps
 
 
 # ----------------------------------------------------------------- reference
@@ -460,12 +461,15 @@ def adaptive_emitters(draw):
 
 @st.composite
 def fiber_cases(draw):
-    f = draw(adaptive_emitters())
-    depth = draw(st.integers(0, 8))
+    """An adaptive emitter, or two1/two2 over a drawn toy at depth ≤ 6, with
+    a target it emits on a drawn word, sometimes with one bit flipped."""
+    stateful = draw(st.booleans())
+    f = draw(marker_maps() if stateful else adaptive_emitters())
+    depth = draw(st.integers(0, 6 if stateful else 8))
     x = draw(st.text("01", min_size=24, max_size=24))
     tape = OracleTape(finite(x))
     bits = []
-    for m in range(draw(st.integers(0, 16))):
+    for m in range(draw(st.integers(4, 24) if stateful else st.integers(0, 16))):
         try:
             bits.append(str(f.emit(tape, m)))
         except DivergenceError:

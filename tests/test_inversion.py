@@ -443,6 +443,26 @@ class TestFiberBranchCount:
         y = evaluate(f, interleaved(random_source(11), zeros()), 182).output
         assert fiber_branch_count(f, y, 24) == FiberCount(2, 688128)
 
+    def test_image_runs_grow_linearly_in_depth(self):
+        # every class grows its image on its own tape, one barrier position
+        # at a time, so no fork node reruns the image from bit 0
+        f = bit_select(double_injection())
+
+        def image_runs(depth):
+            barriers = []
+
+            def emit(tape, m):
+                barriers.append(tape.barrier)
+                return f.emit(tape, m)
+
+            y = evaluate(f, random_source(1), depth).output
+            fiber_branch_count(RealFunction("counting", emit), y, depth)
+            # probe tapes put their barrier past depth
+            return sum(b is not None and b <= depth for b in barriers)
+
+        depths = (8, 16, 24, 32)
+        assert [image_runs(depth) for depth in depths] == [5 * d // 2 + 1 for d in depths]
+
     def test_probe_past_the_horizon_is_an_error(self):
         # the image check truncates at the horizon; a probed bit does not
         f = two_to_one_v1(collatz_toy(16, 6))
@@ -466,6 +486,9 @@ class TestFiberBranchCount:
         y = evaluate(f, interleaved(random_source(11), zeros()), 90).output
         with pytest.raises(DeskError, match="^fiber probe budget exhausted$"):
             fiber_branch_count(f, y, 16, budget=50)
+        # an empty target runs no probed bit: the probe tree's node bound stops it
+        with pytest.raises(DeskError, match="^fiber probe budget exhausted$"):
+            fiber_branch_count(bit_select(identity_injection()), "", 4, budget=0)
 
 
 class TestInvertsAtFiniteStage:

@@ -1,0 +1,152 @@
+"""Claims of the library as properties over drawn inputs.
+
+* `Representation` is monotone in the barrier and agrees with `evaluate`,
+  for every construction family;
+* the marker recursion keeps the invariants `MarkerTrace.assert_invariants`
+  checks, under both permission rules, for drawn enumerations and z;
+* a two-to-one map run on one tape, where some bits failed under a barrier
+  before the rest ran without one, reads what a fresh tape reads for the
+  same bits: a failed bit leaves no marker stage behind whose reads the
+  tape forgot.
+
+The strategies for small toys and marker maps are shared with the fiber
+property of `test_fork_differential.py`.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from oneway.bitcore import comparable
+from oneway.constructions import (
+    bit_select,
+    double_injection,
+    identity_injection,
+    marker_run_v1,
+    marker_run_v2,
+    one_way_surjection,
+    partial_injection,
+    shift_injection,
+    simple_one_way,
+    two_to_one_v1,
+    two_to_one_v2,
+    witness_function,
+)
+from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration
+from oneway.streams import (
+    BitSource,
+    OracleTape,
+    Representation,
+    evaluate,
+    identity_function,
+    interleaved,
+    ones,
+    periodic,
+    random_source,
+    zeros,
+)
+
+# ---------------------------------------------------------------- strategies
+
+
+@st.composite
+def toys(draw, elements=12, stages=24):
+    """A staged enumeration of at most five entries below small bounds."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, stages - 1), st.integers(0, elements - 1)),
+                          max_size=5, unique_by=(lambda e: e[0], lambda e: e[1])))
+    return StagedEnumeration.from_pairs(pairs, horizon=10**6)
+
+
+@st.composite
+def word_toys(draw, stages=24):
+    """A prefix-free staged word enumeration of at most four short words."""
+    words: dict[int, str] = {}
+    for s, word in draw(st.lists(st.tuples(st.integers(1, stages - 1),
+                                           st.text("01", min_size=1, max_size=4)), max_size=4)):
+        if s not in words and not any(comparable(word, v) for v in words.values()):
+            words[s] = word
+    return StagedStringEnumeration.from_pairs(sorted(words.items()), horizon=10**6)
+
+
+def marker_maps():
+    """two1 and two2 over drawn toys."""
+    return st.one_of(toys().map(two_to_one_v1), st.builds(two_to_one_v2, toys(), word_toys()))
+
+
+def families():
+    """Every construction family, over drawn toys where it takes one."""
+    injections = st.sampled_from([identity_injection, double_injection, shift_injection])
+    return st.one_of(
+        st.just(identity_function()),
+        injections.map(lambda p: bit_select(p())),
+        injections.map(lambda p: witness_function(p())),
+        toys().map(simple_one_way),
+        toys().map(one_way_surjection),
+        st.builds(lambda w, extra: partial_injection(
+            w, DecidedSet(w.limit_members() | extra, horizon=64)),
+            toys(), st.frozensets(st.integers(0, 63), max_size=8)),
+        marker_maps())
+
+
+def z_sources():
+    return st.one_of(st.just(zeros()), st.just(ones()),
+                     st.integers(0, 10**6).map(random_source),
+                     st.text("01", min_size=1, max_size=8).map(periodic))
+
+
+def extension(word: str, seed: int) -> BitSource:
+    """`word`, then random bits."""
+    tail = random_source(seed)
+    return BitSource(f"ext:{word}:{seed}",
+                     lambda i: int(word[i]) if i < len(word) else tail.bit(i))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+
+
+# ------------------------------------------------------------ representation
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(families(), st.text("01", max_size=12), st.text("01", max_size=6),
+       st.integers(0, 10**6))
+def test_representation_is_monotone_and_agrees_with_evaluate(f, sigma, more, seed):
+    """map_word(σ) is a prefix of map_word(στ); on every x extending σ,
+    evaluate gives the same bits, and the next bit reads at or past |σ| or
+    fails there too."""
+    rep = Representation(f, len(sigma) + len(more), 24)
+    short, long = rep.map_word(sigma), rep.map_word(sigma + more)
+    assert long.startswith(short)
+    for word, image in ((sigma, short), (sigma + more, long)):
+        x = extension(word, seed)
+        assert evaluate(f, x, len(image)).output == image
+        if len(image) < rep.out_cap:
+            nxt = outcome(evaluate, f, x, len(image) + 1)
+            assert isinstance(nxt, tuple) or nxt.use > len(word), (word, image, nxt)
+
+
+# -------------------------------------------------------------------- marker
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(toys(), word_toys(), z_sources(), st.integers(0, 80))
+def test_marker_traces_keep_their_invariants(w, u, z, stages):
+    marker_run_v1(w, z, stages).assert_invariants()
+    marker_run_v2(w, u, z, stages).assert_invariants()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(marker_maps(), z_sources(), st.integers(0, 10**6),
+       st.lists(st.integers(0, 15), max_size=8), st.integers(0, 48), st.integers(0, 8))
+def test_failed_bits_leave_no_stage_the_tape_forgot(f, z, seed, evens, barrier, extra):
+    """Even bits in drawn order under a barrier (some fail), then every bit
+    in order without one: the same bits and positions read as a fresh tape."""
+    x = interleaved(random_source(seed), z)
+    tape = OracleTape(x, barrier=barrier)
+    for s in evens:
+        tape.try_emit(f, 2 * s)
+    tape.barrier = None
+    n = 2 * max(evens, default=0) + 1 + extra
+    fresh = OracleTape(x)
+    assert [tape.emit(f, m) for m in range(n)] == [fresh.emit(f, m) for m in range(n)]
+    assert tape.positions_read() == fresh.positions_read()
