@@ -1,11 +1,15 @@
 """Infinite bit sources, oracle tapes with use accounting, and
 representations.
 
-A BitSource is a total deterministic map position → bit.  An OracleTape
-wraps a source and records exactly how much of it a computation reads; the
-oracle-use of an evaluation is (max position read) + 1.  A RealFunction
-emits output bits one at a time through a tape, so use accounting and read
-barriers apply to every construction uniformly.
+A BitSource is a total deterministic map position → bit.  A read is
+checked once, by the outer `BitSource.bit`: composite sources (flips,
+interleaves, column sources, columns of a source) call their children's raw
+bit functions, and a stack of flips collapses into one set of flipped
+positions over its base, so a read through it costs one set lookup.  An
+OracleTape wraps a source and records exactly how much of it a computation
+reads; the oracle-use of an evaluation is (max position read) + 1.  A
+RealFunction emits output bits one at a time through a tape, so use
+accounting and read barriers apply to every construction uniformly.
 
 Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
 budget (one step per tape read, default 10^6), and budget exhaustion
@@ -41,7 +45,8 @@ RANDOM_POSITIONS = 1 << 24  # random_source caches a byte per position below thi
 
 @dataclass(frozen=True)
 class BitSource:
-    """A total map from positions to bits, with a printable descriptor."""
+    """A total map from positions to bits, with a printable descriptor:
+    `bit` is the checked read, `_bit` the raw map composite sources call."""
 
     spec: str
     _bit: Callable[[int], int]
@@ -50,7 +55,7 @@ class BitSource:
         if i < 0:
             raise ValueError(f"source position must be a natural, got {i}")
         b = self._bit(i)
-        if b not in (0, 1):
+        if b.__class__ is not int or b not in (0, 1):
             raise ValueError(f"source {self.spec} produced non-bit {b!r} at {i}")
         return b
 
@@ -59,6 +64,20 @@ class BitSource:
 
     def __repr__(self) -> str:
         return f"BitSource({self.spec})"
+
+
+@dataclass(frozen=True, repr=False)
+class _Flipped(BitSource):
+    """`base` with the bits at `flips` negated: a stack of flips is one set
+    over the first base that is not a flip."""
+
+    base: BitSource
+    flips: frozenset[int]
+
+
+# a word's bytes translated by _BITS, indexed, are its bits; _DIGITS maps back
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def zeros() -> BitSource:
@@ -73,49 +92,64 @@ def periodic(word: Word) -> BitSource:
     check_word(word)
     if not word:
         raise ValueError("periodic source needs a nonempty word")
-    return BitSource(f"periodic:{word}", lambda i: int(word[i % len(word)]))
+    bits, k = word.encode().translate(_BITS), len(word)
+    return BitSource(f"periodic:{word}", lambda i: bits[i % k])
 
 
 def finite(word: Word) -> BitSource:
     """`word` followed by zeros (an eventually-zero real)."""
     check_word(word)
-    return BitSource(f"finite:{word}", lambda i: int(word[i]) if i < len(word) else 0)
+    bits, k = word.encode().translate(_BITS), len(word)
+    return BitSource(f"finite:{word}", lambda i: bits[i] if i < k else 0)
 
 
 def flipped_at(base: BitSource, position: int) -> BitSource:
+    """`base` with bit `position` negated.  Flipping a flip source merges
+    into its set (a second flip at one position cancels the first), so a
+    read costs one set lookup however deep the stack; the spec still names
+    every layer."""
     if position < 0:
         raise ValueError("flip position must be a natural")
-    return BitSource(
-        f"flip:{position}:{base.spec}",
-        lambda i: base.bit(i) ^ 1 if i == position else base.bit(i),
-    )
+    root, flips = (base.base, base.flips) if isinstance(base, _Flipped) else (base, frozenset())
+    flips = flips ^ {position}
+    raw = root._bit
+
+    def bit(i: int) -> int:
+        b = raw(i)
+        # a non-bit passes through unflipped, for the outer check to refuse
+        return b ^ 1 if i in flips and b.__class__ is int and b in (0, 1) else b
+
+    return _Flipped(f"flip:{position}:{base.spec}", bit if flips else raw, root, flips)
 
 
 def interleaved(even: BitSource, odd: BitSource) -> BitSource:
     """The join: bit 2n from `even`, bit 2n+1 from `odd`."""
+    even_bit, odd_bit = even._bit, odd._bit
     return BitSource(
         f"interleave({even.spec},{odd.spec})",
-        lambda i: even.bit(i // 2) if i % 2 == 0 else odd.bit(i // 2),
+        lambda i: odd_bit(i >> 1) if i & 1 else even_bit(i >> 1),
     )
 
 
 def column_source(assignments: dict[int, BitSource], default: BitSource) -> BitSource:
     """Bit at pair(c,i) comes from assignments[c] at i, or from `default` at
     the absolute position when column c is not assigned."""
-    cols = dict(assignments)
+    cols = {c: s._bit for c, s in assignments.items()}
+    default_bit = default._bit
 
     def bit(m: int) -> int:
         c, i = unpair(m)
         src = cols.get(c)
-        return src.bit(i) if src is not None else default.bit(m)
+        return src(i) if src is not None else default_bit(m)
 
-    inner = ",".join(f"{c}:{s.spec}" for c, s in sorted(cols.items()))
+    inner = ",".join(f"{c}:{s.spec}" for c, s in sorted(assignments.items()))
     return BitSource(f"columns({inner};default={default.spec})", bit)
 
 
 def column_of(w: BitSource, n: int) -> BitSource:
     """Column n of w: the source i ↦ w(pair(n,i))."""
-    return BitSource(f"column:{n}:{w.spec}", lambda i: w.bit(pair(n, i)))
+    w_bit = w._bit
+    return BitSource(f"column:{n}:{w.spec}", lambda i: w_bit(pair(n, i)))
 
 
 _TOP_BIT = bytes(b >> 7 for b in range(256))
@@ -274,12 +308,21 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     """First n output bits of f on x, plus the exact oracle-use.
 
     One tape serves all n bits, so `use` covers the whole prefix
-    computation; the step budget is per output bit.
+    computation; the step budget is per output bit.  An emitted value other
+    than 0 or 1 (False and True count as those) is a ValueError.
     """
     if n < 0:
         raise ValueError(f"bit count must be a natural, got {n}")
     tape = OracleTape(x, budget=budget)
-    return EvalResult("".join(str(tape.emit(f, m)) for m in range(n)), tape.use)
+    emit = tape.emit
+    bits = [emit(f, m) for m in range(n)]
+    try:
+        raw = bytes(bits)
+    except (TypeError, ValueError):
+        raw = b"?"  # not a byte string of bits either
+    if raw.translate(None, b"\0\1"):
+        raise ValueError(f"{f.name} emitted a non-bit among its first {n} bits")
+    return EvalResult(raw.translate(_DIGITS).decode(), tape.use)
 
 
 def evaluate_bit(f: RealFunction, x: BitSource, m: int,

@@ -2,6 +2,9 @@
 
 * `Representation` is monotone in the barrier and agrees with `evaluate`,
   for every construction family;
+* evaluation is use-sound: flipping input bits anywhere at or beyond the
+  reported use, up to 2^20 positions past it, moves neither the output nor
+  the use;
 * the marker recursion keeps the invariants `MarkerTrace.assert_invariants`
   checks, under both permission rules, for drawn enumerations and z;
 * a two-to-one map run on one tape, where some bits failed under a barrier
@@ -13,7 +16,7 @@ The strategies for small toys and marker maps are shared with the fiber
 property of `test_fork_differential.py`.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oneway.bitcore import comparable
 from oneway.constructions import (
@@ -36,6 +39,7 @@ from oneway.streams import (
     OracleTape,
     Representation,
     evaluate,
+    flipped_at,
     identity_function,
     interleaved,
     ones,
@@ -124,6 +128,21 @@ def test_representation_is_monotone_and_agrees_with_evaluate(f, sigma, more, see
         if len(image) < rep.out_cap:
             nxt = outcome(evaluate, f, x, len(image) + 1)
             assert isinstance(nxt, tuple) or nxt.use > len(word), (word, image, nxt)
+
+
+# ------------------------------------------------------------ use soundness
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(families(), st.integers(0, 10**6), st.integers(0, 40),
+       st.lists(st.integers(0, 2**20 - 1), min_size=1, max_size=4))
+def test_flips_at_or_beyond_use_change_nothing(f, seed, n, offsets):
+    x = random_source(seed)
+    base = outcome(evaluate, f, x, n)
+    assume(not isinstance(base, tuple))
+    mutated = x
+    for k in offsets:
+        mutated = flipped_at(mutated, base.use + k)
+    assert evaluate(f, mutated, n) == base
 
 
 # -------------------------------------------------------------------- marker

@@ -63,9 +63,34 @@ class TestSources:
             zeros().bit(-1)
 
     def test_nonbinary_source_rejected(self):
-        junk = BitSource("junk", lambda i: 2)
-        with pytest.raises(ValueError):
-            junk.bit(0)
+        # only the ints 0 and 1 are bits
+        for value in (2, -1, "1", 2.0, 1.0, True, False, None):
+            junk = BitSource("junk", lambda i: value)
+            with pytest.raises(ValueError, match="produced non-bit"):
+                junk.bit(0)
+            with pytest.raises(ValueError, match="produced non-bit"):
+                evaluate(identity_function(), junk, 4)
+
+    @pytest.mark.parametrize("value", [2, "1", 2.0, True, None])
+    @pytest.mark.parametrize("layer, position", [
+        (lambda s: flipped_at(s, 5), 2),  # an unflipped position
+        (lambda s: flipped_at(s, 2), 2),  # the flipped one
+        (lambda s: flipped_at(flipped_at(s, 2), 2), 2),  # a flip undone
+        (lambda s: flipped_at(flipped_at(flipped_at(s, 2), 7), 2), 7),
+        (lambda s: interleaved(s, zeros()), 4),
+        (lambda s: interleaved(zeros(), s), 5),
+        (lambda s: column_source({1: s}, zeros()), 4),  # pair(1, 1)
+        (lambda s: column_source({1: zeros()}, s), 3),  # pair(0, 2), the default
+        (lambda s: column_of(s, 2), 1),
+        (lambda s: column_of(interleaved(flipped_at(s, 4), s), 1), 2),  # flipped 4
+    ])
+    def test_non_bits_are_refused_through_every_layer(self, layer, position, value):
+        """A composite source hands its children's raw values to the one
+        check of the outer read: a flip must neither negate a non-bit into a
+        bit-looking value nor fail on it with a TypeError."""
+        src = layer(BitSource("junk", lambda i: value))
+        with pytest.raises(ValueError, match="produced non-bit"):
+            OracleTape(src).read(position)
 
     def test_random_source_deterministic(self):
         a = random_source(7)
@@ -275,6 +300,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="bit count must be a natural, got -3"):
             evaluate(never_reads, zeros(), -3)
         assert tuple(evaluate(never_reads, zeros(), 0)) == ("", 0)
+
+    @pytest.mark.parametrize("value", [2, 256, -1, "1", 1.0, None])
+    def test_non_bit_output_rejected(self, value):
+        junk = RealFunction("junk", lambda tape, m: value if m == 2 else 0)
+        with pytest.raises(ValueError, match="junk emitted a non-bit among its first 4 bits"):
+            evaluate(junk, zeros(), 4)
 
     def test_budget_is_per_output_bit(self):
         # 3 reads per bit never trips a 4-read budget, no matter how many bits
