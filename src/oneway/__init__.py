@@ -12,8 +12,6 @@ from .bitcore import (
     Word,
     check_word,
     comparable,
-    deinterleave,
-    interleave,
     pair,
     prefix_set_from_file,
     unpair,
@@ -45,7 +43,6 @@ from .enumeration import (
     DecidedSet,
     StagedEnumeration,
     StagedStringEnumeration,
-    collatz_length,
     collatz_toy,
     column_hit,
     decided_set_from_file,
@@ -94,13 +91,11 @@ from .streams import (
     column_of,
     column_source,
     columns_from_file,
-    constant_function,
     evaluate,
     evaluate_bit,
     finite,
     flipped_at,
     identity_function,
-    interleave_outputs,
     interleaved,
     ones,
     output_source,

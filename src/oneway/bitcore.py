@@ -1,10 +1,10 @@
 """Finite combinatorics of Cantor space.
 
-Bit words, the pairing bijection, interleaving, partial assignments,
-prefix-free word sets, and exact rational cylinder measures.  Everything
-here is immutable and pure; measures are `fractions.Fraction` throughout,
-never floats, because downstream threshold comparisons (strictly more
-than half a cylinder) must be exact.
+Bit words, the pairing bijection, partial assignments, prefix-free word
+sets, and exact rational cylinder measures.  Everything here is immutable
+and pure; measures are `fractions.Fraction` throughout, never floats,
+because downstream threshold comparisons (strictly more than half a
+cylinder) must be exact.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, PrefixFreeError, SpecParseError
 
@@ -52,27 +52,6 @@ def unpair(m: int) -> tuple[int, int]:
     return t - s, s
 
 
-def interleave(a: Word, b: Word) -> Word:
-    """Merge equal-length words: even positions from `a`, odd from `b`."""
-    check_word(a)
-    check_word(b)
-    if len(a) != len(b):
-        raise ValueError(f"interleave needs equal lengths, got {len(a)} and {len(b)}")
-    out = []
-    for x, y in zip(a, b):
-        out.append(x)
-        out.append(y)
-    return "".join(out)
-
-
-def deinterleave(c: Word) -> tuple[Word, Word]:
-    """Split an even-length word back into its even and odd subsequences."""
-    check_word(c)
-    if len(c) % 2:
-        raise ValueError(f"deinterleave needs even length, got {len(c)}")
-    return c[0::2], c[1::2]
-
-
 def comparable(a: Word, b: Word) -> bool:
     """Whether one word is a prefix of the other (cylinders intersect)."""
     if len(a) <= len(b):
@@ -95,7 +74,7 @@ class PartialAssignment:
         for pos, bit in self.constraints:
             if pos < 0:
                 raise ValueError(f"negative position {pos} in assignment")
-            if bit not in "01":
+            if bit not in ("0", "1"):
                 raise ValueError(f"bad bit {bit!r} at position {pos}")
             if pos in seen:
                 raise ValueError(f"position {pos} constrained twice")
@@ -116,12 +95,6 @@ class PartialAssignment:
     def positions(self) -> tuple[int, ...]:
         return tuple(pos for pos, _ in self.constraints)
 
-    def value_at(self, pos: int) -> Optional[str]:
-        for p, bit in self.constraints:
-            if p == pos:
-                return bit
-        return None
-
     def measure(self) -> Fraction:
         return Fraction(1, 2 ** len(self.constraints))
 
@@ -135,10 +108,6 @@ class PartialAssignment:
             if merged.setdefault(p, b) != b:
                 raise ConsistencyError(f"assignments disagree at position {p}")
         return PartialAssignment(tuple(merged.items()))
-
-    def agrees_with_word(self, word: Word) -> bool:
-        """Whether some extension of `word` satisfies every constraint < |word|."""
-        return all(b == word[p] for p, b in self.constraints if p < len(word))
 
     def filled_word(self, length: int) -> Word:
         """The length-`length` word matching the constraints, zeros elsewhere."""
@@ -154,13 +123,6 @@ class PartialAssignment:
         fixed = dict(self.constraints)
         return ("".join(bits) for bits in
                 itertools.product(*(fixed.get(p, "01") for p in range(length))))
-
-    def intersect_word_measure(self, word: Word) -> Fraction:
-        """Exact μ of (this class) ∩ ⟦word⟧."""
-        if not self.agrees_with_word(word):
-            return Fraction(0)
-        outside = sum(1 for p, _ in self.constraints if p >= len(word))
-        return Fraction(1, 2 ** (len(word) + outside))
 
 
 class PrefixFreeSet:

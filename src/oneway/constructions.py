@@ -221,7 +221,7 @@ def d_keyed(w: StagedEnumeration, u: StagedStringEnumeration,
     def permission(k: int, d: int, s: int) -> Optional[str]:
         if w.member_at_stage(d, s):
             return "halting"
-        if column_hit(u, BitSource(f"column:{d}", lambda i: z(pair(d, i))), s):
+        if column_hit(u, lambda i: z(pair(d, i)), s):
             return "z"
         return None
 

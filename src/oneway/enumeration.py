@@ -10,11 +10,10 @@ one construction needs absolute membership answers, not stage-bounded ones.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .bitcore import Word, check_word, comparable, data_lines, pair, unpair
 from .errors import HorizonError, SpecParseError
-from .streams import BitSource
 
 
 def _check_stage(s: int, horizon: int) -> None:
@@ -125,11 +124,6 @@ def _collatz_lengths(starts: Iterable[int]) -> dict[int, int]:
     return lengths
 
 
-def collatz_length(n: int) -> int:
-    """Number of Collatz steps from n down to 1."""
-    return _collatz_lengths((n,))[n]
-
-
 def collatz_toy(max_element: int, max_stage: int) -> StagedEnumeration:
     """A deterministic, irregular-looking toy halting set.
 
@@ -210,14 +204,14 @@ class StagedStringEnumeration:
         return f"StagedStringEnumeration({self.label}, {len(self._ordered)} words, horizon={self.horizon})"
 
 
-def column_hit(u: StagedStringEnumeration, col: BitSource, s: int) -> bool:
-    """Whether some word of U_s is a prefix of the column source.
+def column_hit(u: StagedStringEnumeration, col: Callable[[int], int], s: int) -> bool:
+    """Whether some word of U_s is a prefix of the column, a bit function.
 
     Reads exactly the column bits needed for the comparisons, in schedule
     order, so tape-backed columns see a deterministic read sequence.
     """
     for word in u.words_at(s):
-        if all(col.bit(i) == int(ch) for i, ch in enumerate(word)):
+        if all(col(i) == int(ch) for i, ch in enumerate(word)):
             return True
     return False
 

@@ -15,6 +15,11 @@ read classes one barrier position at a time; unique-path inversion,
 surviving class for a continuation that fits the target.  The randomized
 extraction collects halting patterns in (length, lex) order until they cover
 more than half of the conditioning cylinder.
+
+Inside the engine a bit is the int 0 or 1 and an assignment is a dict
+position → bit.  Words and `PartialAssignment`s are built only at the API
+edge: the words `preimage_tree` and `unique_path_invert` return and the
+patterns of `preimage_tree` and `DovetailLeaf`.
 """
 
 from __future__ import annotations
@@ -92,14 +97,14 @@ class InverterUnderTest:
 
 
 def _class_levels(rep: Representation, y: BitSource,
-                  depth: int) -> Iterator[list[tuple[dict[int, str], OracleTape]]]:
+                  depth: int) -> Iterator[list[tuple[dict[int, int], OracleTape]]]:
     """Level d = 0..depth: the read classes of the length-d words whose image
     under rep is a prefix of y, as (assignment, tape holding the image).  A
     class reruns on a branch of its tape with the barrier at d+1 and splits
     only where a bit reads an open position."""
 
-    def grow(assign: dict[int, str], tape: OracleTape) -> Optional[OracleTape]:
-        tape = tape.branch(_fork_source("preimage-class", "", assign))
+    def grow(assign: dict[int, int], tape: OracleTape) -> Optional[OracleTape]:
+        tape = tape.branch(_fork_source("preimage-class", (), assign))
         tape.barrier = barrier
         try:
             return tape if barrier_image(rep.f, tape, rep.out_cap, y) is not None else None
@@ -121,7 +126,7 @@ def preimage_tree(rep: Representation, y: BitSource, depth: int) -> list[Word]:
     if depth > rep.depth:
         raise ValueError(f"tree depth {depth} exceeds representation depth {rep.depth}")
     return [word for d, level in enumerate(_class_levels(rep, y, depth)) for word in
-            sorted(w for assign, _ in level for w in PartialAssignment.of_dict(assign).words(d))]
+            sorted(w for assign, _ in level for w in _pattern(assign).words(d))]
 
 
 def unique_path_invert(rep: Representation, y: BitSource, n: int,
@@ -146,7 +151,7 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
             raise NotInRangeError(f"target not in range at depth {depth}")
         heads = {tuple(assign.get(p) for p in range(n)) for assign, _ in level}
         if len(heads) == 1 and None not in (head := heads.pop()):
-            return "".join(head)
+            return "".join(map(str, head))
         survivors = sum(2 ** (depth - len(assign)) for assign, _ in level)
         if survivors > survivor_cap:
             raise NotSingletonError(
@@ -275,9 +280,9 @@ class _Fork(Exception):
         super().__init__(str(position))
 
 
-def _fork_tree(run: Callable[[dict[int, str], Any], object], node_budget: float = float("inf"),
+def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float = float("inf"),
                exhausted: Optional[DeskError] = None, owned_from: int = 0,
-               roots: Optional[Iterable] = None) -> Iterator[tuple[dict[int, str], Any]]:
+               roots: Optional[Iterable] = None) -> Iterator[tuple[dict[int, int], Any]]:
     """The leaves of the fork-on-read trees of `run`, lazily, depth first.
 
     `run(assignment, resume)` raises `_Fork(p)` at the first position p it
@@ -301,23 +306,28 @@ def _fork_tree(run: Callable[[dict[int, str], Any], object], node_budget: float 
             if fork.position < owned_from:
                 fork.resume = None
                 raise
-            stack.extend(({**assign, fork.position: b}, fork.resume) for b in "10")
+            stack.extend(({**assign, fork.position: b}, fork.resume) for b in (1, 0))
             continue
         yield assign, result
 
 
-def _fork_source(spec: str, word: Word, assign: dict[int, str]) -> BitSource:
-    """`word`, then the assignment; a read anywhere else forks."""
+def _fork_source(spec: str, prefix: tuple[int, ...], assign: dict[int, int]) -> BitSource:
+    """The bits of `prefix`, then the assignment; a read anywhere else forks."""
 
     def bit_at(i: int) -> int:
-        if i < len(word):
-            return int(word[i])
+        if i < len(prefix):
+            return prefix[i]
         b = assign.get(i)
         if b is None:
             raise _Fork(i)
-        return int(b)
+        return b
 
     return BitSource(spec, bit_at)
+
+
+def _pattern(assign: dict[int, int]) -> PartialAssignment:
+    """An engine assignment as the public, word-bit PartialAssignment."""
+    return PartialAssignment(tuple((p, "01"[b]) for p, b in assign.items()))
 
 
 @dataclass(frozen=True)
@@ -379,8 +389,10 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     dropped (their candidate words never halt, so they are never collected).
     """
 
-    def run(assign: dict[int, str], _resume: None) -> Optional[int]:
-        tape = OracleTape(_fork_source("dovetail-candidate", sigma, assign), budget=run_budget)
+    prefix = tuple(map(int, sigma))
+
+    def run(assign: dict[int, int], _resume: None) -> Optional[int]:
+        tape = OracleTape(_fork_source("dovetail-candidate", prefix, assign), budget=run_budget)
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
@@ -390,7 +402,7 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     for assign, use in _fork_tree(run, node_budget, exhausted):
         if use is not None:
             length = max(use, len(sigma))
-            leaves.append(DovetailLeaf(PartialAssignment.of_dict(assign), use, length,
+            leaves.append(DovetailLeaf(_pattern(assign), use, length,
                                        2 ** (length - len(sigma) - len(assign))))
     return leaves
 
@@ -533,18 +545,18 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     if probe_len is None:
         probe_len = max(2 * pair(depth + 2, depth + 2) + 4, 2 * len(y_prefix) + 2)
     probe_len = max(probe_len, depth)
-    n_out = len(y_prefix)
+    n_out, target = len(y_prefix), tuple(map(int, y_prefix))
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(budget))
 
-    def continuation(assign: dict[int, str], resume: Optional[tuple[OracleTape, tuple[int, ...]]]
+    def continuation(assign: dict[int, int], resume: Optional[tuple[OracleTape, tuple[int, ...]]]
                      ) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         A run that forks at a read of bit j hands its tape and the bits from
         j on to both children: they check j again first, then the guessed
         position if it indexes an output bit."""
         tape, pending = resume or (OracleTape(zeros(), barrier=probe_len), tuple(range(n_out)))
-        tape = tape.branch(_fork_source("fiber-probe", "", assign))
+        tape = tape.branch(_fork_source("fiber-probe", (), assign))
         if resume is not None and (guessed := next(reversed(assign))) < n_out:
             pending = pending[:1] + (guessed,) + pending[1:]
         for idx, j in enumerate(pending):
@@ -555,25 +567,26 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
             except _Fork as fork:
                 fork.resume = (tape, pending[idx:])
                 raise
-            if b is not None and b != int(y_prefix[j]):
+            if b is not None and b != target[j]:
                 return None
         return tape.positions_read()
 
-    def witness_reads(word_class: dict[int, str], _resume: None) -> Optional[tuple[int, ...]]:
+    def witness_reads(word_class: dict[int, int], _resume: None) -> Optional[tuple[int, ...]]:
         deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
         return next((reads for _, reads in deep if reads is not None), None)
 
     *_, level = _class_levels(Representation(f, depth, n_out), finite(y_prefix), depth)
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
     # a split class keeps its image, so this tree reruns none
-    extendable = [("".join(word_class.get(p, "0") for p in range(depth)), word_class, reads)
+    extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
                   for word_class, reads in _fork_tree(witness_reads, roots=(
                       (assign, None) for assign, _ in level)) if reads is not None]
     if not extendable:
         return FiberCount(0, surviving)
     inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]
     patterns = {pattern for _, word_class, _ in extendable
-                for pattern in itertools.product(*(word_class.get(p, "01") for p in inside))}
+                for pattern in itertools.product(*((word_class[p],) if p in word_class else (0, 1)
+                                                   for p in inside))}
     return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
 
 

@@ -20,6 +20,11 @@ that succeeded on that tape has run, and an odd bit 2j+1 of the partial
 injection only for the guard positions no earlier bit on that tape has
 checked.  `barrier_image` keeps its output bits on the tape, so moving the
 barrier reruns only the rest.
+
+Sources, tapes, emitters and images carry bits as the ints 0 and 1.  A
+`Word` (a str of '0'/'1') appears only at the API edge: words that build
+sources, `BitSource.prefix`, `evaluate`'s output and `Representation`'s
+maps.
 """
 
 from __future__ import annotations
@@ -346,20 +351,6 @@ def identity_function() -> RealFunction:
     return selection("identity", lambda m: m)
 
 
-def constant_function(source: BitSource, name: Optional[str] = None) -> RealFunction:
-    return RealFunction(name or f"const({source.spec})",
-                        lambda tape, m: source.bit(m))
-
-
-def interleave_outputs(f: RealFunction, g: RealFunction) -> RealFunction:
-    """Output join f(x)⊕g(x): even output bits from f, odd from g, one input."""
-
-    def emit(tape: OracleTape, m: int) -> int:
-        return f.emit(tape, m // 2) if m % 2 == 0 else g.emit(tape, m // 2)
-
-    return RealFunction(f"join({f.name},{g.name})", emit)
-
-
 def output_source(f: RealFunction, x: BitSource,
                   budget: int = DEFAULT_BUDGET) -> BitSource:
     """f(x) as a lazy memoized BitSource (divergence surfaces on access)."""
@@ -375,7 +366,7 @@ def output_source(f: RealFunction, x: BitSource,
 
 
 def barrier_image(f: RealFunction, tape: OracleTape, n: int,
-                  target: Optional[BitSource] = None) -> Optional[Word]:
+                  target: Optional[BitSource] = None) -> Optional[list[int]]:
     """Output bits 0..n-1 of f on `tape` up to the first one that is missing
     (read past the barrier, divergence, horizon overrun); None as soon as a
     bit differs from `target`, which is read only where a bit is emitted.
@@ -391,8 +382,8 @@ def barrier_image(f: RealFunction, tape: OracleTape, n: int,
             break
         if target is not None and b != target.bit(len(bits)):
             return None
-        bits.append(str(b))
-    return "".join(bits[:n])
+        bits.append(b)
+    return bits[:n]
 
 
 class Representation:
@@ -422,7 +413,8 @@ class Representation:
         if len(sigma) > self.depth:
             raise ValueError(f"word of length {len(sigma)} exceeds depth {self.depth}")
         tape = OracleTape(finite(sigma), barrier=len(sigma), budget=self.budget)
-        return barrier_image(self.f, tape, self.out_cap), tape.positions_read()
+        image = barrier_image(self.f, tape, self.out_cap)
+        return "".join(map(str, image)), tape.positions_read()
 
 
 def representation_of(f: RealFunction, depth: int,

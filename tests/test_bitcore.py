@@ -11,13 +11,12 @@ from oneway.bitcore import (
     PrefixFreeSet,
     check_word,
     comparable,
-    deinterleave,
-    interleave,
     pair,
     prefix_set_from_file,
     unpair,
 )
 from oneway.errors import ConsistencyError, PrefixFreeError, SpecParseError
+from oneway.streams import finite, interleaved
 
 
 # frozen 3x3 pairing table, computed independently by diagonal walk
@@ -103,15 +102,8 @@ def test_check_word():
     ("", "", ""),
 ])
 def test_interleave_frozen(a, b, joined):
-    assert interleave(a, b) == joined
-    assert deinterleave(joined) == (a, b)
-
-
-def test_interleave_errors():
-    with pytest.raises(ValueError):
-        interleave("0", "01")
-    with pytest.raises(ValueError):
-        deinterleave("010")
+    # interleaving of words is the join of sources, streams.interleaved
+    assert interleaved(finite(a), finite(b)).prefix(len(joined)) == joined
 
 
 def test_interleave_roundtrip_random():
@@ -120,7 +112,8 @@ def test_interleave_roundtrip_random():
         n = rng.randrange(0, 32)
         a = "".join(rng.choice("01") for _ in range(n))
         b = "".join(rng.choice("01") for _ in range(n))
-        assert deinterleave(interleave(a, b)) == (a, b)
+        joined = interleaved(finite(a), finite(b)).prefix(2 * n)
+        assert (joined[0::2], joined[1::2]) == (a, b)
 
 
 def test_comparable():
@@ -135,9 +128,7 @@ class TestPartialAssignment:
     def test_of_word_and_positions(self):
         a = PartialAssignment.of_word("10")
         assert a.positions() == (0, 1)
-        assert a.value_at(0) == "1"
-        assert a.value_at(1) == "0"
-        assert a.value_at(5) is None
+        assert a.constraints == ((0, "1"), (1, "0"))
 
     def test_canonical_order_and_duplicates(self):
         a = PartialAssignment(((3, "1"), (1, "0")))
@@ -148,6 +139,13 @@ class TestPartialAssignment:
             PartialAssignment(((0, "x"),))
         with pytest.raises(ValueError):
             PartialAssignment(((-1, "0"),))
+
+    @pytest.mark.parametrize("bit", ["", "01", 1, True])
+    def test_rejects_non_bits(self, bit):
+        # a substring test once let "" and "01" through: "01" at one position
+        # measured 1/2 yet filled a two-symbol word
+        with pytest.raises(ValueError, match="bad bit"):
+            PartialAssignment(((0, bit),))
 
     def test_measure(self):
         assert PartialAssignment().measure() == 1
@@ -169,16 +167,6 @@ class TestPartialAssignment:
         assert a.filled_word(5) == "01010"
         with pytest.raises(ValueError):
             a.filled_word(3)
-
-    def test_agrees_and_intersect_word_measure(self):
-        a = PartialAssignment.of_dict({1: "1", 6: "0"})
-        assert a.agrees_with_word("01")
-        assert not a.agrees_with_word("00")
-        # constraints beyond the word stay independent: mu = 2^-(2+1)
-        assert a.intersect_word_measure("01") == Fraction(1, 8)
-        assert a.intersect_word_measure("00") == 0
-        # word covering every constraint: just the cylinder of the word
-        assert a.intersect_word_measure("0100000") == Fraction(1, 128)
 
 
 class TestPrefixFreeSet:

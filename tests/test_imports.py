@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 import is of the standard library or of oneway itself (the package declares
-no dependencies) and sits at module level, and every library name the
-benchmark's layer tracer wraps still exists."""
+no dependencies) and sits at module level, each module imports only the
+layers below its own, and every library name the benchmark's layer tracer
+wraps still exists."""
 
 import ast
 import importlib.util
@@ -77,6 +78,48 @@ def test_imports_at_module_level(path):
 def test_function_import_detected():
     tree = ast.parse("import os\n\ndef f():\n    from . import streams\n    return streams\n")
     assert function_imports(tree) == ["f (line 4)"]
+
+
+# errors < bitcore < {streams, enumeration} < constructions < inversion < cli;
+# a module imports only modules on lower layers
+LAYERS = {"errors": 0, "bitcore": 1, "streams": 2, "enumeration": 2,
+          "constructions": 3, "inversion": 4, "cli": 5}
+
+
+def layer_violations(module: str, tree: ast.Module) -> list[str]:
+    """oneway modules, with their lines, that `module` imports from its own
+    layer or above."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # relative imports are oneway's own; `from oneway import x` imports x
+            base = ".".join(filter(None, ["oneway", node.module])) if node.level else node.module
+            if base == "oneway":
+                names += [(f"oneway.{alias.name}", node.lineno) for alias in node.names]
+            else:
+                names.append((base, node.lineno))
+    return [f"{name[7:]} (line {line})" for name, line in names
+            if name.startswith("oneway.") and LAYERS[name[7:]] >= LAYERS[module]]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in SOURCES) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_lower_layers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert layer_violations(path.stem, tree) == []
+
+
+def test_layer_violation_detected():
+    tree = ast.parse("import os\nfrom .streams import BitSource\nfrom .bitcore import pair\n"
+                     "import oneway.inversion\nfrom . import cli, errors\n"
+                     "from oneway.enumeration import column_hit\n")
+    assert layer_violations("enumeration", tree) == [
+        "streams (line 2)", "inversion (line 4)", "cli (line 5)", "enumeration (line 6)"]
 
 
 def test_traced_entry_points_exist(capsys):

@@ -13,10 +13,13 @@ import pytest
 
 from oneway.bitcore import pair
 from oneway.constructions import (
+    Marker,
     MarkerStep,
     MarkerTrace,
+    _marker_map,
     marker_run_v1,
     marker_run_v2,
+    odd_half,
     two_to_one_v1,
     two_to_one_v2,
 )
@@ -61,7 +64,7 @@ def ref_d_permission(w, u, column):
     def permission(k, d, s):
         if w.member_at_stage(d, s):
             return "halting"
-        if column_hit(u, column(d), s):
+        if column_hit(u, column(d).bit, s):
             return "z"
         return None
     return permission
@@ -222,3 +225,51 @@ def test_two1_extraction_lines_match():
     for n in range(32):
         assert extract_two_to_one(new, TOY, n).line() == \
             extract_two_to_one(old, TOY, n).line(), n
+
+
+def old_d_keyed(w, u, z):
+    """The d-keyed rule before permissions took a bit function: a BitSource
+    per column and permission call, compared word by word against U_s."""
+    def permission(k, d, s):
+        if w.member_at_stage(d, s):
+            return "halting"
+        col = BitSource(f"column:{d}", lambda i: z(pair(d, i)))
+        for word in u.words_at(s):
+            if all(col.bit(i) == int(ch) for i, ch in enumerate(word)):
+                return "z"
+        return None
+    return permission
+
+
+def recording(base):
+    """`base`, and the list of positions read from it, in read order."""
+    reads = []
+
+    def bit(i):
+        reads.append(i)
+        return base.bit(i)
+
+    return BitSource(f"rec:{base.spec}", bit), reads
+
+
+def test_d_keyed_reads_in_the_old_order():
+    z_stages = 0
+    for trial in range(20):
+        rng = random.Random(7000 + trial)
+        w = seeded_enumeration(rng, elements=40, stages=200, draws=6, horizon=512)
+        u = seeded_string_enumeration(rng, stages=200, draws=5, horizon=512)
+        old = _marker_map(f"two2({w.label},{u.label})", 512,
+                          lambda tape: old_d_keyed(w, u, odd_half(tape)))
+        runs = []
+        for f in (two_to_one_v2(w, u), old):
+            x, reads = recording(random_source(8000 + trial))
+            runs.append((tuple(evaluate(f, x, 256)), reads))
+        assert runs[0] == runs[1], trial
+        runs = []
+        for run in (lambda z: marker_run_v2(w, u, z, 256),
+                    lambda z: Marker().advance_to(256, old_d_keyed(w, u, z.bit)).trace()):
+            z, reads = recording(random_source(9000 + trial))
+            runs.append((run(z), reads))
+        assert runs[0] == runs[1], trial
+        z_stages += sum(step.permission == "z" for step in runs[0][0].steps)
+    assert z_stages > 0  # some column hit a word, so whole words were compared

@@ -15,13 +15,11 @@ from oneway.streams import (
     column_of,
     column_source,
     columns_from_file,
-    constant_function,
     evaluate,
     evaluate_bit,
     finite,
     flipped_at,
     identity_function,
-    interleave_outputs,
     interleaved,
     ones,
     output_source,
@@ -311,12 +309,6 @@ class TestEvaluate:
         # 3 reads per bit never trips a 4-read budget, no matter how many bits
         probe = RealFunction("probe3", lambda tape, m: [tape.read(m) for _ in range(3)][-1])
         assert evaluate(probe, zeros(), 20, budget=4).output == "0" * 20
-
-
-def test_constant_and_interleave_outputs():
-    f = interleave_outputs(identity_function(), constant_function(zeros()))
-    assert evaluate(f, periodic("1"), 8).output == "10101010"
-    assert evaluate(f, periodic("1"), 8).use == 4  # odd bits read nothing
 
 
 def test_output_source_memoizes():
