@@ -88,13 +88,6 @@ class PartialAssignment:
         check_word(word)
         return cls(tuple(enumerate(word)))
 
-    @classmethod
-    def of_dict(cls, mapping: dict[int, str]) -> "PartialAssignment":
-        return cls(tuple(mapping.items()))
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.constraints)
-
     def measure(self) -> Fraction:
         return Fraction(1, 2 ** len(self.constraints))
 

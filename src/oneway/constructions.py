@@ -170,6 +170,13 @@ class Marker:
         twin.k, twin.d, twin.kept, twin.rows = self.k, self.d, self.kept, list(self.rows)
         return twin
 
+    def checkpoint(self) -> tuple:
+        return self.k, self.d, self.kept, self.rows[self.kept:]
+
+    def restore(self, checkpoint: tuple) -> None:
+        self.k, self.d, self.kept, open_rows = checkpoint
+        self.rows[self.kept:] = open_rows
+
     @staticmethod
     def on(tape: OracleTape, key: object) -> "Marker":
         """The marker of map `key` over this tape, created on first use."""

@@ -8,13 +8,13 @@ the reductions executable end to end; the toy stands where no computable
 inverter could.
 
 No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
-splits a computation at the first open position it reads, so a leaf stands
-for every word that agrees with its read pattern.  `_class_levels` grows such
-read classes one barrier position at a time; unique-path inversion,
-`preimage_tree` and fiber counts read its levels, the last probing each
-surviving class for a continuation that fits the target.  The randomized
-extraction collects halting patterns in (length, lex) order until they cover
-more than half of the conditioning cylinder.
+splits a computation at the first open position it reads and resumes both
+halves on one tape rolled back there, so a leaf stands for every word that
+agrees with its read pattern.  `_class_levels` grows such read classes one
+barrier position at a time; unique-path inversion, `preimage_tree` and fiber
+counts read its levels, the last probing each surviving class.  The
+randomized extraction collects halting patterns in (length, lex) order until
+they cover more than half of the conditioning cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -100,21 +100,26 @@ def _class_levels(rep: Representation, y: BitSource,
                   depth: int) -> Iterator[list[tuple[dict[int, int], OracleTape]]]:
     """Level d = 0..depth: the read classes of the length-d words whose image
     under rep is a prefix of y, as (assignment, tape holding the image).  A
-    class reruns on a branch of its tape with the barrier at d+1 and splits
-    only where a bit reads an open position."""
+    class reruns on its own tape with the barrier at d+1 and splits only
+    where a bit reads an open position; both halves roll the tape back to
+    the split, and a surviving half takes a branch of it to the next level."""
 
-    def grow(assign: dict[int, int], tape: OracleTape) -> Optional[OracleTape]:
-        tape = tape.branch(_fork_source("preimage-class", (), assign))
-        tape.barrier = barrier
+    def grow(assign: dict[int, int], resume: tuple) -> Optional[OracleTape]:
+        tape, checkpoint = resume
+        if checkpoint is None:
+            tape.source, tape.barrier = _fork_source("preimage-class", (), assign), barrier
+        else:
+            tape.rollback(checkpoint)
         try:
-            return tape if barrier_image(rep.f, tape, rep.out_cap, y) is not None else None
+            image = barrier_image(rep.f, tape, rep.out_cap, y)
         except _Fork as fork:
-            fork.resume = tape
+            fork.resume = (tape, tape.checkpoint())
             raise
+        return None if image is None else tape if checkpoint is None else tape.branch(tape.source)
 
     level = [({}, OracleTape(zeros(), budget=rep.budget))]
     for barrier in range(depth + 1):
-        level = [leaf for leaf in _fork_tree(grow, roots=level) if leaf[1] is not None]
+        level = list(_fork_tree(grow, roots=((assign, (tape, None)) for assign, tape in level)))
         yield level
 
 
@@ -287,28 +292,37 @@ def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float 
 
     `run(assignment, resume)` raises `_Fork(p)` at the first position p it
     reads that the assignment leaves open, and the node splits on p, 0
-    before 1; both children get the fork's `resume`.  The trees grow from
-    `roots`, (assignment, resume) pairs in order (default: the empty
-    assignment without a checkpoint).  Leaves are yielded as
-    (assignment, result).  A fork below `owned_from` propagates to an
-    enclosing tree, without its checkpoint; past `node_budget` nodes the
-    tree raises `exhausted`.
+    before 1; both children get the fork's `resume`, a tape and the
+    checkpoint to roll it back to.  The trees grow from `roots`,
+    (assignment, resume) pairs in order (default: the empty assignment
+    without a checkpoint).  A tree's one assignment dict grows and shrinks
+    in place; leaves with a result other than None are yielded as (a copy
+    of it, result).  A fork below `owned_from` propagates to an enclosing
+    tree, without its checkpoint; past `node_budget` nodes the tree raises
+    `exhausted`.
     """
-    stack, nodes = [({}, None)] if roots is None else list(roots)[::-1], 0
-    while stack:
-        assign, resume = stack.pop()
-        nodes += 1
-        if nodes > node_budget:
-            raise exhausted
-        try:
-            result = run(assign, resume)
-        except _Fork as fork:
-            if fork.position < owned_from:
-                fork.resume = None
-                raise
-            stack.extend(({**assign, fork.position: b}, fork.resume) for b in (1, 0))
-            continue
-        yield assign, result
+    nodes = 0
+    for root, resume in [({}, None)] if roots is None else roots:
+        assign, stack = dict(root), [(len(root), {}, resume)]  # (parent's size, guess, resume)
+        while stack:
+            size, guess, resume = stack.pop()
+            while len(assign) > size:
+                assign.popitem()  # the positions a finished subtree assigned
+            assign.update(guess)
+            nodes += 1
+            if nodes > node_budget:
+                raise exhausted
+            try:
+                result = run(assign, resume)
+            except _Fork as fork:
+                if fork.position < owned_from:
+                    fork.resume = None
+                    raise
+                size, p, resume = len(assign), fork.position, fork.resume
+                stack += (size, {p: 1}, resume), (size, {p: 0}, resume)
+                continue
+            if result is not None:
+                yield dict(assign), result
 
 
 def _fork_source(spec: str, prefix: tuple[int, ...], assign: dict[int, int]) -> BitSource:
@@ -400,10 +414,9 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
         f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
     leaves: list[DovetailLeaf] = []
     for assign, use in _fork_tree(run, node_budget, exhausted):
-        if use is not None:
-            length = max(use, len(sigma))
-            leaves.append(DovetailLeaf(_pattern(assign), use, length,
-                                       2 ** (length - len(sigma) - len(assign))))
+        length = max(use, len(sigma))
+        leaves.append(DovetailLeaf(_pattern(assign), use, length,
+                                   2 ** (length - len(sigma) - len(assign))))
     return leaves
 
 
@@ -524,20 +537,20 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     2^(open positions) for each class on the last level of `_class_levels`.
 
     `branches` counts at read resolution, so bits f has not read do not
-    inflate a genuinely two-element fiber.  A surviving class is extendable
-    when a nested fork tree over the positions from `depth` on finds a
-    continuation passing every bit of `y_prefix`; a continuation that reads
-    an open position below `depth` splits its class first.  The extendable
-    classes' distinct patterns on the positions below `depth` read by the
-    passing bits of the least extendable word, times two per other position
-    below `depth`, give `branches`; a target through the outputs publishing
-    each selection made below `depth` pins this to the true fiber.  A bit
-    that reads from `probe_len` on (default: past the prefix and the
-    pairings consulted near `depth`), runs out of steps or diverges passes
-    without reads; its step budget pays only for marker stages and guard
-    positions new to its tape.  A probed bit that needs enumeration stages
-    past the horizon raises HorizonError (the image check truncates there
-    instead).  More than `budget` probe emitter runs raise DeskError.
+    inflate a two-element fiber.  A surviving class is extendable when a
+    nested fork tree over the positions from `depth` on, rolling one probe
+    tape back at each split, finds a continuation passing every bit of
+    `y_prefix`; one that reads an open position below `depth` splits its
+    class first.  The extendable classes' distinct patterns on the positions
+    below `depth` read by the passing bits of the least extendable word,
+    times two per other position below `depth`, give `branches`; a target
+    through the outputs publishing each selection made below `depth` pins
+    this to the true fiber.  A bit that reads from `probe_len` on (default:
+    past the prefix and the pairings consulted near `depth`), runs out of
+    steps or diverges passes without reads; its step budget pays only for
+    marker stages and guard positions new to its tape.  A probed bit needing
+    enumeration stages past the horizon raises HorizonError (the image check
+    truncates there).  More than `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
     if depth < 0:
@@ -549,38 +562,43 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(budget))
 
-    def continuation(assign: dict[int, int], resume: Optional[tuple[OracleTape, tuple[int, ...]]]
-                     ) -> Optional[tuple[int, ...]]:
+    def continuation(assign: dict[int, int], resume: Optional[tuple]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
-        A run that forks at a read of bit j hands its tape and the bits from
-        j on to both children: they check j again first, then the guessed
-        position if it indexes an output bit."""
-        tape, pending = resume or (OracleTape(zeros(), barrier=probe_len), tuple(range(n_out)))
-        tape = tape.branch(_fork_source("fiber-probe", (), assign))
-        if resume is not None and (guessed := next(reversed(assign))) < n_out:
-            pending = pending[:1] + (guessed,) + pending[1:]
-        for idx, j in enumerate(pending):
+        The bits to check are `pending`, nested pairs (j, rest) ending in an
+        int s for s, s+1, …, n_out-1.  A run that forks at a read of bit j
+        hands its tape, a checkpoint, j and the rest to both children: they
+        roll back, check j, then the guessed position if it is an output bit."""
+        if resume is None:
+            tape, pending = OracleTape(_fork_source("fiber-probe", (), assign), barrier=probe_len), 0
+        else:
+            tape, checkpoint, j, rest = resume
+            tape.rollback(checkpoint)
+            guessed = next(reversed(assign))
+            pending = (j, (guessed, rest) if guessed < n_out else rest)
+        while pending != n_out:
+            j, rest = pending if pending.__class__ is tuple else (pending, pending + 1)
             if next(runs, None) is None:
                 raise exhausted
             try:
                 b = tape.try_emit(f, j)
             except _Fork as fork:
-                fork.resume = (tape, pending[idx:])
+                fork.resume = (tape, tape.checkpoint(), j, rest)
                 raise
             if b is not None and b != target[j]:
                 return None
+            pending = rest
         return tape.positions_read()
 
     def witness_reads(word_class: dict[int, int], _resume: None) -> Optional[tuple[int, ...]]:
         deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
-        return next((reads for _, reads in deep if reads is not None), None)
+        return next((reads for _, reads in deep), None)
 
     *_, level = _class_levels(Representation(f, depth, n_out), finite(y_prefix), depth)
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
     # a split class keeps its image, so this tree reruns none
     extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
                   for word_class, reads in _fork_tree(witness_reads, roots=(
-                      (assign, None) for assign, _ in level)) if reads is not None]
+                      (assign, None) for assign, _ in level))]
     if not extendable:
         return FiberCount(0, surviving)
     inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]

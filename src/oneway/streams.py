@@ -19,7 +19,8 @@ bit 2s of a two-to-one map pays only for the marker stages no earlier bit
 that succeeded on that tape has run, and an odd bit 2j+1 of the partial
 injection only for the guard positions no earlier bit on that tape has
 checked.  `barrier_image` keeps its output bits on the tape, so moving the
-barrier reruns only the rest.
+barrier reruns only the rest.  A search rolls a tape back to a `checkpoint`
+at each split, at the cost of the open bit's work alone.
 
 Sources, tapes, emitters and images carry bits as the ints 0 and 1.  A
 `Word` (a str of '0'/'1') appears only at the API edge: words that build
@@ -108,15 +109,18 @@ def finite(word: Word) -> BitSource:
     return BitSource(f"finite:{word}", lambda i: bits[i] if i < k else 0)
 
 
-def flipped_at(base: BitSource, position: int) -> BitSource:
-    """`base` with bit `position` negated.  Flipping a flip source merges
-    into its set (a second flip at one position cancels the first), so a
-    read costs one set lookup however deep the stack; the spec still names
-    every layer."""
-    if position < 0:
-        raise ValueError("flip position must be a natural")
+def flipped_at(base: BitSource, *positions: int) -> BitSource:
+    """`base` with the bit at each of `positions` negated, one flip layer per
+    position in order.  Flipping a flip source merges into its set (a second
+    flip at one position cancels the first), so a read costs one set lookup
+    however deep the stack; the spec still names every layer."""
     root, flips = (base.base, base.flips) if isinstance(base, _Flipped) else (base, frozenset())
-    flips = flips ^ {position}
+    spec = base.spec
+    for position in positions:
+        if position < 0:
+            raise ValueError("flip position must be a natural")
+        flips ^= {position}
+        spec = f"flip:{position}:{spec}"
     raw = root._bit
 
     def bit(i: int) -> int:
@@ -124,7 +128,7 @@ def flipped_at(base: BitSource, position: int) -> BitSource:
         # a non-bit passes through unflipped, for the outer check to refuse
         return b ^ 1 if i in flips and b.__class__ is int and b in (0, 1) else b
 
-    return _Flipped(f"flip:{position}:{base.spec}", bit if flips else raw, root, flips)
+    return _Flipped(spec, bit if flips else raw, root, flips)
 
 
 def interleaved(even: BitSource, odd: BitSource) -> BitSource:
@@ -211,6 +215,8 @@ class OracleTape:
     An optional barrier turns reads at positions ≥ barrier into the internal
     barrier exception.  `emit` and `try_emit` run one output bit under a
     fresh step budget and turn the internal exceptions into outcomes.
+    `checkpoint` and `rollback` let a search try continuations in turn;
+    `branch` copies a tape that must outlive them.
     """
 
     def __init__(self, source: BitSource, barrier: Optional[int] = None,
@@ -255,8 +261,8 @@ class OracleTape:
         diverges (budget included).  A failed bit's reads are forgotten, also
         before a HorizonError propagates, so positions_read() covers exactly
         the bits emitted; use stays monotone.  A fork of a search source
-        passes through untouched and leaves bit m open: rerun on a branch of
-        this tape, a failing bit m also forgets the reads made before the fork."""
+        passes through untouched and leaves bit m open: rerun after a rollback
+        or on a branch, a failing bit m also forgets the reads made before the fork."""
         mark = self._open[1] if self._open and self._open[0] == m else len(self._reads)
         self._open = (m, mark)
         try:
@@ -277,6 +283,34 @@ class OracleTape:
         twin.__dict__ = {**self.__dict__, "source": source, "_reads": dict(self._reads),
                          "state": {key: copy.copy(value) for key, value in self.state.items()}}
         return twin
+
+    def checkpoint(self) -> tuple:
+        """What `rollback` needs: the open bit's reads (no later run drops an
+        earlier bit's) and per-map state: an int, a list that only grows
+        (held as its length) or an object with checkpoint/restore (`Marker`)."""
+        reads, mark = self._reads, self._open[1] if self._open else len(self._reads)
+        tail = dict.fromkeys([i for i, _ in zip(reversed(reads), range(len(reads) - mark))][::-1])
+        state = [(key, value, len(value) if value.__class__ is list else
+                  value if value.__class__ is int else value.checkpoint())
+                 for key, value in self.state.items()]
+        return self.use, self._open, self._budget_left, mark, tail, state
+
+    def rollback(self, checkpoint: tuple) -> None:
+        """Undo all work since `checkpoint`; reads keep first-read order."""
+        self.use, self._open, self._budget_left, mark, tail, saved = checkpoint
+        reads, state = self._reads, self.state
+        while len(reads) > mark:
+            reads.popitem()
+        reads.update(tail)
+        while len(state) > len(saved):
+            state.popitem()  # keys are never deleted, so the newest come last
+        for key, value, kept in saved:
+            if value.__class__ is list:
+                del value[kept:]
+            elif value.__class__ is int:
+                state[key] = kept
+            else:
+                value.restore(kept)
 
     def positions_read(self) -> tuple[int, ...]:
         return tuple(sorted(self._reads))
@@ -444,10 +478,7 @@ def mutate_beyond_use(x: BitSource, use: int,
     those positions flipped."""
     count = rng.randint(1, 3)
     positions = tuple(sorted({use + rng.randrange(256) for _ in range(count)}))
-    mutated = x
-    for p in positions:
-        mutated = flipped_at(mutated, p)
-    return positions, mutated
+    return positions, flipped_at(x, *positions)
 
 
 def use_soundness_check(f: RealFunction, x: BitSource, n: int,

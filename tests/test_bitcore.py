@@ -127,12 +127,11 @@ def test_comparable():
 class TestPartialAssignment:
     def test_of_word_and_positions(self):
         a = PartialAssignment.of_word("10")
-        assert a.positions() == (0, 1)
         assert a.constraints == ((0, "1"), (1, "0"))
 
     def test_canonical_order_and_duplicates(self):
         a = PartialAssignment(((3, "1"), (1, "0")))
-        assert a.positions() == (1, 3)
+        assert a.constraints == ((1, "0"), (3, "1"))
         with pytest.raises(ValueError):
             PartialAssignment(((2, "1"), (2, "1")))
         with pytest.raises(ValueError):
@@ -149,21 +148,21 @@ class TestPartialAssignment:
 
     def test_measure(self):
         assert PartialAssignment().measure() == 1
-        a = PartialAssignment.of_dict({0: "1", 7: "0", 100: "1"})
+        a = PartialAssignment(((0, "1"), (7, "0"), (100, "1")))
         assert a.measure() == Fraction(1, 8)
 
     def test_union_and_consistency(self):
-        a = PartialAssignment.of_dict({0: "1", 4: "0"})
-        b = PartialAssignment.of_dict({4: "0", 9: "1"})
+        a = PartialAssignment(((0, "1"), (4, "0")))
+        b = PartialAssignment(((4, "0"), (9, "1")))
         assert a.consistent_with(b)
-        assert a.union(b).positions() == (0, 4, 9)
-        c = PartialAssignment.of_dict({4: "1"})
+        assert a.union(b).constraints == ((0, "1"), (4, "0"), (9, "1"))
+        c = PartialAssignment(((4, "1"),))
         assert not a.consistent_with(c)
         with pytest.raises(ConsistencyError):
             a.union(c)
 
     def test_filled_word(self):
-        a = PartialAssignment.of_dict({1: "1", 3: "1"})
+        a = PartialAssignment(((1, "1"), (3, "1")))
         assert a.filled_word(5) == "01010"
         with pytest.raises(ValueError):
             a.filled_word(3)

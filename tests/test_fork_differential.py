@@ -27,32 +27,36 @@ import functools
 import random
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oneway.bitcore import PartialAssignment, comparable, pair
 from oneway.constructions import (
+    Marker,
     bit_select,
     double_injection,
     identity_injection,
     marker_run_v1,
     marker_run_v2,
     one_way_surjection,
+    partial_injection,
     shift_injection,
     simple_one_way,
     two_to_one_v1,
     two_to_one_v2,
     witness_function,
 )
-from oneway.enumeration import StagedEnumeration, StagedStringEnumeration, collatz_toy
-from oneway.errors import DeskError, DivergenceError, MeasureThresholdError, \
+from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration, \
+    collatz_toy
+from oneway.errors import DeskError, DivergenceError, HorizonError, MeasureThresholdError, \
     _BudgetExhausted, _ReadBeyondBarrier
-from oneway.inversion import DovetailLeaf, FiberCount, _dovetail_leaves, \
-    fiber_branch_count, reference_inverter_surjection
+from oneway.inversion import DovetailLeaf, FiberCount, Representation, _class_levels, \
+    _dovetail_leaves, _Fork, _fork_source, fiber_branch_count, reference_inverter_surjection
 from oneway.streams import (
     DEFAULT_BUDGET,
     BitSource,
     OracleTape,
     RealFunction,
+    barrier_image,
     evaluate,
     finite,
     identity_function,
@@ -66,7 +70,7 @@ from oneway.streams import (
 from test_acceptance import calibrated_len, seeded_enumeration, \
     seeded_string_enumeration
 from test_marker_differential import outcome
-from test_properties import marker_maps
+from test_properties import marker_maps, toys
 
 
 # ----------------------------------------------------------------- reference
@@ -195,7 +199,7 @@ def ref_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
         except (DivergenceError, _BudgetExhausted):
             continue
         length = max(tape.use, len(sigma))
-        pattern = PartialAssignment.of_dict(assign)
+        pattern = PartialAssignment(tuple(assign.items()))
         leaves.append(DovetailLeaf(
             assignment=pattern,
             use=tape.use,
@@ -433,6 +437,20 @@ def test_bit_failing_after_a_fork_leaves_no_witness_reads():
         == FiberCount(2, 2)
 
 
+def test_fiber_count_branches_a_tape_at_most_once_per_surviving_class(monkeypatch):
+    # the searches roll one tape back at every fork; only a class that
+    # survives a forked level tree takes a copy, so thousands of forks here
+    # make no more copies than there are classes
+    f, y, depth = fiber_fixtures()["c07 two2 hit d16"]
+    branch, copies = OracleTape.branch, []
+    monkeypatch.setattr(OracleTape, "branch",
+                        lambda tape, source: copies.append(tape) or branch(tape, source))
+    assert fiber_branch_count(f, y, depth) == FiberCount(*PINNED["c07 two2 hit d16"])
+    made = len(copies)
+    levels = _class_levels(Representation(f, depth, len(y)), finite(y), depth)
+    assert 0 < made <= sum(len(level) for level in levels)
+
+
 # -------------------------------------------------------- property: fibers
 
 @st.composite
@@ -491,6 +509,107 @@ def test_fiber_counts_match_brute_force_and_reference(case):
     words = (format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth))
     assert got.surviving == sum(comparable(rep.map_word(w), y) for w in words)
     assert got == ref_fiber_branch_count(f, y, depth, probe_len)
+
+
+# ------------------------------------------- property: rollback is a branch
+
+def guarded_maps():
+    """The partial injection over drawn toys: its guard count is an int on the tape."""
+    return st.builds(lambda w, extra: partial_injection(
+        w, DecidedSet(w.limit_members() | extra, horizon=64)),
+        toys(), st.frozensets(st.integers(0, 63), max_size=8) | st.just(frozenset(range(64))))
+
+
+def _image_answering_forks(f, tape, n, assign, x, forks=None):
+    """barrier_image of f to n bits, answering forks from x: all of them, or
+    all but the one after the first `forks`, which is left open.  Returns
+    (the open fork or None, forks answered)."""
+    answered = 0
+    while True:
+        try:
+            barrier_image(f, tape, n)
+            return None, answered
+        except _Fork as fork:
+            if answered == forks:
+                return fork, answered
+            assign[fork.position] = x.bit(fork.position)
+            answered += 1
+
+
+def _tape_state(tape):
+    return (list(tape._reads), tape.use, tape._open, tape._budget_left,
+            [(key, (value.rows, value.k, value.d, value.kept) if isinstance(value, Marker)
+              else value) for key, value in tape.state.items()])
+
+
+def _resumed(f, tape, m):
+    try:
+        bit = tape.try_emit(f, m)
+    except _Fork as fork:
+        bit = ("fork", fork.position)
+    except HorizonError:
+        bit = "horizon"
+    return bit, list(tape._reads), tape.use
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_rollback_to_a_fork_restores_the_branch_taken_there(data):
+    """Run an emitter on a fork source until a bit forks; take a branch and a
+    checkpoint there.  After any later work on the tape, the rollback must
+    leave it equal to the branch, and both must resume alike."""
+    f = data.draw(st.one_of(adaptive_emitters(), marker_maps(), guarded_maps(),
+                            st.integers(1, 40).map(_scanner)))
+    x = data.draw(st.one_of(st.integers(0, 10**6).map(random_source), st.just(zeros()),
+                            st.text("01", max_size=12).map(finite)))
+    # the source answers below `known` but at the holes; forks answer the rest from x
+    known = data.draw(st.integers(0, 12) | st.integers(0, 700))
+    holes = data.draw(st.sets(st.integers(0, known)))
+    barrier, n = data.draw(st.none() | st.integers(1, 400)), data.draw(st.integers(1, 24))
+
+    def fork_source_tape():
+        assign = {p: x.bit(p) for p in range(known) if p not in holes}
+        return assign, OracleTape(_fork_source("probe", (), assign), barrier=barrier)
+
+    assign, tape = fork_source_tape()
+    _, forks = _image_answering_forks(f, tape, n, assign, x)
+    assume(forks > 0)
+    assign, tape = fork_source_tape()
+    fork, _ = _image_answering_forks(f, tape, n, assign, x,
+                                     data.draw(st.sampled_from(range(forks))))
+    m, at_fork = tape._open[0], dict(assign)
+    checkpoint = tape.checkpoint()
+    twin_assign = dict(assign)
+    twin = tape.branch(_fork_source("probe", (), twin_assign))
+
+    def fails(t, j):
+        for p in list(reversed(assign))[:j]:
+            t.read(p)
+        raise DivergenceError(j, "forgets its reads")
+
+    for work in data.draw(st.lists(st.sampled_from(["bits", "fail", "undo", "key"]),
+                                   max_size=6)):
+        if work == "bits":
+            more = len(tape.state[f]) + data.draw(st.integers(1, 16))
+            _image_answering_forks(f, tape, more, assign, x, data.draw(st.integers(0, 12)))
+        elif work == "fail":
+            # failing, an open bit drops the reads it made before its fork
+            j = tape._open[0] if tape._open and data.draw(st.booleans()) \
+                else data.draw(st.integers(0, 30))
+            assert tape.try_emit(RealFunction("fails", fails), j) is None
+        elif work == "undo":
+            for value in tape.state.values():
+                if isinstance(value, Marker):
+                    value.undo()
+        else:
+            tape.state[object()] = data.draw(st.sampled_from([int, list, Marker]))()
+    tape.rollback(checkpoint)
+    while len(assign) > len(at_fork):
+        assign.popitem()
+    assert assign == at_fork
+    assert _tape_state(tape) == _tape_state(twin)
+    assign[fork.position] = twin_assign[fork.position] = data.draw(st.integers(0, 1))
+    assert _resumed(f, tape, m) == _resumed(f, twin, m)
 
 
 # ---------------------------------------------------------- dovetail leaves

@@ -50,6 +50,10 @@ class TestSources:
     def test_flipped(self):
         assert flipped_at(zeros(), 2).prefix(4) == "0010"
         assert flipped_at(flipped_at(zeros(), 0), 0).prefix(2) == "00"
+        stacked = flipped_at(flipped_at(flipped_at(ones(), 3), 0), 3)
+        at_once = flipped_at(ones(), 3, 0, 3)
+        assert (at_once.spec, at_once.prefix(5)) == (stacked.spec, stacked.prefix(5)) \
+            == ("flip:3:flip:0:flip:3:ones", "01111")
         with pytest.raises(ValueError):
             flipped_at(zeros(), -1)
 
