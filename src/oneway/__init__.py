@@ -88,7 +88,6 @@ from .streams import (
     RealFunction,
     Representation,
     UseSoundnessReport,
-    column_of,
     column_source,
     columns_from_file,
     evaluate,

@@ -5,6 +5,9 @@ sets, and exact rational cylinder measures.  Everything here is immutable
 and pure; measures are `fractions.Fraction` throughout, never floats,
 because downstream threshold comparisons (strictly more than half a
 cylinder) must be exact.
+
+`data_records` is the one reader of the line-based data files: every loader
+gets its parsed fields and its optional `horizon N` line from it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from .errors import ConsistencyError, PrefixFreeError, SpecParseError
 
@@ -152,9 +155,6 @@ class PrefixFreeSet:
     def __repr__(self) -> str:
         return f"PrefixFreeSet({list(self._members)!r})"
 
-    def words(self) -> tuple[Word, ...]:
-        return self._members
-
     def measure(self) -> Fraction:
         """Exact Σ 2^(−|τ|) over members (cylinders are disjoint)."""
         return sum((Fraction(1, 2 ** len(w)) for w in self._members), Fraction(0))
@@ -173,29 +173,49 @@ class PrefixFreeSet:
         return total
 
 
-def data_lines(path: str, what: str = "") -> Iterator[tuple[int, str]]:
-    """(line number, text) of each data line of a file: '#' starts a
-    comment, surrounding blanks and blank lines are dropped.  A failure to
-    read raises SpecParseError("cannot read <what><path>: ...")."""
+def data_records(path: str, what: str, usage: str, fields: tuple[Callable[[str], Any], ...]
+                 ) -> tuple[Optional[int], list[tuple[int, tuple]]]:
+    """The `horizon N` value of a data file (None without one), and its other
+    data lines as (line number, fields parsed by `fields`).  '#' starts a
+    comment; blank lines are dropped.  A failure to read raises
+    SpecParseError("cannot read <what><path>: ..."); the first bad line in
+    file order raises SpecParseError("<path>:<line>: expected <usage>") for a
+    wrong field count, "<path>:<line>: <message>" for a parser's ValueError,
+    or a bad horizon directive or value."""
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield lineno, line
+            lines = list(enumerate(fh, 1))
     except OSError as exc:
         raise SpecParseError(f"cannot read {what}{path}: {exc}") from exc
+    horizon, records = None, []
+    for lineno, raw in lines:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if parts[0] != "horizon":
+            if len(parts) != len(fields):
+                raise SpecParseError(f"{path}:{lineno}: expected {usage}")
+            try:
+                records.append((lineno, tuple(parse(part) for parse, part in zip(fields, parts))))
+            except ValueError as exc:
+                raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
+        elif len(parts) != 2 or horizon is not None:
+            raise SpecParseError(f"{path}:{lineno}: bad horizon directive")
+        else:
+            try:
+                horizon = int(parts[1])
+            except ValueError as exc:
+                raise SpecParseError(f"{path}:{lineno}: bad horizon value") from exc
+    return horizon, records
 
 
 def prefix_set_from_file(path: str) -> PrefixFreeSet:
-    """Load one word per line; '#' starts a comment, blank lines ignored."""
-    words = []
-    for lineno, line in data_lines(path, "prefix set "):
-        try:
-            words.append(check_word(line))
-        except ValueError as exc:
-            raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
+    """Load one word per line; '#' starts a comment, blank lines ignored.
+    A prefix set takes no `horizon N` line."""
+    horizon, records = data_records(path, "prefix set ", "`WORD`", (check_word,))
+    if horizon is not None:
+        raise SpecParseError(f"{path}: a prefix set takes no horizon")
     try:
-        return PrefixFreeSet(words)
+        return PrefixFreeSet(word for _, (word,) in records)
     except PrefixFreeError as exc:
         raise SpecParseError(f"{path}: not prefix-free: {exc}") from exc

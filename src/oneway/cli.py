@@ -24,7 +24,7 @@ import argparse
 import sys
 from typing import Callable, Optional
 
-from .bitcore import Word, check_word
+from .bitcore import Word, check_word, prefix_set_from_file
 from .constructions import ConstructionHandle, bit_select, double_injection, \
     identity_injection, one_way_surjection, partial_injection, shift_injection, \
     simple_one_way, two_to_one_v1, two_to_one_v2, witness_function
@@ -37,7 +37,6 @@ from .inversion import extract_randomized, extract_simple, extract_two_to_one, \
 from .streams import BitSource, columns_from_file, evaluate, finite, flipped_at, \
     identity_function, interleaved, ones, periodic, random_source, \
     representation_of, zeros
-from .bitcore import prefix_set_from_file
 
 _INJECTIONS = {
     "identity": identity_injection,

@@ -283,10 +283,6 @@ class Injection:
             if prior != n:
                 raise InjectivityError(f"{self.name} maps {prior} and {n} both to {v}")
 
-    @property
-    def invertible(self) -> bool:
-        return self.inverse is not None
-
     def invert(self, m: int) -> Optional[int]:
         if self.inverse is None:
             raise ValueError(f"{self.name} carries no inverse")

@@ -6,13 +6,16 @@ the horizon are errors, never silent truncations.  StagedStringEnumeration
 does the same for prefix-free word sets.  DecidedSet is a total membership
 predicate, a separate capability kept distinct from enumerations because
 one construction needs absolute membership answers, not stage-bounded ones.
+
+The three file loaders read through `bitcore.data_records`; each keeps only
+its field parsers and prefixes its constructor's errors with the path.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Optional
 
-from .bitcore import Word, check_word, comparable, data_lines, pair, unpair
+from .bitcore import Word, check_word, comparable, data_records, pair, unpair
 from .errors import HorizonError, SpecParseError
 
 
@@ -89,15 +92,8 @@ class StagedEnumeration:
     def entry_stage(self, n: int) -> Optional[int]:
         return self._by_element.get(n)
 
-    def members_at(self, s: int) -> frozenset[int]:
-        _check_stage(s, self.horizon)
-        return frozenset(n for n, t in self._by_element.items() if t <= s)
-
     def limit_members(self) -> frozenset[int]:
         return frozenset(self._by_element)
-
-    def max_entry_stage(self) -> int:
-        return max(self._by_stage, default=0)
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._by_stage.items()))
@@ -194,9 +190,6 @@ class StagedStringEnumeration:
         _check_stage(s, self.horizon)
         return tuple(word for t, word in self._ordered if t <= s)
 
-    def limit_words(self) -> tuple[Word, ...]:
-        return tuple(word for _, word in self._ordered)
-
     def pairs(self) -> tuple[tuple[int, Word], ...]:
         return self._ordered
 
@@ -244,29 +237,16 @@ class DecidedSet:
             raise HorizonError(f"membership of {n} undecided beyond horizon {self.horizon}")
         return n in self._members
 
-    def members(self) -> frozenset[int]:
-        return self._members
-
     def __repr__(self) -> str:
         return f"DecidedSet({self.label}, {len(self._members)} members, horizon={self.horizon})"
 
 
-def _split_horizon(path: str) -> tuple[Optional[int], list[tuple[int, list[str]]]]:
-    """The data lines of a file, split into fields, and its `horizon N`."""
-    horizon = None
-    data = []
-    for lineno, line in data_lines(path):
-        parts = line.split()
-        if parts[0] == "horizon":
-            if len(parts) != 2 or horizon is not None:
-                raise SpecParseError(f"{path}:{lineno}: bad horizon directive")
-            try:
-                horizon = int(parts[1])
-            except ValueError as exc:
-                raise SpecParseError(f"{path}:{lineno}: bad horizon value") from exc
-        else:
-            data.append((lineno, parts))
-    return horizon, data
+def _integer(text: str) -> int:
+    """An integer field of an enumeration or decided-set file."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("expected integers") from None
 
 
 def enumeration_from_file(path: str) -> StagedEnumeration:
@@ -274,51 +254,27 @@ def enumeration_from_file(path: str) -> StagedEnumeration:
 
     Without a horizon directive the horizon is the largest listed stage.
     """
-    horizon, data = _split_horizon(path)
-    pairs = []
-    for lineno, parts in data:
-        if len(parts) != 2:
-            raise SpecParseError(f"{path}:{lineno}: expected `s n`")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise SpecParseError(f"{path}:{lineno}: expected integers") from exc
+    horizon, records = data_records(path, "", "`s n`", (_integer, _integer))
     try:
-        return StagedEnumeration.from_pairs(pairs, horizon, label=path)
+        return StagedEnumeration.from_pairs((entry for _, entry in records), horizon, label=path)
     except SpecParseError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
 
 
 def string_enum_from_file(path: str) -> StagedStringEnumeration:
     """Lines `s WORD`; optional `horizon N`; '#' comments."""
-    horizon, data = _split_horizon(path)
-    pairs = []
-    for lineno, parts in data:
-        if len(parts) != 2:
-            raise SpecParseError(f"{path}:{lineno}: expected `s WORD`")
-        try:
-            stage = int(parts[0])
-            word = check_word(parts[1])
-        except ValueError as exc:
-            raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
-        pairs.append((stage, word))
+    horizon, records = data_records(path, "", "`s WORD`", (_integer, check_word))
     try:
-        return StagedStringEnumeration.from_pairs(pairs, horizon, label=path)
+        return StagedStringEnumeration.from_pairs((entry for _, entry in records), horizon,
+                                                  label=path)
     except SpecParseError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
 
 
 def decided_set_from_file(path: str) -> DecidedSet:
     """Lines `n` (one member per line); optional `horizon N`; '#' comments."""
-    horizon, data = _split_horizon(path)
-    members = []
-    for lineno, parts in data:
-        if len(parts) != 1:
-            raise SpecParseError(f"{path}:{lineno}: expected a single natural")
-        try:
-            members.append(int(parts[0]))
-        except ValueError as exc:
-            raise SpecParseError(f"{path}:{lineno}: expected an integer") from exc
+    horizon, records = data_records(path, "", "a single natural", (_integer,))
+    members = [n for _, (n,) in records]
     if horizon is None:
         horizon = max(members, default=0)
     try:

@@ -92,7 +92,6 @@ class InverterUnderTest:
     """
 
     g: RealFunction
-    declared_total: bool = True
     binary: bool = False
 
 
@@ -204,6 +203,8 @@ def reference_inverter_two_to_one(w: StagedEnumeration,
     marker run for the stage t that selected position q and copies y(2t);
     when the scan instead shows the marker parked on q through every
     searched stage, the bit is the unread one and the witness answers 0.
+    Like the map's own emitter, a bit keeps the marker stages it ran when it
+    succeeds, drops them when it fails and leaves them open when it forks.
     """
     key = object()
 
@@ -213,14 +214,25 @@ def reference_inverter_two_to_one(w: StagedEnumeration,
         q = m // 2
         marker = Marker.on(tape, key)
         permission = k_keyed(w, odd_half(tape))
-        # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
-        for t in range(max(q - 1, 0), search_stages):
-            if marker.advance_to(t + 1, permission).rows[t][2] == q:
-                return tape.read(2 * t)
-        # this marker never runs past search_stages, so k is k_{search_stages}
-        if marker.advance_to(search_stages, permission).k == q:
-            return 0
-        raise DivergenceError(m, f"position {q} not selected within {search_stages} stages")
+        try:
+            # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
+            for t in range(max(q - 1, 0), search_stages):
+                if marker.advance_to(t + 1, permission).rows[t][2] == q:
+                    b = tape.read(2 * t)
+                    break
+            else:
+                # this marker never runs past search_stages, so k is k_{search_stages}
+                if marker.advance_to(search_stages, permission).k != q:
+                    raise DivergenceError(
+                        m, f"position {q} not selected within {search_stages} stages")
+                b = 0
+        except _Fork:
+            raise  # a fork leaves the stages open for the search to rerun
+        except Exception:
+            marker.undo()  # the tape forgets a failed bit's reads
+            raise
+        marker.kept = len(marker.rows)
+        return b
 
     return InverterUnderTest(
         RealFunction(f"refinv-two1({w.label},{search_stages})", emit))
@@ -438,15 +450,14 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
     if not g.binary:
         raise ValueError("extract_randomized takes a binary inverter over y⊕r")
     if validate:
-        yr = interleaved(finite(sigma), zeros())
-        depth = max(len(sigma), n) + 1
-        x = output_source(g.g, yr, budget=run_budget)
-        fx = output_source(f, x, budget=run_budget)
-        for m in range(depth):
-            if fx.bit(m) != yr.bit(2 * m):
-                raise ConsistencyError(
-                    f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs "
-                    f"from y at bit {m}")
+        outcome = inverts_at_finite_stage(f, g, interleaved(finite(sigma), zeros()),
+                                          max(len(sigma), n) + 1, run_budget)
+        if outcome.state == "refuted":
+            raise ConsistencyError(
+                f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs "
+                f"from y at bit {outcome.index}")
+        if outcome.state == "diverged":
+            raise DivergenceError(outcome.index, "inverter validation diverged")
     leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget, run_budget)
     leaves.sort(key=lambda leaf: (leaf.length, leaf.pattern(sigma)))
     threshold = Fraction(1, 2 ** (len(sigma) + 1))
@@ -624,16 +635,19 @@ def inverts_at_finite_stage(f: RealFunction, g: InverterUnderTest,
                             budget: int = DEFAULT_BUDGET) -> FiniteStageOutcome:
     """Does f(g(y)) agree with y on the first n bits, within budget?
 
+    A binary inverter reads a joined input y⊕r, so for it `y` is that join
+    and f(g(y⊕r)) is compared with its even half, the y it inverts.
     Consistent runs may still hide failures past n; refutation is final and
     monotone in n (the same first disagreement refutes every deeper check).
     """
     x = output_source(g.g, y, budget=budget)
     fx = output_source(f, x, budget=budget)
+    stride = 2 if g.binary else 1
     for m in range(n):
         try:
             b = fx.bit(m)
         except DivergenceError as exc:
             return FiniteStageOutcome("diverged", exc.bit_index)
-        if b != y.bit(m):
+        if b != y.bit(stride * m):
             return FiniteStageOutcome("refuted", m)
     return FiniteStageOutcome("consistent")

@@ -3,7 +3,7 @@ representations.
 
 A BitSource is a total deterministic map position → bit.  A read is
 checked once, by the outer `BitSource.bit`: composite sources (flips,
-interleaves, column sources, columns of a source) call their children's raw
+interleaves and column sources) call their children's raw
 bit functions, and a stack of flips collapses into one set of flipped
 positions over its base, so a read through it costs one set lookup.  An
 OracleTape wraps a source and records exactly how much of it a computation
@@ -35,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .bitcore import Word, check_word, data_lines, pair, unpair
+from .bitcore import Word, check_word, data_records, unpair
 from .errors import (
     DeskError,
     DivergenceError,
@@ -155,12 +155,6 @@ def column_source(assignments: dict[int, BitSource], default: BitSource) -> BitS
     return BitSource(f"columns({inner};default={default.spec})", bit)
 
 
-def column_of(w: BitSource, n: int) -> BitSource:
-    """Column n of w: the source i ↦ w(pair(n,i))."""
-    w_bit = w._bit
-    return BitSource(f"column:{n}:{w.spec}", lambda i: w_bit(pair(n, i)))
-
-
 _TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
@@ -188,17 +182,13 @@ def random_source(seed: int) -> BitSource:
 
 def columns_from_file(path: str) -> BitSource:
     """Column file: lines `COL WORD`; column COL carries WORD then zeros;
-    unlisted columns are all zero.  '#' comments and blank lines ignored."""
+    unlisted columns are all zero.  '#' comments and blank lines ignored;
+    a column file takes no `horizon N` line."""
+    horizon, records = data_records(path, "column file ", "`COL WORD`", (int, check_word))
+    if horizon is not None:
+        raise SpecParseError(f"{path}: a column file takes no horizon")
     assignments: dict[int, BitSource] = {}
-    for lineno, line in data_lines(path, "column file "):
-        parts = line.split()
-        if len(parts) != 2:
-            raise SpecParseError(f"{path}:{lineno}: expected `COL WORD`")
-        try:
-            col = int(parts[0])
-            word = check_word(parts[1])
-        except ValueError as exc:
-            raise SpecParseError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, (col, word) in records:
         if col < 0:
             raise SpecParseError(f"{path}:{lineno}: negative column {col}")
         if col in assignments:

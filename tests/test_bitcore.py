@@ -11,6 +11,7 @@ from oneway.bitcore import (
     PrefixFreeSet,
     check_word,
     comparable,
+    data_records,
     pair,
     prefix_set_from_file,
     unpair,
@@ -187,7 +188,7 @@ class TestPrefixFreeSet:
 
     def test_runtime_shape(self):
         s = PrefixFreeSet(["1", "00", "01"])
-        assert s.words() == ("1", "00", "01")  # (length, lex) canonical order
+        assert tuple(s) == ("1", "00", "01")  # (length, lex) canonical order
         assert "00" in s and "10" not in s
         assert len(s) == 3
         assert s == PrefixFreeSet(["00", "1", "01"])
@@ -219,6 +220,13 @@ def test_prefix_set_from_file(tmp_path):
     with pytest.raises(SpecParseError, match=r"bad\.txt:2"):
         prefix_set_from_file(str(bad))
 
+    bad.write_text("01\n0 1\n")
+    with pytest.raises(SpecParseError, match=r"bad\.txt:2: expected `WORD`"):
+        prefix_set_from_file(str(bad))
+    bad.write_text("horizon 4\n01\n")
+    with pytest.raises(SpecParseError, match="a prefix set takes no horizon"):
+        prefix_set_from_file(str(bad))
+
     overlapping = tmp_path / "overlap.txt"
     overlapping.write_text("0\n01\n")
     with pytest.raises(SpecParseError, match="not prefix-free"):
@@ -226,3 +234,27 @@ def test_prefix_set_from_file(tmp_path):
 
     with pytest.raises(SpecParseError, match="cannot read"):
         prefix_set_from_file(str(tmp_path / "absent.txt"))
+
+
+def test_data_records(tmp_path):
+    p = tmp_path / "r.txt"
+    p.write_text("# stage word\nhorizon 7\n\n1 01  # trailing\n2 1\n")
+    fields = (int, check_word)
+    assert data_records(str(p), "", "`s WORD`", fields) == (7, [(4, (1, "01")), (5, (2, "1"))])
+    p.write_text("1 01\n")
+    assert data_records(str(p), "", "`s WORD`", fields) == (None, [(1, (1, "01"))])
+    for text, message in [
+        ("1 01 1\n", "r.txt:1: expected `s WORD`$"),
+        ("x 01\n", "r.txt:1: invalid literal for int"),
+        ("1 02\n", "r.txt:1: bad symbol '2'"),
+        ("1 02\nhorizon\n", "r.txt:1: bad symbol '2'"),  # the first bad line in file order
+        ("horizon 5\n1 02\n", "r.txt:2: bad symbol '2'"),
+        ("horizon 5 6\n", "r.txt:1: bad horizon directive"),
+        ("horizon 1\n1 0\nhorizon 1\n", "r.txt:3: bad horizon directive"),
+        ("horizon x\n", "r.txt:1: bad horizon value"),
+    ]:
+        p.write_text(text)
+        with pytest.raises(SpecParseError, match=message):
+            data_records(str(p), "", "`s WORD`", fields)
+    with pytest.raises(SpecParseError, match="cannot read stage file .*absent"):
+        data_records(str(tmp_path / "absent"), "stage file ", "`s WORD`", fields)

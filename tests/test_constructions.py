@@ -165,7 +165,7 @@ class TestInjections:
 
     def test_no_inverse(self):
         p = Injection("fwd", lambda n: n + 3)
-        assert not p.invertible
+        assert p.inverse is None
         with pytest.raises(ValueError, match="no inverse"):
             p.invert(3)
 

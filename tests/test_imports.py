@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, every
 import is of the standard library or of oneway itself (the package declares
 no dependencies) and sits at module level, each module imports only the
-layers below its own, and every library name the benchmark's layer tracer
-wraps still exists."""
+layers below its own, every library name the benchmark's layer tracer
+wraps still exists, and every public name is reached or named as kept."""
 
 import ast
 import importlib.util
@@ -136,3 +136,80 @@ def test_traced_entry_points_exist(capsys):
     assert missing == []
     layertrace._targets()
     assert "is gone" not in capsys.readouterr().err
+
+
+# Public names that no library code, CLI verb or benchmark operation reaches:
+# qualified name -> (why it stays, the test that checks it).
+KEPT_UNREACHED = {
+    "preimage_tree": ("lists the preimage words of the read classes, for a printed "
+                      "inversion certificate",
+                      "test_preimage_differential.py::test_fixture_levels_match_word_for_word"),
+    "DovetailRecord.materialize": ("expands a randomized extraction's record into the "
+                                   "collected words, for a printed certificate",
+                                   "test_inversion.py::test_materialize_cap"),
+    "MarkerTrace.stuck_report": ("the terminal marker state a printed two1 certificate shows",
+                                 "test_constructions.py::test_never_permitted"),
+    "Injection.check_injective": ("checks the claim that a shipped injection is injective",
+                                  "test_properties.py::test_injections_are_injective"),
+    "UseSoundnessReport.passed": ("the verdict of a use-soundness check",
+                                  "test_acceptance.py::test_criterion_10"),
+    "preimage_witness": ("the canonical preimage of a bit selection, for the d-keyed "
+                         "reduction", "test_constructions.py::test_select_inverts_witness"),
+    "replace_column": ("builds the d-keyed adversarial z",
+                       "test_constructions.py::test_replace_column"),
+    "stage_where_counter_reaches": ("the stage bound of the d-keyed reduction",
+                                    "test_acceptance.py::test_criterion_09"),
+}
+
+
+def used_names(trees) -> set[str]:
+    """Every identifier the trees use as an AST Name or Attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unreached(library, users) -> list[str]:
+    """The public functions, classes and methods of the `library` trees, by
+    qualified name, whose name no tree of `users` uses.  The scan goes by
+    name, so it misses a name that other code also uses for something else,
+    such as `members` or `words`: only a name nothing uses at all is caught."""
+    used = used_names(users)
+    found = []
+    for tree in library:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if node.name not in used:
+                found.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{sub.name}" for sub in node.body
+                          if isinstance(sub, ast.FunctionDef)
+                          and sub.name[0] != "_" and sub.name not in used]
+    return sorted(found)
+
+
+def test_every_public_name_is_reached_or_kept():
+    """Reached means used in src/oneway outside __init__ (which only
+    re-exports) or in perfbench; a kept name that is reached again or gone
+    leaves the list too."""
+    library = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    users = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreached(library, users) == sorted(KEPT_UNREACHED)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_UNREACHED))
+def test_kept_names_are_tested(name):
+    path, test = KEPT_UNREACHED[name][1].split("::")
+    tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
+    body = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == test]
+    assert len(body) == 1 and name.split(".")[-1] in used_names(body)
+
+
+def test_unreached_name_detected():
+    lib = ast.parse("def f():\n    return g()\n\ndef g():\n    pass\n\n"
+                    "class K:\n    def m(self):\n        return self.n\n\n"
+                    "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n")
+    assert unreached([lib], [lib]) == ["K", "K.m", "f"]

@@ -47,6 +47,7 @@ from oneway.inversion import (
     unique_path_invert,
 )
 from oneway.streams import (
+    OracleTape,
     RealFunction,
     evaluate,
     finite,
@@ -147,6 +148,16 @@ class TestReferenceInverters:
         y = output_source(f, interleaved(random_source(6), random_source(16)))
         assert inverts_at_finite_stage(f, g, y, 24).state == "consistent"
 
+    def test_two_to_one_failed_bit_drops_its_marker_stages(self):
+        """A bit that diverges runs marker stages whose reads the tape
+        forgets; it must drop them too, so a later bit reads what it reads
+        on a fresh tape."""
+        g = reference_inverter_two_to_one(enum([], 300), search_stages=6).g
+        tape, fresh = OracleTape(zeros()), OracleTape(zeros())
+        assert tape.try_emit(g, 20) is None
+        assert tape.try_emit(g, 2) == fresh.try_emit(g, 2) == 0
+        assert tape.positions_read() == fresh.positions_read() == (0, 1)
+
 
 class TestExtractSimple:
     def test_empty_enumeration_all_non_members(self):
@@ -235,6 +246,26 @@ class TestExtractRandomized:
         assert v.evidence.words_collected == 8193
         assert v.evidence.measure == Fraction(8193, 32768)
         assert v.evidence.measure > Fraction(1, 4)
+
+    def test_validation_refutes_a_non_inverter(self):
+        _, f, w = self.fixture()
+        g = InverterUnderTest(RealFunction("zero", lambda tape, m: 0), binary=True)
+        with pytest.raises(ConsistencyError,
+                           match=r"fails over ⟦1⟧: f\(g\(y,r\)\) differs from y at bit 0"):
+            extract_randomized(g, f, "1", w, 2)
+
+    def test_validation_divergence(self):
+        _, f, w = self.fixture()
+
+        def spin(tape, m):
+            i = 0
+            while True:
+                tape.read(i)
+                i += 1
+
+        g = InverterUnderTest(RealFunction("spin", spin), binary=True)
+        with pytest.raises(DivergenceError, match="inverter validation diverged"):
+            extract_randomized(g, f, "", w, 2, run_budget=50)
 
     def test_materialize_cap(self):
         g, f, w = self.fixture()
@@ -520,3 +551,14 @@ class TestInvertsAtFiniteStage:
         out = inverts_at_finite_stage(simple_one_way(w), g, zeros(), 8, budget=50)
         assert out.state == "diverged"
         assert str(out) == "diverged at bit 2"
+
+    def test_binary_inverter_is_checked_against_the_even_half(self):
+        """A binary inverter inverts y from y⊕r: f(g(y⊕r)) is compared with
+        y, not with the join."""
+        w = enum([(1, 2)], 20)
+        f, yr = one_way_surjection(w), interleaved(finite("1011"), zeros())
+        g = reference_inverter_surjection(w)
+        assert str(inverts_at_finite_stage(f, g, yr, 6)) == "consistent"
+        zero = InverterUnderTest(RealFunction("zero", lambda tape, m: 0), binary=True)
+        assert str(inverts_at_finite_stage(f, zero, interleaved(finite("0010"), ones()),
+                                           6)) == "refuted at bit 2"

@@ -28,8 +28,8 @@ from oneway.enumeration import StagedEnumeration, StagedStringEnumeration, \
 from oneway.errors import DivergenceError, HorizonError
 from oneway.inversion import InverterUnderTest, extract_two_to_one, \
     fiber_branch_count, reference_inverter_two_to_one
-from oneway.streams import BitSource, RealFunction, Representation, column_of, \
-    evaluate, interleaved, periodic, random_source
+from oneway.streams import BitSource, RealFunction, Representation, evaluate, \
+    interleaved, periodic, random_source
 
 from test_acceptance import seeded_enumeration, seeded_string_enumeration
 
@@ -74,8 +74,12 @@ def ref_marker_run_v1(w, z, stages):
     return ref_marker_run(stages, ref_k_permission(w, z.bit))
 
 
+def ref_column(z, n):
+    return BitSource(f"column:{n}:{z.spec}", lambda i: z.bit(pair(n, i)))
+
+
 def ref_marker_run_v2(w, u, z, stages):
-    return ref_marker_run(stages, ref_d_permission(w, u, lambda d: column_of(z, d)))
+    return ref_marker_run(stages, ref_d_permission(w, u, lambda d: ref_column(z, d)))
 
 
 def ref_two_to_one_v1(w):

@@ -7,19 +7,22 @@
   the use;
 * the marker recursion keeps the invariants `MarkerTrace.assert_invariants`
   checks, under both permission rules, for drawn enumerations and z;
-* a two-to-one map run on one tape, where some bits failed under a barrier
-  before the rest ran without one, reads what a fresh tape reads for the
-  same bits: a failed bit leaves no marker stage behind whose reads the
-  tape forgot.
+* a two-to-one map or its reference inverter, run on one tape where some
+  bits failed under a barrier before the rest ran without one, reads what a
+  fresh tape reads for the same bits: a failed bit leaves no marker stage
+  behind whose reads the tape forgot;
+* the shipped injections are injective, and a collision is named.
 
 The strategies for small toys and marker maps are shared with the fiber
 property of `test_fork_differential.py`.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oneway.bitcore import comparable
+from oneway.bitcore import comparable, pair
 from oneway.constructions import (
+    Injection,
     bit_select,
     double_injection,
     identity_injection,
@@ -29,11 +32,14 @@ from oneway.constructions import (
     partial_injection,
     shift_injection,
     simple_one_way,
+    surjection_injection,
     two_to_one_v1,
     two_to_one_v2,
     witness_function,
 )
 from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration
+from oneway.errors import InjectivityError
+from oneway.inversion import reference_inverter_two_to_one
 from oneway.streams import (
     BitSource,
     OracleTape,
@@ -154,12 +160,20 @@ def test_marker_traces_keep_their_invariants(w, u, z, stages):
     marker_run_v2(w, u, z, stages).assert_invariants()
 
 
+def reference_inverters():
+    """The two-to-one reference inverter over drawn toys, with a search
+    short enough that some even bits diverge."""
+    return st.builds(lambda w, stages: reference_inverter_two_to_one(w, stages).g,
+                     toys(), st.integers(1, 24))
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(marker_maps(), z_sources(), st.integers(0, 10**6),
+@given(st.one_of(marker_maps(), reference_inverters()), z_sources(), st.integers(0, 10**6),
        st.lists(st.integers(0, 15), max_size=8), st.integers(0, 48), st.integers(0, 8))
 def test_failed_bits_leave_no_stage_the_tape_forgot(f, z, seed, evens, barrier, extra):
     """Even bits in drawn order under a barrier (some fail), then every bit
-    in order without one: the same bits and positions read as a fresh tape."""
+    in order without one: the same bits, failures and positions read as a
+    fresh tape."""
     x = interleaved(random_source(seed), z)
     tape = OracleTape(x, barrier=barrier)
     for s in evens:
@@ -167,5 +181,23 @@ def test_failed_bits_leave_no_stage_the_tape_forgot(f, z, seed, evens, barrier, 
     tape.barrier = None
     n = 2 * max(evens, default=0) + 1 + extra
     fresh = OracleTape(x)
-    assert [tape.emit(f, m) for m in range(n)] == [fresh.emit(f, m) for m in range(n)]
+    assert [tape.try_emit(f, m) for m in range(n)] == [fresh.try_emit(f, m) for m in range(n)]
     assert tape.positions_read() == fresh.positions_read()
+
+
+# --------------------------------------------------------------- injections
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(toys(), st.integers(0, 40), st.integers(1, 40))
+def test_injections_are_injective(w, a, gap):
+    """check_injective passes for every shipped injection up to a limit past
+    every entry of the toy, and names both arguments of a collision."""
+    limit = max((pair(n, s) for s, n in w.pairs()), default=0) + 64
+    for p in (identity_injection(), double_injection(), shift_injection(),
+              surjection_injection(w)):
+        p.check_injective(limit)
+    b = a + gap
+    collide = Injection("collide", lambda n: a if n == b else n)
+    collide.check_injective(b)
+    with pytest.raises(InjectivityError, match=f"collide maps {a} and {b} both to {a}$"):
+        collide.check_injective(b + 1)

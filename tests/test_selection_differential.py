@@ -268,7 +268,6 @@ def test_names_and_inverter_kinds_match():
         assert new.name == old.name, label
     assert reference_inverter_simple(TOY).binary is False
     assert reference_inverter_surjection(TOY).binary is True
-    assert reference_inverter_surjection(TOY).declared_total is True
 
 
 @pytest.mark.parametrize("source", sorted(SOURCES))

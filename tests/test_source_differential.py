@@ -1,7 +1,7 @@
 """Flat source composition against the nested, checked-per-layer sources it
 replaced.
 
-Flips, interleaves, column sources and columns of a source once called each
+Flips, interleaves and column sources once called each
 child's checked `BitSource.bit`, so a read paid a frame and a check per
 layer, and a stack of k flips paid k of them; `periodic` and `finite` parsed
 a character on every read.  Now a composite source calls its children's raw
@@ -22,7 +22,6 @@ from oneway.bitcore import check_word, pair, unpair
 from oneway.cli import parse_source
 from oneway.streams import (
     BitSource,
-    column_of,
     column_source,
     columns_from_file,
     finite,
@@ -79,16 +78,10 @@ def ref_column_source(assignments, default):
     return BitSource(f"columns({inner};default={default.spec})", bit)
 
 
-def ref_column_of(w, n):
-    return BitSource(f"column:{n}:{w.spec}", lambda i: w.bit(pair(n, i)))
-
-
 NEW = SimpleNamespace(periodic=periodic, finite=finite, flipped_at=flipped_at,
-                      interleaved=interleaved, column_source=column_source,
-                      column_of=column_of)
+                      interleaved=interleaved, column_source=column_source)
 REF = SimpleNamespace(periodic=ref_periodic, finite=ref_finite, flipped_at=ref_flipped_at,
-                      interleaved=ref_interleaved, column_source=ref_column_source,
-                      column_of=ref_column_of)
+                      interleaved=ref_interleaved, column_source=ref_column_source)
 
 
 # ---------------------------------------------------------------- strategies
@@ -96,8 +89,8 @@ REF = SimpleNamespace(periodic=ref_periodic, finite=ref_finite, flipped_at=ref_f
 # A drawn source is a tree of tuples: ("zeros",), ("ones",), ("periodic", w),
 # ("finite", w), ("random", seed), ("file", ((col, word), ...)) for a columns
 # file, ("flip", positions, child) for a flip stack applied in list order,
-# ("interleave", even, odd), ("column", n, child) and
-# ("columns", ((col, child), ...), default).  The last two have no CLI spec.
+# ("interleave", even, odd) and ("columns", ((col, child), ...), default).
+# The last has no CLI spec.
 
 words = st.text("01", max_size=6)
 nonempty_words = st.text("01", min_size=1, max_size=6)
@@ -127,10 +120,9 @@ def leaves(files: bool):
 
 @st.composite
 def trees(draw, depth=3, files=True, columns=True):
-    """A source tree at most `depth` combinators deep; columns of a source
-    do not nest, so no read goes past a few thousand positions."""
+    """A source tree at most `depth` combinators deep."""
     kinds = ["leaf"] if depth == 0 else ["leaf", "flip", "interleave"] + (
-        ["column", "columns"] if columns else [])
+        ["columns"] if columns else [])
     kind = draw(st.sampled_from(kinds))
     if kind == "leaf":
         return draw(leaves(files))
@@ -139,8 +131,6 @@ def trees(draw, depth=3, files=True, columns=True):
         return ("flip", draw(flip_positions()), draw(inner))
     if kind == "interleave":
         return ("interleave", draw(inner), draw(inner))
-    if kind == "column":
-        return ("column", draw(st.integers(0, 3)), draw(trees(depth - 1, files, False)))
     children = draw(st.lists(st.tuples(st.integers(0, 8), inner), max_size=3,
                              unique_by=lambda e: e[0]))
     return ("columns", tuple(children), draw(inner))
@@ -185,8 +175,6 @@ def build(tree, lib, tmp):
         return src
     if head == "interleave":
         return lib.interleaved(build(tree[1], lib, tmp), build(tree[2], lib, tmp))
-    if head == "column":
-        return lib.column_of(build(tree[2], lib, tmp), tree[1])
     return lib.column_source({c: build(t, lib, tmp) for c, t in tree[1]},
                              build(tree[2], lib, tmp))
 
@@ -216,7 +204,7 @@ def parseable(tree) -> bool:
         return parseable(tree[2])
     if head == "interleave":
         return parseable(tree[1]) and parseable(tree[2])
-    return head not in ("column", "columns")
+    return head != "columns"
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,6 @@ from oneway.streams import (
     OracleTape,
     RealFunction,
     Representation,
-    column_of,
     column_source,
     columns_from_file,
     evaluate,
@@ -83,8 +82,9 @@ class TestSources:
         (lambda s: interleaved(zeros(), s), 5),
         (lambda s: column_source({1: s}, zeros()), 4),  # pair(1, 1)
         (lambda s: column_source({1: zeros()}, s), 3),  # pair(0, 2), the default
-        (lambda s: column_of(s, 2), 1),
-        (lambda s: column_of(interleaved(flipped_at(s, 4), s), 1), 2),  # flipped 4
+        (lambda s: column_source({1: flipped_at(s, 0)}, zeros()), 1),  # pair(1, 0), flipped
+        # pair(0, 1): the odd half at 0, flipped
+        (lambda s: column_source({0: interleaved(s, flipped_at(s, 0))}, zeros()), 2),
     ])
     def test_non_bits_are_refused_through_every_layer(self, layer, position, value):
         """A composite source hands its children's raw values to the one
@@ -130,8 +130,8 @@ class TestSources:
         assert w.bit(pair(1, 0)) == 1
         assert w.bit(pair(1, 5)) == 1
         assert w.bit(pair(0, 0)) == 0
-        assert column_of(w, 1).prefix(4) == "1111"
-        assert column_of(w, 2).prefix(4) == "0000"
+        assert [w.bit(pair(1, i)) for i in range(4)] == [1, 1, 1, 1]
+        assert [w.bit(pair(2, i)) for i in range(4)] == [0, 0, 0, 0]
 
     def test_column_source_default_by_absolute_position(self):
         # replacing one column must leave every other position untouched
@@ -158,6 +158,12 @@ def test_columns_from_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 11\n0 01\n")
     with pytest.raises(SpecParseError, match="column 0 listed twice"):
+        columns_from_file(str(bad))
+    bad.write_text("0 11\n-1 01\n")
+    with pytest.raises(SpecParseError, match=r"bad\.txt:2: negative column -1"):
+        columns_from_file(str(bad))
+    bad.write_text("horizon 9\n0 11\n")
+    with pytest.raises(SpecParseError, match="a column file takes no horizon"):
         columns_from_file(str(bad))
 
 
