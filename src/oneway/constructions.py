@@ -5,8 +5,9 @@ maps, each parameterized by staged enumerations.
 Most of them copy one chosen input bit: `streams.selection(name, sel)` is
 that emitter, and the simple map, bit selections, witness maps, the
 surjection and the partial injection's even half only supply `sel`.  Both
-two-to-one maps are `_marker_map(name, cap, rule)`, which differ only in
-their horizon cap and permission rule.
+two-to-one maps and the k-keyed map's reference inverter are
+`_marker_map(name, rule, index)`, which differ only in their permission rule
+and in the index i whose input bit 2i an even bit copies.
 
 The movable-marker recursion is shared between both two-to-one variants:
 
@@ -21,9 +22,9 @@ prefix in the word enumeration).  The halting clause is checked first and
 short-circuits, so a halting stage reads nothing from z.
 
 `Marker` runs the recursion; `k_keyed` and `d_keyed` are the permission
-rules.  The emitters and the reference inverter keep one marker per map on
-the evaluation's tape, so output bit 2s runs (and its step budget pays for)
-only the stages that no earlier bit that succeeded on that tape has run.
+rules.  `_marker_map` keeps one marker per map on the evaluation's tape, so
+output bit 2s runs (and its step budget pays for) only the stages that no
+earlier bit that succeeded on that tape has run.
 """
 
 from __future__ import annotations
@@ -396,24 +397,23 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
     return RealFunction(f"inj({w.label},{d.label})", emit)
 
 
-def _marker_map(name: str, cap: int,
-                rule: Callable[[OracleTape], PermissionFn]) -> RealFunction:
-    """f(x⊕z) = h(x)⊕z with h(x; s) = x(p_s), p_s from the marker run under
-    `rule(tape)` through stage s.  Odd output bits copy z through; even bit
-    2s reads the permissions' z bits, then input position 2·p_s, and needs
-    marker stage s+1 within `cap`."""
+def _marker_map(name: str, rule: Callable[[OracleTape], PermissionFn],
+                index: Callable[[Marker, PermissionFn, int], Optional[int]]) -> RealFunction:
+    """f(x⊕z) = h(x)⊕z with odd output bits copying z through and even bit
+    2s the input bit 2·index(marker, rule(tape), s), or 0 where the index is
+    None; `index` runs the map's marker on the tape as far as bit 2s needs.
+    A bit that succeeds keeps the stages it ran; one that fails drops them,
+    as `try_emit` makes the tape forget their reads; any other exception,
+    such as a search's fork, leaves them open for a rerun."""
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
         if m % 2 == 1:
             return tape.read(m)
-        s = m // 2
-        if s + 1 > cap:
-            raise HorizonError(
-                f"output bit {m} needs marker stage {s + 1} beyond horizon {cap}")
         marker = Marker.on(tape, key)
         try:
-            b = tape.read(2 * marker.advance_to(s + 1, rule(tape)).rows[s][2])
+            i = index(marker, rule(tape), m // 2)
+            b = 0 if i is None else tape.read(2 * i)
         except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError, HorizonError):
             marker.undo()
             raise
@@ -423,19 +423,31 @@ def _marker_map(name: str, cap: int,
     return RealFunction(name, emit)
 
 
+def _selected_position(cap: int) -> Callable[[Marker, PermissionFn, int], int]:
+    """A two-to-one map's index: p_s, which needs marker stage s+1 within `cap`."""
+
+    def index(marker: Marker, permission: PermissionFn, s: int) -> int:
+        if s + 1 > cap:
+            raise HorizonError(
+                f"output bit {2 * s} needs marker stage {s + 1} beyond horizon {cap}")
+        return marker.advance_to(s + 1, permission).rows[s][2]
+
+    return index
+
+
 def two_to_one_v1(w: StagedEnumeration) -> RealFunction:
     """The marker map with permissions keyed on the marker k_s; they read z
     at input positions 2⟨k,t⟩+1."""
-    return _marker_map(f"two1({w.label})", w.horizon,
-                       lambda tape: k_keyed(w, odd_half(tape)))
+    return _marker_map(f"two1({w.label})", lambda tape: k_keyed(w, odd_half(tape)),
+                       _selected_position(w.horizon))
 
 
 def two_to_one_v2(w: StagedEnumeration, u: StagedStringEnumeration) -> RealFunction:
     """The marker map with permissions keyed on the update counter: halting
     on d_t entering w, z-permission when column d_t of z extends a word of
     U_t."""
-    return _marker_map(f"two2({w.label},{u.label})", min(w.horizon, u.horizon),
-                       lambda tape: d_keyed(w, u, odd_half(tape)))
+    return _marker_map(f"two2({w.label},{u.label})", lambda tape: d_keyed(w, u, odd_half(tape)),
+                       _selected_position(min(w.horizon, u.horizon)))
 
 
 def z_builder_v1(n: int, zeta: Word = "") -> BitSource:

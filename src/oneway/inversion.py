@@ -37,8 +37,8 @@ from .bitcore import (
     check_word,
     pair,
 )
-from .constructions import Marker, k_keyed, marker_run_v1, odd_half, simple_one_way, \
-    surjection_injection, two_to_one_v1, z_builder_v1
+from .constructions import Marker, PermissionFn, _marker_map, k_keyed, marker_run_v1, \
+    odd_half, simple_one_way, surjection_injection, two_to_one_v1, z_builder_v1
 from .enumeration import StagedEnumeration
 from .errors import (
     ConsistencyError,
@@ -199,56 +199,39 @@ def reference_inverter_two_to_one(w: StagedEnumeration,
                                   search_stages: int = 256) -> InverterUnderTest:
     """Inverter for the k-keyed two-to-one map, built from full knowledge of w.
 
-    Odd candidate bits copy y (the z half is public).  Even bit 2q scans the
-    marker run for the stage t that selected position q and copies y(2t);
-    when the scan instead shows the marker parked on q through every
-    searched stage, the bit is the unread one and the witness answers 0.
-    Like the map's own emitter, a bit keeps the marker stages it ran when it
-    succeeds, drops them when it fails and leaves them open when it forks.
+    It is the map's own emitter with another index.  Odd candidate bits copy
+    y (the z half is public).  Even bit 2q scans the marker run for the
+    stage t that selected position q and copies y(2t); when the scan instead
+    shows the marker parked on q through every searched stage, the bit is
+    the unread one and the witness answers 0.
     """
-    key = object()
 
-    def emit(tape: OracleTape, m: int) -> int:
-        if m % 2 == 1:
-            return tape.read(m)
-        q = m // 2
-        marker = Marker.on(tape, key)
-        permission = k_keyed(w, odd_half(tape))
-        try:
-            # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
-            for t in range(max(q - 1, 0), search_stages):
-                if marker.advance_to(t + 1, permission).rows[t][2] == q:
-                    b = tape.read(2 * t)
-                    break
-            else:
-                # this marker never runs past search_stages, so k is k_{search_stages}
-                if marker.advance_to(search_stages, permission).k != q:
-                    raise DivergenceError(
-                        m, f"position {q} not selected within {search_stages} stages")
-                b = 0
-        except _Fork:
-            raise  # a fork leaves the stages open for the search to rerun
-        except Exception:
-            marker.undo()  # the tape forgets a failed bit's reads
-            raise
-        marker.kept = len(marker.rows)
-        return b
+    def selecting_stage(marker: Marker, permission: PermissionFn, q: int) -> Optional[int]:
+        # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
+        for t in range(max(q - 1, 0), search_stages):
+            if marker.advance_to(t + 1, permission).rows[t][2] == q:
+                return t
+        # this marker never runs past search_stages, so k is k_{search_stages}
+        if marker.advance_to(search_stages, permission).k != q:
+            raise DivergenceError(2 * q, f"position {q} not selected within {search_stages} stages")
+        return None
 
-    return InverterUnderTest(
-        RealFunction(f"refinv-two1({w.label},{search_stages})", emit))
+    return InverterUnderTest(_marker_map(f"refinv-two1({w.label},{search_stages})",
+                                         lambda tape: k_keyed(w, odd_half(tape)),
+                                         selecting_stage))
 
 
-def _bit_use_soundness(g: RealFunction, x: BitSource, m: int,
+def _bit_use_soundness(g: RealFunction, x: BitSource, m: int, bit: int, use: int,
                        trials: int = 6, seed: int = 0) -> None:
-    """Spot-check that output bit m survives mutations beyond its use."""
-    base_bit, use = evaluate_bit(g, x, m)
+    """Spot-check that output bit m on x, `bit` with oracle-use `use`,
+    survives mutations beyond that use."""
     rng = random.Random(seed)
     for _ in range(trials):
         _, mutated = mutate_beyond_use(x, use, rng)
         got, _ = evaluate_bit(g, mutated, m)
-        if got != base_bit:
+        if got != bit:
             raise UseSoundnessError(
-                f"{g.name} bit {m} changed from {base_bit} to {got} "
+                f"{g.name} bit {m} changed from {bit} to {got} "
                 f"after mutation beyond use {use}")
 
 
@@ -259,35 +242,22 @@ def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
     Let x = g(0^ω).  A set bit x(n) certifies non-membership outright: were
     n enumerated at some stage s, any preimage of 0^ω would carry 0 at
     position n.  A zero bit reduces membership to the finite question
-    n ∈ W at stage u_n, the oracle-use of that single bit.
+    n ∈ W at stage u_n, the oracle-use of that single bit.  Validation
+    audits f(g(0^ω)) at the positions the argument consults: 0..n and ⟨n,s⟩.
     """
     if g.binary:
         raise ValueError("extract_simple takes a unary inverter")
     y = zeros()
     bit, use = evaluate_bit(g.g, y, n)
     if validate:
-        _bit_use_soundness(g.g, y, n)
-        _validate_zero_inversion(g, w, n)
+        _bit_use_soundness(g.g, y, n, bit, use)
+        s = w.entry_stage(n)
+        _audit(simple_one_way(w), g, y, range(n + 1) if s is None else [*range(n + 1), pair(n, s)],
+               "inverter fails on the zero real: f(g(0^ω)) has 1")
     if bit == 1:
         return ExtractionVerdict(n, False, use, None, "simple", "positive witness bit")
     member = w.member_at_stage(n, use)
     return ExtractionVerdict(n, member, use, use, "simple")
-
-
-def _validate_zero_inversion(g: InverterUnderTest, w: StagedEnumeration,
-                             n: int) -> None:
-    """f(g(0^ω)) must look like 0^ω at every position the argument consults."""
-    f = simple_one_way(w)
-    x = output_source(g.g, zeros())
-    fx = output_source(f, x)
-    for m in range(n + 1):
-        if fx.bit(m) != 0:
-            raise ConsistencyError(
-                f"inverter fails on the zero real: f(g(0^ω)) has 1 at bit {m}")
-    s = w.entry_stage(n)
-    if s is not None and fx.bit(pair(n, s)) != 0:
-        raise ConsistencyError(
-            f"inverter fails on the zero real: f(g(0^ω)) has 1 at bit {pair(n, s)}")
 
 
 class _Fork(Exception):
@@ -450,14 +420,8 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
     if not g.binary:
         raise ValueError("extract_randomized takes a binary inverter over y⊕r")
     if validate:
-        outcome = inverts_at_finite_stage(f, g, interleaved(finite(sigma), zeros()),
-                                          max(len(sigma), n) + 1, run_budget)
-        if outcome.state == "refuted":
-            raise ConsistencyError(
-                f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs "
-                f"from y at bit {outcome.index}")
-        if outcome.state == "diverged":
-            raise DivergenceError(outcome.index, "inverter validation diverged")
+        _audit(f, g, interleaved(finite(sigma), zeros()), range(max(len(sigma), n) + 1),
+               f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs from y", run_budget)
     leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget, run_budget)
     leaves.sort(key=lambda leaf: (leaf.length, leaf.pattern(sigma)))
     threshold = Fraction(1, 2 ** (len(sigma) + 1))
@@ -509,16 +473,11 @@ def extract_two_to_one(g: InverterUnderTest, w: StagedEnumeration, n: int,
         raise ValueError(f"need n > |zeta| = {len(zeta)}, got n = {n}")
     z = z_builder_v1(n, zeta)
     y = interleaved(finite(upsilon), z)
+    bit, use = evaluate_bit(g.g, y, 2 * n)
     if validate:
-        _bit_use_soundness(g.g, y, 2 * n)
-        outcome = inverts_at_finite_stage(two_to_one_v1(w), g, y, 2 * n + 2)
-        if outcome.state == "refuted":
-            raise ConsistencyError(
-                f"inverter fails on the constructed input: f(g(y)) differs "
-                f"from y at bit {outcome.index}")
-        if outcome.state == "diverged":
-            raise DivergenceError(outcome.index, "inverter validation diverged")
-    _, use = evaluate_bit(g.g, y, 2 * n)
+        _bit_use_soundness(g.g, y, 2 * n, bit, use)
+        _audit(two_to_one_v1(w), g, y, range(2 * n + 2),
+               "inverter fails on the constructed input: f(g(y)) differs from y")
     trace = marker_run_v1(w, z, n)
     s = trace.least_stage_with_k(n)
     if s is None:
@@ -636,18 +595,38 @@ def inverts_at_finite_stage(f: RealFunction, g: InverterUnderTest,
     """Does f(g(y)) agree with y on the first n bits, within budget?
 
     A binary inverter reads a joined input y⊕r, so for it `y` is that join
-    and f(g(y⊕r)) is compared with its even half, the y it inverts.
+    and f(g(y⊕r)) is compared with its even half, the y it inverts.  A
+    divergence is reported at the first bit of f(g(y)) that has no value.
     Consistent runs may still hide failures past n; refutation is final and
     monotone in n (the same first disagreement refutes every deeper check).
     """
+    return _agreement(f, g, y, range(n), budget)
+
+
+def _agreement(f: RealFunction, g: InverterUnderTest, y: BitSource,
+               positions: Iterable[int], budget: int) -> FiniteStageOutcome:
+    """f(g(y)) against y at `positions` in order, up to the first bit that
+    differs or has no value (a divergence of g or of f)."""
     x = output_source(g.g, y, budget=budget)
     fx = output_source(f, x, budget=budget)
     stride = 2 if g.binary else 1
-    for m in range(n):
+    for m in positions:
         try:
             b = fx.bit(m)
-        except DivergenceError as exc:
-            return FiniteStageOutcome("diverged", exc.bit_index)
+        except DivergenceError:
+            return FiniteStageOutcome("diverged", m)
         if b != y.bit(stride * m):
             return FiniteStageOutcome("refuted", m)
     return FiniteStageOutcome("consistent")
+
+
+def _audit(f: RealFunction, g: InverterUnderTest, y: BitSource, positions: Iterable[int],
+           failure: str, budget: int = DEFAULT_BUDGET) -> None:
+    """An extractor's premise that g inverts f at y, checked at `positions`:
+    `failure` and the bit where f(g(y)) differs from y is a ConsistencyError,
+    a bit without a value a DivergenceError."""
+    outcome = _agreement(f, g, y, positions, budget)
+    if outcome.state == "refuted":
+        raise ConsistencyError(f"{failure} at bit {outcome.index}")
+    if outcome.state == "diverged":
+        raise DivergenceError(outcome.index, "inverter validation diverged")

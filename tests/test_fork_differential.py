@@ -70,7 +70,7 @@ from oneway.streams import (
 from test_acceptance import calibrated_len, seeded_enumeration, \
     seeded_string_enumeration
 from test_marker_differential import outcome
-from test_properties import marker_maps, toys
+from test_properties import marker_maps, reference_inverters, toys
 
 
 # ----------------------------------------------------------------- reference
@@ -558,8 +558,8 @@ def test_rollback_to_a_fork_restores_the_branch_taken_there(data):
     """Run an emitter on a fork source until a bit forks; take a branch and a
     checkpoint there.  After any later work on the tape, the rollback must
     leave it equal to the branch, and both must resume alike."""
-    f = data.draw(st.one_of(adaptive_emitters(), marker_maps(), guarded_maps(),
-                            st.integers(1, 40).map(_scanner)))
+    f = data.draw(st.one_of(adaptive_emitters(), marker_maps(), reference_inverters(),
+                            guarded_maps(), st.integers(1, 40).map(_scanner)))
     x = data.draw(st.one_of(st.integers(0, 10**6).map(random_source), st.just(zeros()),
                             st.text("01", max_size=12).map(finite)))
     # the source answers below `known` but at the holes; forks answer the rest from x

@@ -2,7 +2,8 @@
 import is of the standard library or of oneway itself (the package declares
 no dependencies) and sits at module level, each module imports only the
 layers below its own, every library name the benchmark's layer tracer
-wraps still exists, and every public name is reached or named as kept."""
+wraps still exists, every public name is reached or named as kept, and the
+marker-bit contract is kept by one function."""
 
 import ast
 import importlib.util
@@ -159,6 +160,9 @@ KEPT_UNREACHED = {
                        "test_constructions.py::test_replace_column"),
     "stage_where_counter_reaches": ("the stage bound of the d-keyed reduction",
                                     "test_acceptance.py::test_criterion_09"),
+    "inverts_at_finite_stage": ("refutes an inverter on a named input; the extractors "
+                                "audit through the same loop at their own positions",
+                                "test_inversion.py::test_refuted"),
 }
 
 
@@ -213,3 +217,44 @@ def test_unreached_name_detected():
                     "class K:\n    def m(self):\n        return self.n\n\n"
                     "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n")
     assert unreached([lib], [lib]) == ["K", "K.m", "f"]
+
+
+def marker_contract_sites(module: str, tree: ast.Module) -> list[tuple[str, str]]:
+    """(what, innermost function as `module:line name`) for every `.undo()`
+    call and every assignment to `.kept` outside the methods of `Marker`."""
+    sites = []
+
+    def visit(node, func):
+        if isinstance(node, ast.ClassDef) and node.name == "Marker":
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = f"{module}:{node.lineno} {node.name}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "undo":
+            sites.append(("undo", func))
+        if isinstance(node, ast.Attribute) and node.attr == "kept" \
+                and isinstance(node.ctx, ast.Store):
+            sites.append(("kept", func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return sites
+
+
+def test_one_function_keeps_the_marker_contract():
+    """A bit that succeeds keeps its marker stages, one that fails drops
+    them: a second copy of that rule is one that can drift."""
+    sites = [site for p in SOURCES
+             for site in marker_contract_sites(p.stem, ast.parse(p.read_text(encoding="utf-8")))]
+    undo = {func for what, func in sites if what == "undo"}
+    kept = {func for what, func in sites if what == "kept"}
+    assert len(undo) == 1 and undo == kept, sites
+
+
+def test_marker_contract_site_detected():
+    tree = ast.parse("class Marker:\n    def undo(self):\n        self.kept = 0\n\n"
+                     "def emit(marker):\n    marker.undo()\n\n"
+                     "def other(marker):\n    def inner():\n        marker.kept += 1\n"
+                     "    return inner\n")
+    assert marker_contract_sites("m", tree) == [("undo", "m:5 emit"), ("kept", "m:9 inner")]

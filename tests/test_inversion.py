@@ -66,6 +66,30 @@ def enum(pairs, horizon):
     return StagedEnumeration.from_pairs(pairs, horizon=horizon)
 
 
+def tapes_emitting(g, m):
+    """g, and the list of tapes on which it emits bit m, in order."""
+    tapes = []
+
+    def emit(tape, j):
+        if j == m:
+            tapes.append(tape)
+        return g.g.emit(tape, j)
+
+    return InverterUnderTest(RealFunction(g.g.name, emit), g.binary), tapes
+
+
+def only_bit(m):
+    """A unary inverter whose bit m is 0 from no reads and whose every other
+    bit diverges."""
+
+    def emit(tape, j):
+        if j == m:
+            return 0
+        raise DivergenceError(j, "spun out")
+
+    return InverterUnderTest(RealFunction(f"only{m}", emit))
+
+
 class TestUniquePathInvert:
     """Levelwise consensus recovers preimages of injective maps."""
 
@@ -208,6 +232,19 @@ class TestExtractSimple:
         with pytest.raises(ValueError, match="unary"):
             extract_simple(reference_inverter_surjection(toy), toy, 2)
 
+    def test_audited_bit_runs_once_before_its_mutations(self):
+        # n = 3 never enters, so the audit of f(g(0^ω)) does not read bit 3
+        w = enum([(1, 2)], 100)
+        g, tapes = tapes_emitting(reference_inverter_simple(w), 3)
+        assert extract_simple(g, w, 3).line() == "n=3 member=false use=0 stagebound=0"
+        assert len({id(tape) for tape in tapes}) == len(tapes) == 1 + 6  # six mutations
+
+    def test_validation_divergence(self):
+        # f's bit ⟨1,1⟩ = 4 reads g's bit 1, which diverges
+        with pytest.raises(DivergenceError,
+                           match="^no output bit at index 4: inverter validation diverged$"):
+            extract_simple(only_bit(5), enum([(1, 1)], 100), 5)
+
 
 class TestExtractRandomized:
     """Dovetail collection over a cylinder, crossing half its measure."""
@@ -264,8 +301,11 @@ class TestExtractRandomized:
                 i += 1
 
         g = InverterUnderTest(RealFunction("spin", spin), binary=True)
-        with pytest.raises(DivergenceError, match="inverter validation diverged"):
+        with pytest.raises(DivergenceError, match="inverter validation diverged") as err:
             extract_randomized(g, f, "", w, 2, run_budget=50)
+        # f's bit 0 reads g's bit 1 (the injection maps 0 to 1): the bit of
+        # f∘g without a value is 0
+        assert err.value.bit_index == 0
 
     def test_materialize_cap(self):
         g, f, w = self.fixture()
@@ -425,6 +465,23 @@ class TestExtractTwoToOne:
         with pytest.raises(ValueError, match="unary"):
             extract_two_to_one(reference_inverter_surjection(toy), w, 5)
 
+    def test_audited_bit_runs_once_before_its_mutations(self):
+        # n = 3 never enters, so the adversarial z parks the marker on it and
+        # the audit of f's bits 0..2n+1 never reads g's bit 2n
+        g, w = self.fixture()
+        g, tapes = tapes_emitting(g, 6)
+        assert extract_two_to_one(g, w, 3).line() == \
+            "n=3 member=false use=67334 stagebound=67334"
+        assert len({id(tape) for tape in tapes}) == len(tapes) == 1 + 6  # six mutations
+
+    def test_validation_divergence(self):
+        # f's bit 0 reads z at g's bit 2⟨0,0⟩+1 = 1, which diverges; the bit
+        # of f∘g without a value is 0
+        _, w = self.fixture()
+        with pytest.raises(DivergenceError, match="inverter validation diverged") as err:
+            extract_two_to_one(only_bit(10), w, 5)
+        assert err.value.bit_index == 0
+
 
 class TestFiberBranchCount:
     def test_identity_singleton(self):
@@ -550,7 +607,9 @@ class TestInvertsAtFiniteStage:
         g = InverterUnderTest(RealFunction("spin", spin))
         out = inverts_at_finite_stage(simple_one_way(w), g, zeros(), 8, budget=50)
         assert out.state == "diverged"
-        assert str(out) == "diverged at bit 2"
+        # f's bit ⟨2,1⟩ = 7 reads g's bit 2, the first one f reads; the
+        # divergence is named at the bit of f∘g, not at g's
+        assert str(out) == "diverged at bit 7"
 
     def test_binary_inverter_is_checked_against_the_even_half(self):
         """A binary inverter inverts y from y⊕r: f(g(y⊕r)) is compared with

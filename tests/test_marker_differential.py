@@ -17,6 +17,7 @@ from oneway.constructions import (
     MarkerStep,
     MarkerTrace,
     _marker_map,
+    _selected_position,
     marker_run_v1,
     marker_run_v2,
     odd_half,
@@ -262,8 +263,8 @@ def test_d_keyed_reads_in_the_old_order():
         rng = random.Random(7000 + trial)
         w = seeded_enumeration(rng, elements=40, stages=200, draws=6, horizon=512)
         u = seeded_string_enumeration(rng, stages=200, draws=5, horizon=512)
-        old = _marker_map(f"two2({w.label},{u.label})", 512,
-                          lambda tape: old_d_keyed(w, u, odd_half(tape)))
+        old = _marker_map(f"two2({w.label},{u.label})",
+                          lambda tape: old_d_keyed(w, u, odd_half(tape)), _selected_position(512))
         runs = []
         for f in (two_to_one_v2(w, u), old):
             x, reads = recording(random_source(8000 + trial))
