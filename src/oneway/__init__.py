@@ -100,7 +100,6 @@ from .streams import (
     output_source,
     periodic,
     random_source,
-    representation_of,
     selection,
     use_soundness_check,
     zeros,

@@ -34,9 +34,8 @@ from .errors import DeskError, SpecParseError
 from .inversion import extract_randomized, extract_simple, extract_two_to_one, \
     fiber_branch_count, reference_inverter_simple, reference_inverter_surjection, \
     reference_inverter_two_to_one, unique_path_invert
-from .streams import BitSource, columns_from_file, evaluate, finite, flipped_at, \
-    identity_function, interleaved, ones, periodic, random_source, \
-    representation_of, zeros
+from .streams import BitSource, Representation, columns_from_file, evaluate, finite, \
+    flipped_at, identity_function, interleaved, ones, periodic, random_source, zeros
 
 _INJECTIONS = {
     "identity": identity_injection,
@@ -286,10 +285,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"{result.output} use={result.use}")
         return 0
     if args.verb == "invert-tree":
-        handle = parse_construction(args.fn)
-        rep = representation_of(handle.fn, args.depth)
-        word = unique_path_invert(rep, parse_source(args.target), args.bits)
-        print(word)
+        rep = Representation(parse_construction(args.fn).fn, args.depth)
+        print(unique_path_invert(rep, parse_source(args.target), args.bits))
         return 0
     if args.verb == "extract":
         return _cmd_extract(args)

@@ -39,8 +39,7 @@ from .enumeration import (
     StagedStringEnumeration,
     column_hit,
 )
-from .errors import DivergenceError, HorizonError, InjectivityError, _BudgetExhausted, \
-    _ReadBeyondBarrier
+from .errors import _NO_VALUE, DivergenceError, HorizonError, InjectivityError
 from .streams import BitSource, OracleTape, RealFunction, column_source, selection
 
 
@@ -343,9 +342,9 @@ def preimage_witness(p: Injection, y: BitSource) -> BitSource:
     return BitSource(f"witness({p.name},{y.spec})", bit)
 
 
-def witness_function(p: Injection, name: Optional[str] = None) -> RealFunction:
+def witness_function(p: Injection) -> RealFunction:
     """The witness map itself as a function on reals: x ↦ preimageWitness(p, x)."""
-    return selection(name or f"witness({p.name})", p.invert)
+    return selection(f"witness({p.name})", p.invert)
 
 
 def simple_one_way(w: StagedEnumeration) -> RealFunction:
@@ -402,9 +401,10 @@ def _marker_map(name: str, rule: Callable[[OracleTape], PermissionFn],
     """f(x⊕z) = h(x)⊕z with odd output bits copying z through and even bit
     2s the input bit 2·index(marker, rule(tape), s), or 0 where the index is
     None; `index` runs the map's marker on the tape as far as bit 2s needs.
-    A bit that succeeds keeps the stages it ran; one that fails drops them,
-    as `try_emit` makes the tape forget their reads; any other exception,
-    such as a search's fork, leaves them open for a rerun."""
+    A bit that succeeds keeps the stages it ran; one that fails with an
+    `errors._NO_VALUE` failure drops them, as `try_emit` makes the tape
+    forget its reads; any other exception, such as a search's fork, leaves
+    them open for a rerun."""
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
@@ -414,7 +414,7 @@ def _marker_map(name: str, rule: Callable[[OracleTape], PermissionFn],
         try:
             i = index(marker, rule(tape), m // 2)
             b = 0 if i is None else tape.read(2 * i)
-        except (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError, HorizonError):
+        except _NO_VALUE:
             marker.undo()
             raise
         marker.kept = len(marker.rows)

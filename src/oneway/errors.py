@@ -85,3 +85,7 @@ class _ReadBeyondBarrier(Exception):
 
 class _BudgetExhausted(Exception):
     """Internal: per-bit oracle read budget ran out (treated as divergence)."""
+
+
+# the failures that leave an output bit without a value; try_emit and _marker_map catch them
+_NO_VALUE = (_ReadBeyondBarrier, _BudgetExhausted, DivergenceError, HorizonError)

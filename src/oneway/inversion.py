@@ -11,10 +11,11 @@ No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
 splits a computation at the first open position it reads and resumes both
 halves on one tape rolled back there, so a leaf stands for every word that
 agrees with its read pattern.  `_class_levels` grows such read classes one
-barrier position at a time; unique-path inversion, `preimage_tree` and fiber
-counts read its levels, the last probing each surviving class.  The
-randomized extraction collects halting patterns in (length, lex) order until
-they cover more than half of the conditioning cylinder.
+barrier position at a time, to the depth of the `Representation` it is
+given; unique-path inversion, `preimage_tree` and fiber counts read its
+levels, the last probing each surviving class.  The randomized extraction
+collects halting patterns in (length, lex) order until they cover more than
+half of the conditioning cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -95,9 +96,9 @@ class InverterUnderTest:
     binary: bool = False
 
 
-def _class_levels(rep: Representation, y: BitSource,
-                  depth: int) -> Iterator[list[tuple[dict[int, int], OracleTape]]]:
-    """Level d = 0..depth: the read classes of the length-d words whose image
+def _class_levels(rep: Representation,
+                  y: BitSource) -> Iterator[list[tuple[dict[int, int], OracleTape]]]:
+    """Level d = 0..rep.depth: the read classes of the length-d words whose image
     under rep is a prefix of y, as (assignment, tape holding the image).  A
     class reruns on its own tape with the barrier at d+1 and splits only
     where a bit reads an open position; both halves roll the tape back to
@@ -117,40 +118,31 @@ def _class_levels(rep: Representation, y: BitSource,
         return None if image is None else tape if checkpoint is None else tape.branch(tape.source)
 
     level = [({}, OracleTape(zeros(), budget=rep.budget))]
-    for barrier in range(depth + 1):
+    for barrier in range(rep.depth + 1):
         level = list(_fork_tree(grow, roots=((assign, (tape, None)) for assign, tape in level)))
         yield level
 
 
-def preimage_tree(rep: Representation, y: BitSource, depth: int) -> list[Word]:
-    """All words σ, |σ| ≤ depth, whose image under rep is a prefix of y,
+def preimage_tree(rep: Representation, y: BitSource) -> list[Word]:
+    """All words σ, |σ| ≤ rep.depth, whose image under rep is a prefix of y,
     sorted (length, lex)."""
-    if depth < 0:
-        raise ValueError(f"tree depth must be a natural, got {depth}")
-    if depth > rep.depth:
-        raise ValueError(f"tree depth {depth} exceeds representation depth {rep.depth}")
-    return [word for d, level in enumerate(_class_levels(rep, y, depth)) for word in
+    return [word for d, level in enumerate(_class_levels(rep, y)) for word in
             sorted(w for assign, _ in level for w in _pattern(assign).words(d))]
 
 
 def unique_path_invert(rep: Representation, y: BitSource, n: int,
-                       depth_cap: Optional[int] = None,
                        survivor_cap: int = 4096) -> Word:
     """First n bits of the unique preimage of y, by levelwise consensus:
     breadth-first over the read classes compatible with y, until all classes
     of a level assign every position below n alike.  An empty level means y
-    is not in the range at that depth; no consensus by the depth cap (or more
+    is not in the range at that depth; no consensus by rep.depth (or more
     than `survivor_cap` words surviving) means the fiber is not provably a
     singleton at desk scale."""
     if n < 0:
         raise ValueError(f"bit count must be a natural, got {n}")
-    if depth_cap is None:
-        depth_cap = rep.depth
-    if depth_cap < 0 or survivor_cap < 0:
-        raise ValueError(f"caps must be naturals, got {depth_cap} and {survivor_cap}")
-    if depth_cap > rep.depth:
-        raise ValueError(f"depth cap {depth_cap} exceeds representation depth {rep.depth}")
-    for depth, level in enumerate(_class_levels(rep, y, depth_cap)):
+    if survivor_cap < 0:
+        raise ValueError(f"survivor cap must be a natural, got {survivor_cap}")
+    for depth, level in enumerate(_class_levels(rep, y)):
         if not level:
             raise NotInRangeError(f"target not in range at depth {depth}")
         heads = {tuple(assign.get(p) for p in range(n)) for assign, _ in level}
@@ -162,7 +154,7 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
                 f"{survivors} surviving words at depth {depth}; "
                 f"fiber not provably singleton at desk scale")
     raise NotSingletonError(
-        f"no {n}-bit consensus by depth {depth_cap}; "
+        f"no {n}-bit consensus by depth {rep.depth}; "
         f"fiber not provably singleton at desk scale")
 
 
@@ -563,7 +555,7 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
         deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
         return next((reads for _, reads in deep), None)
 
-    *_, level = _class_levels(Representation(f, depth, n_out), finite(y_prefix), depth)
+    *_, level = _class_levels(Representation(f, depth, n_out), finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
     # a split class keeps its image, so this tree reruns none
     extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
@@ -606,15 +598,18 @@ def inverts_at_finite_stage(f: RealFunction, g: InverterUnderTest,
 def _agreement(f: RealFunction, g: InverterUnderTest, y: BitSource,
                positions: Iterable[int], budget: int) -> FiniteStageOutcome:
     """f(g(y)) against y at `positions` in order, up to the first bit that
-    differs or has no value (a divergence of g or of f)."""
+    differs or has no value (a divergence of g or of f).  f runs on one tape
+    over x = g(y), which keeps its bits: f may read one twice."""
     x = output_source(g.g, y, budget=budget)
-    fx = output_source(f, x, budget=budget)
+    tape = OracleTape(x, budget=budget)
     stride = 2 if g.binary else 1
     for m in positions:
         try:
-            b = fx.bit(m)
+            b = tape.emit(f, m)
         except DivergenceError:
             return FiniteStageOutcome("diverged", m)
+        if b.__class__ is not int or b not in (0, 1):
+            raise ValueError(f"source {f.name}({x.spec}) produced non-bit {b!r} at {m}")
         if b != y.bit(stride * m):
             return FiniteStageOutcome("refuted", m)
     return FiniteStageOutcome("consistent")

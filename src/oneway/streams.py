@@ -19,8 +19,9 @@ bit 2s of a two-to-one map pays only for the marker stages no earlier bit
 that succeeded on that tape has run, and an odd bit 2j+1 of the partial
 injection only for the guard positions no earlier bit on that tape has
 checked.  `barrier_image` keeps its output bits on the tape, so moving the
-barrier reruns only the rest.  A search rolls a tape back to a `checkpoint`
-at each split, at the cost of the open bit's work alone.
+barrier reruns only the rest.  A search over the words of a `Representation`
+runs to its depth and rolls a tape back to a `checkpoint` at each split, at
+the cost of the open bit's work alone.
 
 Sources, tapes, emitters and images carry bits as the ints 0 and 1.  A
 `Word` (a str of '0'/'1') appears only at the API edge: words that build
@@ -36,14 +37,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bitcore import Word, check_word, data_records, unpair
-from .errors import (
-    DeskError,
-    DivergenceError,
-    HorizonError,
-    SpecParseError,
-    _BudgetExhausted,
-    _ReadBeyondBarrier,
-)
+from .errors import _NO_VALUE, DeskError, DivergenceError, HorizonError, SpecParseError, \
+    _BudgetExhausted, _ReadBeyondBarrier
 
 DEFAULT_BUDGET = 10**6
 RANDOM_POSITIONS = 1 << 24  # random_source caches a byte per position below this
@@ -257,7 +252,7 @@ class OracleTape:
         self._open = (m, mark)
         try:
             b = self.emit(f, m)
-        except (_ReadBeyondBarrier, DivergenceError, HorizonError) as exc:
+        except _NO_VALUE as exc:
             self._open = None
             while len(self._reads) > mark:
                 self._reads.popitem()  # dicts pop the latest insertion
@@ -417,10 +412,12 @@ class Representation:
     the `barrier_image` of the emitter under a read barrier at |σ|, which
     any failure to produce the next bit (barrier, budget, genuine
     divergence, horizon overrun) truncates; monotone by construction.
+    Images stop at `out_cap` bits, by default max(2·depth + 8, 48).
     """
 
-    def __init__(self, f: RealFunction, depth: int, out_cap: int,
+    def __init__(self, f: RealFunction, depth: int, out_cap: Optional[int] = None,
                  budget: int = DEFAULT_BUDGET):
+        out_cap = max(2 * depth + 8, 48) if out_cap is None else out_cap
         if depth < 0 or out_cap < 0:
             raise ValueError("depth and out_cap must be naturals")
         self.f = f
@@ -439,14 +436,6 @@ class Representation:
         tape = OracleTape(finite(sigma), barrier=len(sigma), budget=self.budget)
         image = barrier_image(self.f, tape, self.out_cap)
         return "".join(map(str, image)), tape.positions_read()
-
-
-def representation_of(f: RealFunction, depth: int,
-                      out_cap: Optional[int] = None,
-                      budget: int = DEFAULT_BUDGET) -> Representation:
-    if out_cap is None:
-        out_cap = max(2 * depth + 8, 48)
-    return Representation(f, depth, out_cap, budget)
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,13 @@ from oneway.inversion import (
 )
 from oneway.streams import (
     RealFunction,
+    Representation,
     evaluate,
     finite,
     interleaved,
     ones,
     output_source,
     random_source,
-    representation_of,
     use_soundness_check,
     zeros,
 )
@@ -319,15 +319,14 @@ def test_criterion_08():
         (witness_function(double_injection()), 80),
     ]
     for f, out_cap in fixtures:
-        rep = representation_of(f, 40) if out_cap is None else \
-            representation_of(f, 40, out_cap=out_cap)
+        rep = Representation(f, 40, out_cap)
         got = unique_path_invert(rep, output_source(f, x), 32)
         assert got == "".join(str(x.bit(i)) for i in range(32)), f.name
         assert evaluate(f, finite(got), 32).output == \
             evaluate(f, x, 32).output, f.name
     # dropping odd input bits leaves no consensus to recover
     lossy = bit_select(double_injection())
-    rep = representation_of(lossy, 16)
+    rep = Representation(lossy, 16)
     with pytest.raises(NotSingletonError):
         unique_path_invert(rep, output_source(lossy, x), 8)
 

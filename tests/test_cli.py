@@ -4,6 +4,8 @@ Everything goes through main(argv) in process; stdout/stderr are captured
 and compared against frozen lines, so these double as format regressions.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -417,6 +419,14 @@ class TestParserReuse:
                                 "--bits", "2"]) == (0, "11 use=2\n", "")
 
 
+# sha256 of each demo's whole stdout: every verdict's use and stage bound
+DEMO_DIGESTS = {
+    "prop-simple": "98b390b48ec9bcddc60622813512c9f07ac3249c6078f0be4ac853688dd4631c",
+    "thm-surjection": "e1619f0077e201618ee520be08d659d1550adb55a0fb9bad49d00bda9a5c3a1c",
+    "thm-two1": "441a543205b34707f237fd91265abd833005fc2e5e3202a179bfafbb4ab36607",
+}
+
+
 class TestDemo:
     @pytest.mark.parametrize(
         "script,rows",
@@ -433,6 +443,7 @@ class TestDemo:
         assert len(lines) == rows + 1
         assert lines[-1] == "PASS"
         assert all(" MISMATCH" not in line for line in lines)
+        assert hashlib.sha256(out.encode()).hexdigest() == DEMO_DIGESTS[script]
 
     def test_prop_simple_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, ["demo", "prop-simple"])

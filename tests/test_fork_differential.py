@@ -63,7 +63,6 @@ from oneway.streams import (
     interleaved,
     ones,
     random_source,
-    representation_of,
     zeros,
 )
 
@@ -74,6 +73,9 @@ from test_properties import marker_maps, reference_inverters, toys
 
 
 # ----------------------------------------------------------------- reference
+
+# the reference's name for the one constructor, whose `out_cap` it passes
+representation_of = Representation
 
 class _RefFork(Exception):
     def __init__(self, position):
@@ -447,7 +449,7 @@ def test_fiber_count_branches_a_tape_at_most_once_per_surviving_class(monkeypatc
                         lambda tape, source: copies.append(tape) or branch(tape, source))
     assert fiber_branch_count(f, y, depth) == FiberCount(*PINNED["c07 two2 hit d16"])
     made = len(copies)
-    levels = _class_levels(Representation(f, depth, len(y)), finite(y), depth)
+    levels = _class_levels(Representation(f, depth, len(y)), finite(y))
     assert 0 < made <= sum(len(level) for level in levels)
 
 
@@ -505,7 +507,7 @@ def fiber_cases(draw):
 def test_fiber_counts_match_brute_force_and_reference(case):
     f, y, depth, probe_len = case
     got = fiber_branch_count(f, y, depth, probe_len)
-    rep = representation_of(f, depth, out_cap=max(len(y), 1))
+    rep = Representation(f, depth, max(len(y), 1))
     words = (format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth))
     assert got.surviving == sum(comparable(rep.map_word(w), y) for w in words)
     assert got == ref_fiber_branch_count(f, y, depth, probe_len)

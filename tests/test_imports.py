@@ -2,13 +2,15 @@
 import is of the standard library or of oneway itself (the package declares
 no dependencies) and sits at module level, each module imports only the
 layers below its own, every library name the benchmark's layer tracer
-wraps still exists, every public name is reached or named as kept, and the
-marker-bit contract is kept by one function."""
+wraps still exists, every public name and every defaulted parameter is
+reached or named as kept, and the marker-bit contract is kept by one
+function."""
 
 import ast
 import importlib.util
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -203,12 +205,19 @@ def test_every_public_name_is_reached_or_kept():
     assert unreached(library, users) == sorted(KEPT_UNREACHED)
 
 
+def named_test(ref: str) -> list[ast.AST]:
+    """The definitions `file.py::[Class::]test` names, found by name."""
+    path, *names = ref.split("::")
+    found = [ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))]
+    for name in names:
+        found = [node for scope in found for node in ast.walk(scope)
+                 if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name]
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(KEPT_UNREACHED))
 def test_kept_names_are_tested(name):
-    path, test = KEPT_UNREACHED[name][1].split("::")
-    tree = ast.parse((ROOT / "tests" / path).read_text(encoding="utf-8"))
-    body = [node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == test]
+    body = named_test(KEPT_UNREACHED[name][1])
     assert len(body) == 1 and name.split(".")[-1] in used_names(body)
 
 
@@ -217,6 +226,137 @@ def test_unreached_name_detected():
                     "class K:\n    def m(self):\n        return self.n\n\n"
                     "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n")
     assert unreached([lib], [lib]) == ["K", "K.m", "f"]
+
+
+# Defaulted parameters of public functions and methods that no call in
+# src/oneway or perfbench passes: "qualified name(parameter)" -> (why it
+# stays, a test that passes it).
+KEPT_KNOBS = {
+    "DovetailRecord.materialize(cap)": ("bounds the words a printed certificate expands",
+                                        "test_inversion.py::test_materialize_cap"),
+    "Representation.__init__(budget)": ("the per-bit step budget of every search over the "
+                                        "representation",
+                                        "test_streams.py::test_budget_truncates"),
+    "evaluate(budget)": ("a small step budget shows a divergence after a few reads",
+                         "test_streams.py::test_divergence_budget"),
+    "evaluate_bit(budget)": ("shows that a bit's step budget pays only for work new to its tape",
+                             "test_constructions.py::test_even_bit_budget_pays_only_new_stages"),
+    "extract_randomized(node_budget)": ("bounds the dovetail fork tree of an inverter whose "
+                                        "reads do not settle",
+                                        "test_inversion.py::test_fork_tree_budget"),
+    "extract_randomized(run_budget)": ("the step budget of every inverter run, audit included",
+                                       "test_inversion.py::TestExtractRandomized::"
+                                       "test_validation_divergence"),
+    "extract_randomized(validate)": ("skips the audit, to reach the measure argument with an "
+                                     "inverter that fails it",
+                                     "test_inversion.py::test_measure_never_crosses"),
+    "extract_simple(validate)": ("skips the audit, to show the verdict a broken inverter gives",
+                                 "test_inversion.py::test_zero_inversion_validation"),
+    "extract_two_to_one(validate)": ("skips the audit, to show the verdict a broken inverter "
+                                     "gives", "test_inversion.py::"
+                                     "test_validation_catches_non_inverter"),
+    "fiber_branch_count(budget)": ("bounds the probe emitter runs",
+                                   "test_inversion.py::test_budget_exhaustion_is_a_desk_error"),
+    "fiber_branch_count(probe_len)": ("moves the probe barrier off its default",
+                                      "test_inversion.py::test_budget_exhaustion_is_a_desk_error"),
+    "inverts_at_finite_stage(budget)": ("a small step budget shows a diverging inverter after "
+                                        "a few reads", "test_inversion.py::test_diverged"),
+    "reference_inverter_two_to_one(search_stages)": (
+        "how many marker stages the inverter scans for the stage that selected a position",
+        "test_inversion.py::test_two_to_one_failed_bit_drops_its_marker_stages"),
+    "unique_path_invert(survivor_cap)": ("stops a lossy inversion before its levels outgrow "
+                                         "desk scale", "test_inversion.py::test_survivor_cap"),
+}
+
+
+def defaulted_parameters(library) -> list[tuple[str, str, str, Optional[int]]]:
+    """(qualified name, the name a call uses, parameter, its index among a
+    call's positional arguments or None) for every defaulted parameter of a
+    public function, or of a public method or `__init__` of a public class,
+    which a call names by the class."""
+    found = []
+
+    def add(qualified, called, fn, skip):
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found.extend((qualified, called, arg.arg, i - skip)
+                     for i, arg in enumerate(positional[first:], first))
+        found.extend((qualified, called, arg.arg, None)
+                     for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                     if default is not None)
+
+    for tree in library:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                add(node.name, node.name, node, 0)
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                        add(f"{node.name}.__init__", node.name, sub, 1)
+                    elif isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
+                        static = "staticmethod" in used_names(sub.decorator_list)
+                        add(f"{node.name}.{sub.name}", sub.name, sub, 0 if static else 1)
+    return found
+
+
+def calls_by_name(trees) -> dict[str, list[tuple[int, set[str]]]]:
+    """Called name (a function's, or an attribute's) -> the positional count
+    and keyword names of each call; `cls(...)` inside a classmethod is a call
+    of its class."""
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for tree in trees:
+        aliases = {}  # id of a classmethod's `cls` Name -> its class
+        for owner in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for sub in owner.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and "classmethod" in used_names(sub.decorator_list):
+                    cls_arg = sub.args.args[0].arg
+                    aliases.update({id(node): owner.name for node in ast.walk(sub)
+                                    if isinstance(node, ast.Name) and node.id == cls_arg})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                calls.setdefault(aliases.get(id(node.func), name), []).append(
+                    (len(node.args), {keyword.arg for keyword in node.keywords}))
+    return calls
+
+
+def unpassed(library, users) -> list[str]:
+    """The defaulted parameters of the `library` trees, as `qualified
+    name(parameter)`, that no call in the `users` trees passes by keyword or
+    by position.  Calls match by name, as in `unreached`."""
+    calls = calls_by_name(users)
+    return sorted(f"{qualified}({param})"
+                  for qualified, called, param, index in defaulted_parameters(library)
+                  if not any(param in keywords or index is not None and count > index
+                             for count, keywords in calls.get(called, ())))
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    """Passed means by a call in src/oneway or perfbench; a kept parameter
+    that is passed again or gone leaves the list too."""
+    library = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    users = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in SOURCES + sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unpassed(library, users) == sorted(KEPT_KNOBS)
+
+
+@pytest.mark.parametrize("knob", sorted(KEPT_KNOBS))
+def test_kept_knobs_are_tested(knob):
+    library = [ast.parse(p.read_text(encoding="utf-8")) for p in MODULES]
+    body = named_test(KEPT_KNOBS[knob][1])
+    assert len(body) == 1 and knob not in unpassed(library, body)
+
+
+def test_unpassed_parameter_detected():
+    lib = ast.parse("def f(a, b=1, *, c=2):\n    pass\n\n"
+                    "def _g(d=0):\n    pass\n\n"
+                    "class K:\n    def __init__(self, e=0, h=1):\n        pass\n\n"
+                    "    @classmethod\n    def make(cls):\n        return cls(e=1)\n\n"
+                    "    @staticmethod\n    def s(n=0):\n        pass\n\n"
+                    "    def m(self, k=0, j=0):\n        pass\n")
+    users = ast.parse("f(0, 1)\nK.make()\nK.s(1)\nx.m(3)\nK(0)\n")
+    assert unpassed([lib], [lib, users]) == ["K.__init__(h)", "K.m(j)", "f(c)"]
 
 
 def marker_contract_sites(module: str, tree: ast.Module) -> list[tuple[str, str]]:

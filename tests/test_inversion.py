@@ -49,13 +49,13 @@ from oneway.inversion import (
 from oneway.streams import (
     OracleTape,
     RealFunction,
+    Representation,
     evaluate,
     finite,
     interleaved,
     ones,
     output_source,
     random_source,
-    representation_of,
     zeros,
 )
 
@@ -101,8 +101,7 @@ class TestUniquePathInvert:
     def test_recovers_32_bits(self, build, out_cap):
         f = build()
         x = random_source(7)
-        rep = representation_of(f, 40) if out_cap is None else \
-            representation_of(f, 40, out_cap=out_cap)
+        rep = Representation(f, 40, out_cap)
         got = unique_path_invert(rep, output_source(f, x), 32)
         assert got == "".join(str(x.bit(i)) for i in range(32))
         # round trip through the recovered prefix
@@ -111,39 +110,29 @@ class TestUniquePathInvert:
     def test_lost_bits_never_reach_consensus(self):
         # selection along n -> 2n drops every odd input bit
         f = bit_select(double_injection())
-        rep = representation_of(f, 16)
+        rep = Representation(f, 16)
         y = output_source(f, random_source(7))
         with pytest.raises(NotSingletonError, match="no 8-bit consensus by depth 16"):
             unique_path_invert(rep, y, 8)
 
     def test_not_in_range(self):
         # the shift witness always outputs 0 first; 1^ω has no preimage
-        rep = representation_of(witness_function(shift_injection()), 8)
+        rep = Representation(witness_function(shift_injection()), 8)
         with pytest.raises(NotInRangeError, match="not in range at depth 0"):
             unique_path_invert(rep, ones(), 4)
 
-    def test_depth_cap_over_representation(self):
-        rep = representation_of(bit_select(identity_injection()), 8)
-        with pytest.raises(ValueError, match="depth cap 9 exceeds"):
-            unique_path_invert(rep, zeros(), 4, depth_cap=9)
-
     def test_negative_bit_count(self):
-        rep = representation_of(bit_select(identity_injection()), 8)
+        rep = Representation(bit_select(identity_injection()), 8)
         with pytest.raises(ValueError, match="bit count must be a natural, got -1"):
             unique_path_invert(rep, zeros(), -1)
 
-    def test_negative_depth_cap(self):
-        rep = representation_of(bit_select(identity_injection()), 8)
-        with pytest.raises(ValueError, match="caps must be naturals, got -1 and 4096"):
-            unique_path_invert(rep, zeros(), 2, depth_cap=-1)
-
     def test_negative_survivor_cap(self):
-        rep = representation_of(bit_select(identity_injection()), 8)
-        with pytest.raises(ValueError, match="caps must be naturals, got 8 and -1"):
+        rep = Representation(bit_select(identity_injection()), 8)
+        with pytest.raises(ValueError, match="survivor cap must be a natural, got -1"):
             unique_path_invert(rep, zeros(), 2, survivor_cap=-1)
 
     def test_survivor_cap(self):
-        rep = representation_of(RealFunction("const0", lambda tape, m: 0), 8)
+        rep = Representation(RealFunction("const0", lambda tape, m: 0), 8)
         with pytest.raises(NotSingletonError, match="16 surviving words at depth 4"):
             unique_path_invert(rep, zeros(), 2, survivor_cap=8)
 
@@ -226,6 +215,9 @@ class TestExtractSimple:
         g = InverterUnderTest(RealFunction("allones", lambda tape, m: 1))
         with pytest.raises(ConsistencyError, match="fails on the zero real"):
             extract_simple(g, enum([(1, 2)], 100), 2)
+        # unaudited, its set bit wrongly certifies that 2 never enters
+        assert extract_simple(g, enum([(1, 2)], 100), 2, validate=False).line() == \
+            "n=2 member=false use=0 stagebound=-"
 
     def test_rejects_binary_inverter(self):
         toy = collatz_toy(16, 10**3)
@@ -458,6 +450,9 @@ class TestExtractTwoToOne:
         g = InverterUnderTest(RealFunction("zero", lambda tape, m: 0))
         with pytest.raises(ConsistencyError, match="differs from y at bit 1"):
             extract_two_to_one(g, w, 5)
+        # unaudited, the verdict rests on candidate bit 2n and the marker alone
+        assert extract_two_to_one(g, w, 5, validate=False).line() == \
+            "n=5 member=true use=0 stagebound=5"
 
     def test_rejects_binary_inverter(self):
         _, w = self.fixture()
@@ -594,6 +589,13 @@ class TestInvertsAtFiniteStage:
         out = inverts_at_finite_stage(simple_one_way(w), g, finite("00000001"), 16)
         assert (out.state, out.index) == ("refuted", 7)
         assert str(out) == "refuted at bit 7"
+
+    def test_non_bit_of_f_is_refused(self):
+        # True equals 1 but is no bit: f∘g must not count it as agreeing
+        truthy = RealFunction("truthy", lambda tape, m: True)
+        g = reference_inverter_simple(collatz_toy(8, 100))
+        with pytest.raises(ValueError, match=r"produced non-bit True at 0$"):
+            inverts_at_finite_stage(truthy, g, ones(), 3)
 
     def test_diverged(self):
         w = enum([(1, 2)], 100)

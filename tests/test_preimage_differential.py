@@ -10,7 +10,9 @@ The library now grows read classes on branches of their tapes and splits
 them through `_fork_tree` only where a bit reads an open position.  The
 levels must agree word for word, and inversion must return the same word or
 raise the same error with the same text, on every invert-tree fixture, on
-drawn adaptive emitters and on the stateful two-to-one map.
+drawn adaptive emitters and on the stateful two-to-one map.  The library
+searches a representation to its depth, so where the reference takes a
+shallower `depth` or `depth_cap` the library gets a representation cut there.
 """
 
 import random
@@ -32,10 +34,10 @@ from oneway.inversion import preimage_tree, unique_path_invert
 from oneway.streams import (
     OracleTape,
     RealFunction,
+    Representation,
     finite,
     output_source,
     random_source,
-    representation_of,
 )
 
 from test_fork_differential import adaptive_emitters
@@ -112,13 +114,16 @@ def invert_tree_fixtures():
         ("witness:shift", witness_function(shift_injection()), None),
         ("witness:double", witness_function(double_injection()), 80),
     ]:
-        rep = representation_of(f, 40) if out_cap is None else \
-            representation_of(f, 40, out_cap=out_cap)
-        out[name] = (rep, output_source(f, x), 32)
+        out[name] = (Representation(f, 40, out_cap), output_source(f, x), 32)
     lossy = bit_select(double_injection())
-    out["bitselect:double lossy"] = (representation_of(lossy, 16),
-                                     output_source(lossy, x), 8)
+    out["bitselect:double lossy"] = (Representation(lossy, 16), output_source(lossy, x), 8)
     return out
+
+
+def cut(rep, depth):
+    """rep searched to `depth`, the reference's `depth` or `depth_cap`
+    argument (None: to rep's own depth)."""
+    return rep if depth is None else Representation(rep.f, depth, rep.out_cap, rep.budget)
 
 
 def counting(f):
@@ -137,7 +142,7 @@ def counting(f):
 def test_fixture_levels_match_word_for_word():
     for name, (rep, y, _) in invert_tree_fixtures().items():
         for depth in (0, 1, 7, rep.depth):
-            assert preimage_tree(rep, y, depth) == ref_preimage_tree(rep, y, depth), \
+            assert preimage_tree(cut(rep, depth), y) == ref_preimage_tree(rep, y, depth), \
                 (name, depth)
 
 
@@ -146,9 +151,10 @@ def test_fixture_inversions_match_across_caps():
         for n in (0, 3, bits, rep.depth + 1):
             for depth_cap in (0, 2, 9, None):
                 for survivor_cap in (0, 3, 4096):
-                    args = (rep, y, n, depth_cap, survivor_cap)
-                    assert outcome(unique_path_invert, *args) == \
-                        outcome(ref_unique_path_invert, *args), (name, args[2:])
+                    assert outcome(unique_path_invert, cut(rep, depth_cap), y, n,
+                                   survivor_cap) == \
+                        outcome(ref_unique_path_invert, rep, y, n, depth_cap, survivor_cap), \
+                        (name, n, depth_cap, survivor_cap)
 
 
 def test_fixture_errors_are_the_pinned_ones():
@@ -158,7 +164,9 @@ def test_fixture_errors_are_the_pinned_ones():
         assert outcome(inverter, rep, y, bits) == (
             NotSingletonError,
             "no 8-bit consensus by depth 16; fiber not provably singleton at desk scale")
-        assert outcome(inverter, rep, y, bits, None, 100) == (
+    for capped in (lambda: unique_path_invert(rep, y, bits, 100),
+                   lambda: ref_unique_path_invert(rep, y, bits, None, 100)):
+        assert outcome(capped) == (
             NotSingletonError,
             "128 surviving words at depth 14; fiber not provably singleton at desk scale")
     rep, y, bits = fx["witness:shift"]
@@ -170,9 +178,9 @@ def test_lossy_emitter_runs_grow_linearly_in_depth():
     runs_at = []
     for depth in (16, 20, 24, 28):
         f, runs = counting(bit_select(double_injection()))
-        rep = representation_of(f, depth)
+        rep = Representation(f, depth)
         y = output_source(bit_select(double_injection()), random_source(7))
-        assert outcome(unique_path_invert, rep, y, 8, None, 2**depth) == (
+        assert outcome(unique_path_invert, rep, y, 8, 2**depth) == (
             NotSingletonError, f"no 8-bit consensus by depth {depth}; "
                                f"fiber not provably singleton at desk scale")
         runs_at.append(runs[0])
@@ -184,7 +192,7 @@ def test_lossy_emitter_runs_grow_linearly_in_depth():
 @st.composite
 def inversion_cases(draw, f):
     depth = draw(st.integers(0, 8))
-    rep = representation_of(f, depth, out_cap=draw(st.integers(1, 12)))
+    rep = Representation(f, depth, draw(st.integers(1, 12)))
     x = draw(st.text("01", min_size=depth, max_size=depth))
     y = ref_map_word(rep, x)
     if y and draw(st.booleans()):
@@ -202,8 +210,8 @@ def inversion_cases(draw, f):
 def test_adaptive_emitters_match_reference(data):
     rep, y, n, depth_cap, survivor_cap = data.draw(
         inversion_cases(data.draw(adaptive_emitters())))
-    assert preimage_tree(rep, y, rep.depth) == ref_preimage_tree(rep, y, rep.depth)
-    assert outcome(unique_path_invert, rep, y, n, depth_cap, survivor_cap) == \
+    assert preimage_tree(rep, y) == ref_preimage_tree(rep, y, rep.depth)
+    assert outcome(unique_path_invert, cut(rep, depth_cap), y, n, survivor_cap) == \
         outcome(ref_unique_path_invert, rep, y, n, depth_cap, survivor_cap)
 
 
@@ -222,8 +230,8 @@ def test_two_to_one_map_matches_reference(data):
     # the marker is kept on the tape and carried into every branch
     rep, y, n, depth_cap, survivor_cap = data.draw(
         inversion_cases(two_to_one_v1(data.draw(small_toys()))))
-    assert preimage_tree(rep, y, rep.depth) == ref_preimage_tree(rep, y, rep.depth)
-    assert outcome(unique_path_invert, rep, y, n, depth_cap, survivor_cap) == \
+    assert preimage_tree(rep, y) == ref_preimage_tree(rep, y, rep.depth)
+    assert outcome(unique_path_invert, cut(rep, depth_cap), y, n, survivor_cap) == \
         outcome(ref_unique_path_invert, rep, y, n, depth_cap, survivor_cap)
 
 
@@ -232,10 +240,10 @@ def test_two_to_one_on_small_toys_at_depth_12():
     pairs = list(zip(rng.sample(range(14), 6), rng.sample(range(8), 6)))
     for toy in (StagedEnumeration.from_pairs(pairs, horizon=20), collatz_toy(8, 60)):
         f = two_to_one_v1(toy)
-        rep = representation_of(f, 12, out_cap=16)
+        rep = Representation(f, 12, 16)
         for seed in (5, 6):
             y = output_source(f, random_source(seed))
-            assert preimage_tree(rep, y, 12) == ref_preimage_tree(rep, y, 12)
+            assert preimage_tree(rep, y) == ref_preimage_tree(rep, y, 12)
             for n in (0, 1, 2, 6):
                 assert outcome(unique_path_invert, rep, y, n) == \
                     outcome(ref_unique_path_invert, rep, y, n), (toy.label, seed, n)

@@ -24,7 +24,6 @@ from oneway.streams import (
     output_source,
     periodic,
     random_source,
-    representation_of,
     use_soundness_check,
     zeros,
 )
@@ -337,18 +336,18 @@ def test_output_source_memoizes():
 
 class TestRepresentation:
     def test_identity_map(self):
-        rep = representation_of(identity_function(), 8)
+        rep = Representation(identity_function(), 8)
         assert rep.map_word("") == ""
         assert rep.map_word("0110") == "0110"
 
     def test_truncation_by_barrier(self):
         # output bit m needs input bit 2m: a 5-letter word determines 3 bits
-        rep = representation_of(select(2), 8)
+        rep = Representation(select(2), 8)
         assert rep.map_word("10101") == "111"
         assert rep.map_word("1010") == "11"
 
     def test_monotone(self):
-        rep = representation_of(select(2), 10)
+        rep = Representation(select(2), 10)
         rng = random.Random(5)
         for _ in range(100):
             w = "".join(rng.choice("01") for _ in range(rng.randrange(10)))
@@ -356,7 +355,7 @@ class TestRepresentation:
             assert rep.map_word(longer).startswith(rep.map_word(w))
 
     def test_reads_cover_emitted_bits_only(self):
-        rep = representation_of(select(2), 9)
+        rep = Representation(select(2), 9)
         out, reads = rep.map_with_reads("101010101")
         assert out == "11111"
         assert reads == (0, 2, 4, 6, 8)
@@ -370,33 +369,31 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             rep.map_word("010")
 
+    def test_budget_truncates(self):
+        # output bit m reads positions 0..m, so from bit 3 on it needs more than 3 steps
+        f = RealFunction("prefix-and", lambda tape, m: min(tape.read(i) for i in range(m + 1)))
+        assert Representation(f, 8, budget=3).map_word("11111111") == "111"
+        assert Representation(f, 8).map_word("11111111") == "11111111"
+
     def test_divergence_truncates(self):
         def emit(tape, m):
             if m >= 2:
                 raise HorizonError("stage past the recorded schedule")
             return tape.read(m)
 
-        rep = representation_of(RealFunction("clipped", emit), 6)
+        rep = Representation(RealFunction("clipped", emit), 6)
         assert rep.map_word("111111") == "11"
 
 
 def test_preimage_tree_frozen():
     # select(2) against all-ones target: even positions pinned, odd free
-    rep = representation_of(select(2), 2)
-    assert preimage_tree(rep, ones(), 2) == ["", "1", "10", "11"]
+    rep = Representation(select(2), 2)
+    assert preimage_tree(rep, ones()) == ["", "1", "10", "11"]
 
 
 def test_preimage_tree_prunes():
-    rep = representation_of(identity_function(), 3)
-    assert preimage_tree(rep, zeros(), 3) == ["", "0", "00", "000"]
-    with pytest.raises(ValueError):
-        preimage_tree(rep, zeros(), 4)
-
-
-def test_preimage_tree_negative_depth():
-    rep = representation_of(identity_function(), 3)
-    with pytest.raises(ValueError, match="tree depth must be a natural, got -1"):
-        preimage_tree(rep, zeros(), -1)
+    rep = Representation(identity_function(), 3)
+    assert preimage_tree(rep, zeros()) == ["", "0", "00", "000"]
 
 
 class TestUseSoundness:
