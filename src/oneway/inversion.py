@@ -244,7 +244,8 @@ def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
     if validate:
         _bit_use_soundness(g.g, y, n, bit, use)
         s = w.entry_stage(n)
-        _audit(simple_one_way(w), g, y, range(n + 1) if s is None else [*range(n + 1), pair(n, s)],
+        top = n if s is None else pair(n, s)  # ⟨n,0⟩ = n for n ≤ 1
+        _audit(simple_one_way(w), g, y, range(n + 1) if top == n else [*range(n + 1), top],
                "inverter fails on the zero real: f(g(0^ω)) has 1")
     if bit == 1:
         return ExtractionVerdict(n, False, use, None, "simple", "positive witness bit")
@@ -503,20 +504,29 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     nested fork tree over the positions from `depth` on, rolling one probe
     tape back at each split, finds a continuation passing every bit of
     `y_prefix`; one that reads an open position below `depth` splits its
-    class first.  The extendable classes' distinct patterns on the positions
-    below `depth` read by the passing bits of the least extendable word,
-    times two per other position below `depth`, give `branches`; a target
-    through the outputs publishing each selection made below `depth` pins
-    this to the true fiber.  A bit that reads from `probe_len` on (default:
-    past the prefix and the pairings consulted near `depth`), runs out of
-    steps or diverges passes without reads; its step budget pays only for
-    marker stages and guard positions new to its tape.  A probed bit needing
-    enumeration stages past the horizon raises HorizonError (the image check
+    class first.  The extendable classes' distinct patterns on the
+    positions below `depth` read by the passing bits of the least
+    extendable word, times two per other position below `depth`, give
+    `branches`; a target through the outputs publishing each selection made
+    below `depth` pins this to the true fiber.
+
+    A continuation checks the output bits from 0 up.  After a fork at bit j
+    it checks j, then the guessed positions that are output bits, oldest
+    first, then the bits past the last one it reached.  Where output bit p
+    copies input bit p, as in the marker maps, a wrong guess at p thus
+    fails before the guesses made after it run on: the probe makes a few
+    runs per target bit at every depth, where checking the newest guess
+    first walked the whole target once per wrong guess.
+
+    A bit that reads from `probe_len` on (default: past the prefix and the
+    pairings consulted near `depth`), runs out of steps or diverges passes
+    without reads; its step budget pays only for marker stages and guard
+    positions new to its tape.  A probed bit needing enumeration stages
+    past the horizon raises HorizonError (the image check
     truncates there).  More than `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
-    if depth < 0:
-        raise ValueError("depth must be a natural")
+    rep = Representation(f, depth, len(y_prefix))  # checks depth before any work
     if probe_len is None:
         probe_len = max(2 * pair(depth + 2, depth + 2) + 4, 2 * len(y_prefix) + 2)
     probe_len = max(probe_len, depth)
@@ -526,36 +536,42 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     def continuation(assign: dict[int, int], resume: Optional[tuple]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
-        The bits to check are `pending`, nested pairs (j, rest) ending in an
-        int s for s, s+1, …, n_out-1.  A run that forks at a read of bit j
-        hands its tape, a checkpoint, j and the rest to both children: they
-        roll back, check j, then the guessed position if it is an output bit."""
+        The bits to check are `queue`, a tuple of output bits, then `tail`,
+        tail+1, …, n_out-1.  A run that forks at a read of bit j hands its
+        tape, a checkpoint, j, its queue and its tail to both children: they
+        roll back and check j, the queue, the guessed position if it is an
+        output bit, then the tail.  The queue is first in, first out, so
+        the oldest guess is checked first and a wrong one fails before the
+        guesses made after it run on to the end of the target."""
         if resume is None:
-            tape, pending = OracleTape(_fork_source("fiber-probe", (), assign), barrier=probe_len), 0
+            tape = OracleTape(_fork_source("fiber-probe", (), assign), barrier=probe_len)
+            queue, tail = (), 0
         else:
-            tape, checkpoint, j, rest = resume
+            tape, checkpoint, j, queue, tail = resume
             tape.rollback(checkpoint)
             guessed = next(reversed(assign))
-            pending = (j, (guessed, rest) if guessed < n_out else rest)
-        while pending != n_out:
-            j, rest = pending if pending.__class__ is tuple else (pending, pending + 1)
+            queue = (j, *queue, guessed) if guessed < n_out else (j, *queue)
+        while queue or tail < n_out:
+            if queue:
+                j, queue = queue[0], queue[1:]
+            else:
+                j, tail = tail, tail + 1
             if next(runs, None) is None:
                 raise exhausted
             try:
                 b = tape.try_emit(f, j)
             except _Fork as fork:
-                fork.resume = (tape, tape.checkpoint(), j, rest)
+                fork.resume = (tape, tape.checkpoint(), j, queue, tail)
                 raise
             if b is not None and b != target[j]:
                 return None
-            pending = rest
         return tape.positions_read()
 
     def witness_reads(word_class: dict[int, int], _resume: None) -> Optional[tuple[int, ...]]:
         deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
         return next((reads for _, reads in deep), None)
 
-    *_, level = _class_levels(Representation(f, depth, n_out), finite(y_prefix))
+    *_, level = _class_levels(rep, finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
     # a split class keeps its image, so this tree reruns none
     extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)

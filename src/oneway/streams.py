@@ -41,6 +41,7 @@ from .errors import _NO_VALUE, DeskError, DivergenceError, HorizonError, SpecPar
     _BudgetExhausted, _ReadBeyondBarrier
 
 DEFAULT_BUDGET = 10**6
+MAX_DEPTH = 4096  # deepest Representation: fiber counts up to 2**MAX_DEPTH still print
 RANDOM_POSITIONS = 1 << 24  # random_source caches a byte per position below this
 
 
@@ -412,14 +413,17 @@ class Representation:
     the `barrier_image` of the emitter under a read barrier at |σ|, which
     any failure to produce the next bit (barrier, budget, genuine
     divergence, horizon overrun) truncates; monotone by construction.
-    Images stop at `out_cap` bits, by default max(2·depth + 8, 48).
+    Images stop at `out_cap` bits, by default max(2·depth + 8, 48).  The
+    depth is at most MAX_DEPTH, checked here for every search.
     """
 
     def __init__(self, f: RealFunction, depth: int, out_cap: Optional[int] = None,
                  budget: int = DEFAULT_BUDGET):
+        if not 0 <= depth <= MAX_DEPTH:
+            raise ValueError(f"depth must be a natural at most {MAX_DEPTH}, got {depth}")
         out_cap = max(2 * depth + 8, 48) if out_cap is None else out_cap
-        if depth < 0 or out_cap < 0:
-            raise ValueError("depth and out_cap must be naturals")
+        if out_cap < 0:
+            raise ValueError(f"out_cap must be a natural, got {out_cap}")
         self.f = f
         self.depth = depth
         self.out_cap = out_cap

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oneway.cli as cli
 from oneway.cli import MAX_SOURCE_NESTING, main, parse_construction, parse_source
+from oneway.streams import MAX_DEPTH
 
 
 def run_cli(capsys, argv):
@@ -329,6 +330,23 @@ class TestSpecErrors:
     )
     def test_negative_counts_are_domain_errors(self, capsys, argv, message):
         assert err_line(capsys, argv) == (2, f"error: {message}")
+
+    @pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1, 100000])
+    @pytest.mark.parametrize("argv", [
+        ["fiber", "--fn", "bitselect:double", "--target", "01"],
+        ["invert-tree", "--fn", "identity", "--target", "zeros", "--bits", "1"],
+    ])
+    def test_depth_bounds_end_at_once(self, capsys, argv, depth):
+        # checked once, by Representation, before any search or pairing runs
+        assert err_line(capsys, [*argv, "--depth", str(depth)]) == \
+            (2, f"error: depth must be a natural at most {MAX_DEPTH}, got {depth}")
+
+    def test_deepest_fiber_count_prints(self, capsys):
+        # 2^4096 has 1,234 digits, inside the int-string limit
+        code, out, _ = run_cli(capsys, ["fiber", "--fn", "bitselect:double", "--target", "",
+                                        "--depth", str(MAX_DEPTH)])
+        assert code == 0
+        assert str(2 ** MAX_DEPTH) in out
 
     def test_unknown_verb(self, capsys):
         code, err = err_line(capsys, ["nonsense-verb"])

@@ -13,6 +13,13 @@ test-only copies:
 The library now runs every one of these searches on one fork tree.  Fiber
 counts and dovetail leaves must agree exactly.
 
+The two fiber probes check output bits in different orders.  After a fork
+the reference checks the forking bit, then the guessed position, then every
+bit it had still to check, older guesses included: the newest guess first.
+The library checks the forking bit, then the guesses oldest first, then the
+rest.  The order decides which passing continuation is found first, whose
+reads give `branches`, so the counts must still agree.
+
 The reference takes up to two seconds per depth-16 two-to-one fixture and
 about six at depth 20, so the default run checks the library against
 PINNED, the reference's counts recorded from the reference, and reruns the
@@ -20,7 +27,9 @@ reference itself only up to depth 8.  Depth 20 and the benchmark fixtures
 on its second and third x seeds are left to
 `PYTHONPATH=src python tests/test_fork_differential.py`, which runs
 the reference and the library once on every fixture, the 1,200-position
-scanner included, and checks them and PINNED against each other.
+scanner included, and checks them and PINNED against each other.  It also
+prints the library's probe emitter runs on each fixture, and on the two2
+hit fixture at depths 8 to 32 its runs per target bit.
 """
 
 import functools
@@ -425,6 +434,26 @@ def test_explicit_probe_len_and_shallow_depths_match():
     assert fiber_branch_count(f, "", 4) == ref_fiber_branch_count(f, "", 4)
 
 
+# the c07 two2 hit fixture at more depths: (branches, surviving) of the reference
+TWO2_HIT = {8: (1, 4), 16: (1, 128), 24: (1, 4096)}
+RUNS_PER_TARGET_BIT = 10
+
+
+def two2_hit(depth):
+    f = two_to_one_v2(W_EMPTY, U_HIT)
+    return f, _two2_target(W_EMPTY, U_HIT, random_source(11), ones(), depth, 1)
+
+
+def test_two2_hit_probe_runs_stay_linear_in_the_target():
+    # checking guesses oldest first takes about 6 probe runs per target bit
+    # at every depth; checking the newest first took 14 at depth 8, 22 at
+    # 16 and 28 at 24
+    for depth, want in TWO2_HIT.items():
+        f, y = two2_hit(depth)
+        assert fiber_branch_count(f, y, depth, budget=RUNS_PER_TARGET_BIT * len(y)) == \
+            FiberCount(*want), depth
+
+
 def test_bit_failing_after_a_fork_leaves_no_witness_reads():
     # class {0:'0'}: the guess 1 -> '0' sends bit 0 to position 5, past the
     # barrier at 3, after the fork on 1; the reads of 0 must not outlive it
@@ -676,15 +705,35 @@ def test_dovetail_leaves_match():
 
 # ----------------------------------------------------------- the full check
 
+def probe_runs(f, y, depth):
+    """fiber_branch_count(f, y, depth) and its probe emitter runs."""
+    runs = 0
+
+    def emit(tape, m):
+        nonlocal runs
+        runs += tape.source.spec == "fiber-probe"
+        return f.emit(tape, m)
+
+    return fiber_branch_count(RealFunction(f.name, emit), y, depth), runs
+
+
 def main() -> int:
-    """Rerun the reference on every fixture and print its counts."""
+    """Rerun the reference on every fixture and print its counts and the
+    library's probe emitter runs, then the runs on the two2 hit fixture as
+    its target grows."""
     bad = 0
     for name, (f, y, depth) in fiber_fixtures().items():
         want = ref_fiber_branch_count(f, y, depth)
-        got = fiber_branch_count(f, y, depth)
+        got, runs = probe_runs(f, y, depth)
         ok = got == want and PINNED.get(name) == (want.branches, want.surviving)
         bad += not ok
-        print(f"{'ok ' if ok else 'BAD'} {name!r}: ({want.branches}, {want.surviving}),")
+        print(f"{'ok ' if ok else 'BAD'} {name!r}: ({want.branches}, {want.surviving}),"
+              f"  # {runs} probe runs")
+    print("two2 hit: depth, target bits, probe runs, runs per target bit")
+    for depth in (8, 16, 24, 32):
+        f, y = two2_hit(depth)
+        _, runs = probe_runs(f, y, depth)
+        print(f"  {depth:>2} {len(y):>6} {runs:>7} {runs / len(y):>6.2f}")
     args = (_scanner(1200), "", 0, 100000, DEFAULT_BUDGET)
     ok = _dovetail_leaves(*args) == ref_dovetail_leaves(*args)
     bad += not ok

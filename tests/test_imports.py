@@ -255,8 +255,10 @@ KEPT_KNOBS = {
     "extract_two_to_one(validate)": ("skips the audit, to show the verdict a broken inverter "
                                      "gives", "test_inversion.py::"
                                      "test_validation_catches_non_inverter"),
-    "fiber_branch_count(budget)": ("bounds the probe emitter runs",
-                                   "test_inversion.py::test_budget_exhaustion_is_a_desk_error"),
+    "fiber_branch_count(budget)": ("bounds the probe emitter runs, so a test can hold the "
+                                   "probe to a few runs per target bit",
+                                   "test_fork_differential.py::"
+                                   "test_two2_hit_probe_runs_stay_linear_in_the_target"),
     "fiber_branch_count(probe_len)": ("moves the probe barrier off its default",
                                       "test_inversion.py::test_budget_exhaustion_is_a_desk_error"),
     "inverts_at_finite_stage(budget)": ("a small step budget shows a diverging inverter after "

@@ -32,6 +32,7 @@ from oneway.errors import (
     NotInRangeError,
     NotSingletonError,
 )
+import oneway.inversion as INV
 from oneway.inversion import (
     FiberCount,
     InverterUnderTest,
@@ -230,6 +231,20 @@ class TestExtractSimple:
         g, tapes = tapes_emitting(reference_inverter_simple(w), 3)
         assert extract_simple(g, w, 3).line() == "n=3 member=false use=0 stagebound=0"
         assert len({id(tape) for tape in tapes}) == len(tapes) == 1 + 6  # six mutations
+
+    @pytest.mark.parametrize("n,audited", [(0, [0]), (1, [0, 1]), (2, [0, 1, 2, 3])])
+    def test_audit_emits_each_position_once(self, monkeypatch, n, audited):
+        # n enters at stage 0, so ⟨n,0⟩ is n for n ≤ 1 and 3 for n = 2
+        w = enum([(0, n)], 100)
+        emitted = []
+
+        def counting(w):
+            f = simple_one_way(w)
+            return RealFunction(f.name, lambda tape, m: emitted.append(m) or f.emit(tape, m))
+
+        monkeypatch.setattr(INV, "simple_one_way", counting)
+        assert extract_simple(reference_inverter_simple(w), w, n).member
+        assert emitted == audited
 
     def test_validation_divergence(self):
         # f's bit ⟨1,1⟩ = 4 reads g's bit 1, which diverges
