@@ -13,9 +13,10 @@ halves on one tape rolled back there, so a leaf stands for every word that
 agrees with its read pattern.  `_class_levels` grows such read classes one
 barrier position at a time, to the depth of the `Representation` it is
 given; unique-path inversion, `preimage_tree` and fiber counts read its
-levels, the last probing each surviving class.  The randomized extraction
-collects halting patterns in (length, lex) order until they cover more than
-half of the conditioning cylinder.
+levels, the last probing each surviving class with a nested tree that
+hands a split below the depth, with the rest of its search, to the class
+tree.  The randomized extraction collects halting patterns in (length,
+lex) order until they cover more than half of the conditioning cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -272,16 +273,20 @@ def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float 
     (assignment, resume) pairs in order (default: the empty assignment
     without a checkpoint).  A tree's one assignment dict grows and shrinks
     in place; leaves with a result other than None are yielded as (a copy
-    of it, result).  A fork below `owned_from` propagates to an enclosing
-    tree, without its checkpoint; past `node_budget` nodes the tree raises
-    `exhausted`.
+    of it, result).  Past `node_budget` nodes the tree raises `exhausted`.
+
+    A fork below `owned_from`, in a tree of one root, leaves with the rest
+    of its search as the resume: the list of pending nodes, last the node
+    that forked, whose guess holds every guess on its path.  A root with
+    such a resume, a half of the old root split there, carries on from it.
     """
     nodes = 0
     for root, resume in [({}, None)] if roots is None else roots:
-        assign, stack = dict(root), [(len(root), {}, resume)]  # (parent's size, guess, resume)
+        base, assign = len(root), dict(root)  # stack: (parent's size past root, guess, resume)
+        stack = [*resume] if resume.__class__ is list else [(0, {}, resume)]
         while stack:
             size, guess, resume = stack.pop()
-            while len(assign) > size:
+            while len(assign) > base + size:
                 assign.popitem()  # the positions a finished subtree assigned
             assign.update(guess)
             nodes += 1
@@ -290,10 +295,10 @@ def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float 
             try:
                 result = run(assign, resume)
             except _Fork as fork:
-                if fork.position < owned_from:
-                    fork.resume = None
+                size, p, resume = len(assign) - base, fork.position, fork.resume
+                if p < owned_from:
+                    fork.resume = [*stack, (0, dict([*assign.items()][base:]), resume)]
                     raise
-                size, p, resume = len(assign), fork.position, fork.resume
                 stack += (size, {p: 1}, resume), (size, {p: 0}, resume)
                 continue
             if result is not None:
@@ -503,8 +508,10 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     inflate a two-element fiber.  A surviving class is extendable when a
     nested fork tree over the positions from `depth` on, rolling one probe
     tape back at each split, finds a continuation passing every bit of
-    `y_prefix`; one that reads an open position below `depth` splits its
-    class first.  The extendable classes' distinct patterns on the
+    `y_prefix`.  One that reads an open position q below `depth` splits its
+    class on q, and both halves carry on with the search from that read,
+    which no earlier run made: they find the continuation a fresh search of
+    each half would.  The extendable classes' distinct patterns on the
     positions below `depth` read by the passing bits of the least
     extendable word, times two per other position below `depth`, give
     `branches`; a target through the outputs publishing each selection made
@@ -512,11 +519,11 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     A continuation checks the output bits from 0 up.  After a fork at bit j
     it checks j, then the guessed positions that are output bits, oldest
-    first, then the bits past the last one it reached.  Where output bit p
-    copies input bit p, as in the marker maps, a wrong guess at p thus
-    fails before the guesses made after it run on: the probe makes a few
-    runs per target bit at every depth, where checking the newest guess
-    first walked the whole target once per wrong guess.
+    first, then the bits past the last one it reached, skipping guesses.
+    Where output bit p copies input bit p, as in the marker maps, a wrong
+    guess at p thus fails before the guesses made after it run on: the
+    probe makes a few runs per target bit at every depth, where checking
+    the newest guess first walked the whole target once per wrong guess.
 
     A bit that reads from `probe_len` on (default: past the prefix and the
     pairings consulted near `depth`), runs out of steps or diverges passes
@@ -533,47 +540,59 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     n_out, target = len(y_prefix), tuple(map(int, y_prefix))
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(budget))
+    tape = bound = None  # the probe tape of the class searched, the assignment it reads
 
     def continuation(assign: dict[int, int], resume: Optional[tuple]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         The bits to check are `queue`, a tuple of output bits, then `tail`,
-        tail+1, …, n_out-1.  A run that forks at a read of bit j hands its
-        tape, a checkpoint, j, its queue and its tail to both children: they
-        roll back and check j, the queue, the guessed position if it is an
-        output bit, then the tail.  The queue is first in, first out, so
+        tail+1, …, n_out-1.  A run that forks at a read of bit j hands a
+        checkpoint, j, its queue, the guessed position if it is an output
+        bit past `depth`, and its tail to both children: they roll back and
+        check j, the queue, the guess, then the tail, which skips the
+        guesses the queue checked.  The queue is first in, first out, so
         the oldest guess is checked first and a wrong one fails before the
         guesses made after it run on to the end of the target."""
-        if resume is None:
-            tape = OracleTape(_fork_source("fiber-probe", (), assign), barrier=probe_len)
-            queue, tail = (), 0
-        else:
-            tape, checkpoint, j, queue, tail = resume
+        nonlocal bound
+        if assign is not bound:  # a tree's first node: the tape reads its assignment
+            tape.source, bound = _fork_source("fiber-probe", (), assign), assign
+        checkpoint, queue, tail = resume or (None, (), 0)
+        if checkpoint:
             tape.rollback(checkpoint)
-            guessed = next(reversed(assign))
-            queue = (j, *queue, guessed) if guessed < n_out else (j, *queue)
         while queue or tail < n_out:
             if queue:
                 j, queue = queue[0], queue[1:]
             else:
                 j, tail = tail, tail + 1
+                if j >= depth and j in assign:  # a guess: the queue checked it
+                    continue
             if next(runs, None) is None:
                 raise exhausted
             try:
                 b = tape.try_emit(f, j)
             except _Fork as fork:
-                fork.resume = (tape, tape.checkpoint(), j, queue, tail)
+                p = fork.position
+                queue = (j, *queue, p) if depth <= p < n_out else (j, *queue)
+                fork.resume = tape.checkpoint(), queue, tail
                 raise
             if b is not None and b != target[j]:
                 return None
         return tape.positions_read()
 
-    def witness_reads(word_class: dict[int, int], _resume: None) -> Optional[tuple[int, ...]]:
-        deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
-        return next((reads for _, reads in deep), None)
+    def witness_reads(word_class: dict[int, int], resume: Optional[tuple]) -> Optional[tuple]:
+        # halves of a split go on with its search, the first on its tape, the second on a branch
+        nonlocal tape
+        pending, tapes = resume or (None, [OracleTape(zeros(), barrier=probe_len)])
+        tape = tapes.pop()
+        deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, pending)])
+        try:
+            return next((reads for _, reads in deep), None)
+        except _Fork as fork:
+            fork.resume = fork.resume, [tape.branch(tape.source), tape]
+            raise
 
     *_, level = _class_levels(rep, finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
-    # a split class keeps its image, so this tree reruns none
+    # a split class keeps its image and its probe search, so this tree reruns neither
     extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
                   for word_class, reads in _fork_tree(witness_reads, roots=(
                       (assign, None) for assign, _ in level))]

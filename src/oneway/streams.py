@@ -21,7 +21,8 @@ injection only for the guard positions no earlier bit on that tape has
 checked.  `barrier_image` keeps its output bits on the tape, so moving the
 barrier reruns only the rest.  A search over the words of a `Representation`
 runs to its depth and rolls a tape back to a `checkpoint` at each split, at
-the cost of the open bit's work alone.
+the cost of the open bit's work alone; the checkpoint also rolls back a
+`branch` taken after it, so the halves of a split can go on on two tapes.
 
 Sources, tapes, emitters and images carry bits as the ints 0 and 1.  A
 `Word` (a str of '0'/'1') appears only at the API edge: words that build
@@ -42,6 +43,7 @@ from .errors import _NO_VALUE, DeskError, DivergenceError, HorizonError, SpecPar
 
 DEFAULT_BUDGET = 10**6
 MAX_DEPTH = 4096  # deepest Representation: fiber counts up to 2**MAX_DEPTH still print
+MAX_BITS = 1 << 20  # most output bits one `evaluate` call emits
 RANDOM_POSITIONS = 1 << 24  # random_source caches a byte per position below this
 
 
@@ -272,17 +274,20 @@ class OracleTape:
 
     def checkpoint(self) -> tuple:
         """What `rollback` needs: the open bit's reads (no later run drops an
-        earlier bit's) and per-map state: an int, a list that only grows
-        (held as its length) or an object with checkpoint/restore (`Marker`)."""
+        earlier bit's) and per-map state, by key: an int, a list that only
+        grows (held as its length) or an object with checkpoint/restore
+        (`Marker`).  It holds no object of the tape, so it also rolls back a
+        branch taken from the tape after it."""
         reads, mark = self._reads, self._open[1] if self._open else len(self._reads)
         tail = dict.fromkeys([i for i, _ in zip(reversed(reads), range(len(reads) - mark))][::-1])
-        state = [(key, value, len(value) if value.__class__ is list else
+        state = [(key, len(value) if value.__class__ is list else
                   value if value.__class__ is int else value.checkpoint())
                  for key, value in self.state.items()]
         return self.use, self._open, self._budget_left, mark, tail, state
 
     def rollback(self, checkpoint: tuple) -> None:
-        """Undo all work since `checkpoint`; reads keep first-read order."""
+        """Undo all work since `checkpoint`, taken on this tape or, before
+        the branch, on the tape it branched from; reads keep first-read order."""
         self.use, self._open, self._budget_left, mark, tail, saved = checkpoint
         reads, state = self._reads, self.state
         while len(reads) > mark:
@@ -290,7 +295,8 @@ class OracleTape:
         reads.update(tail)
         while len(state) > len(saved):
             state.popitem()  # keys are never deleted, so the newest come last
-        for key, value, kept in saved:
+        for key, kept in saved:
+            value = state[key]
             if value.__class__ is list:
                 del value[kept:]
             elif value.__class__ is int:
@@ -336,8 +342,8 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     computation; the step budget is per output bit.  An emitted value other
     than 0 or 1 (False and True count as those) is a ValueError.
     """
-    if n < 0:
-        raise ValueError(f"bit count must be a natural, got {n}")
+    if not 0 <= n <= MAX_BITS:
+        raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")
     tape = OracleTape(x, budget=budget)
     emit = tape.emit
     bits = [emit(f, m) for m in range(n)]

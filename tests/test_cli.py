@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oneway.cli as cli
 from oneway.cli import MAX_SOURCE_NESTING, main, parse_construction, parse_source
-from oneway.streams import MAX_DEPTH
+from oneway.streams import MAX_BITS, MAX_DEPTH
 
 
 def run_cli(capsys, argv):
@@ -321,7 +321,7 @@ class TestSpecErrors:
         "argv,message",
         [
             (["eval", "--fn", "identity", "--input", "zeros", "--bits", "-3"],
-             "bit count must be a natural, got -3"),
+             f"bit count must be a natural at most {MAX_BITS}, got -3"),
             (["invert-tree", "--fn", "identity", "--target", "zeros", "--bits", "-1",
               "--depth", "4"], "bit count must be a natural, got -1"),
             (["extract", "--mode", "simple", "--fn", "simple:collatz", "--n", "-1"],
@@ -340,6 +340,13 @@ class TestSpecErrors:
         # checked once, by Representation, before any search or pairing runs
         assert err_line(capsys, [*argv, "--depth", str(depth)]) == \
             (2, f"error: depth must be a natural at most {MAX_DEPTH}, got {depth}")
+
+    @pytest.mark.parametrize("bits", [MAX_BITS + 1, 300000000])
+    def test_bit_count_bound_ends_at_once(self, capsys, bits):
+        # checked by evaluate before any bit is emitted or stored
+        argv = ["eval", "--fn", "identity", "--input", "zeros", "--bits", str(bits)]
+        assert err_line(capsys, argv) == \
+            (2, f"error: bit count must be a natural at most {MAX_BITS}, got {bits}")
 
     def test_deepest_fiber_count_prints(self, capsys):
         # 2^4096 has 1,234 digits, inside the int-string limit

@@ -8,17 +8,23 @@ test-only copies:
   which keeps its own stack of fork alternatives and opens a fresh tape for
   every output bit it checks;
 * `ref_dovetail_leaves` keeps its own stack and reruns the inverter at every
-  fork node.
+  fork node;
+* `restart_fiber_branch_count` is the library's fiber count before a class
+  split below the depth handed its probe search to the two halves: each half
+  grows a fresh probe tree from output bit 0, replaying every run the split
+  search made before it read the split position.
 
 The library now runs every one of these searches on one fork tree.  Fiber
-counts and dovetail leaves must agree exactly.
+counts and dovetail leaves must agree exactly; against the restart, so must
+the witness reads of every extendable class, in order, and the library may
+make no more probe runs.
 
 The two fiber probes check output bits in different orders.  After a fork
 the reference checks the forking bit, then the guessed position, then every
 bit it had still to check, older guesses included: the newest guess first.
 The library checks the forking bit, then the guesses oldest first, then the
-rest.  The order decides which passing continuation is found first, whose
-reads give `branches`, so the counts must still agree.
+rest but the guesses.  The order decides which passing continuation is
+found first, whose reads give `branches`, so the counts must still agree.
 
 The reference takes up to two seconds per depth-16 two-to-one fixture and
 about six at depth 20, so the default run checks the library against
@@ -27,18 +33,23 @@ reference itself only up to depth 8.  Depth 20 and the benchmark fixtures
 on its second and third x seeds are left to
 `PYTHONPATH=src python tests/test_fork_differential.py`, which runs
 the reference and the library once on every fixture, the 1,200-position
-scanner included, and checks them and PINNED against each other.  It also
+scanner included, and checks them and PINNED against each other.  The
+restart costs about what the library did, so the default run compares it
+with the library on every fixture; the full check does so too.  It also
 prints the library's probe emitter runs on each fixture, and on the two2
-hit fixture at depths 8 to 32 its runs per target bit.
+hit fixture at depths 8 to 32 and the two1 stuck and climb fixtures at
+depths 8 to 20 its runs per target bit.
 """
 
 import functools
+import itertools
 import random
 import sys
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 
-from oneway.bitcore import PartialAssignment, comparable, pair
+from oneway.bitcore import PartialAssignment, check_word, comparable, pair
 from oneway.constructions import (
     Marker,
     bit_select,
@@ -54,6 +65,7 @@ from oneway.constructions import (
     two_to_one_v2,
     witness_function,
 )
+import oneway.inversion as inversion
 from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration, \
     collatz_toy
 from oneway.errors import DeskError, DivergenceError, HorizonError, MeasureThresholdError, \
@@ -217,6 +229,89 @@ def ref_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
             length=length,
             words=2 ** (length - len(sigma) - len(pattern.constraints))))
     return leaves
+
+
+def restart_fiber_branch_count(f, y_prefix, depth, probe_len=None, budget=1000000):
+    """The library's fiber count as it was when a split class restarted its
+    probe search.  A probe tree that reads an open position below `depth`
+    is dropped, whatever it hands over, and each half of the split class
+    starts a fresh tape and tree at output bit 0."""
+    check_word(y_prefix)
+    rep = Representation(f, depth, len(y_prefix))
+    if probe_len is None:
+        probe_len = max(2 * pair(depth + 2, depth + 2) + 4, 2 * len(y_prefix) + 2)
+    probe_len = max(probe_len, depth)
+    n_out, target = len(y_prefix), tuple(map(int, y_prefix))
+    exhausted = DeskError("fiber probe budget exhausted")
+    runs = iter(range(budget))
+
+    def continuation(assign, resume):
+        if resume is None:
+            tape = OracleTape(_fork_source("fiber-probe", (), assign), barrier=probe_len)
+            queue, tail = (), 0
+        else:
+            tape, checkpoint, j, queue, tail = resume
+            tape.rollback(checkpoint)
+            guessed = next(reversed(assign))
+            queue = (j, *queue, guessed) if guessed < n_out else (j, *queue)
+        while queue or tail < n_out:
+            if queue:
+                j, queue = queue[0], queue[1:]
+            else:
+                j, tail = tail, tail + 1
+            if next(runs, None) is None:
+                raise exhausted
+            try:
+                b = tape.try_emit(f, j)
+            except _Fork as fork:
+                fork.resume = (tape, tape.checkpoint(), j, queue, tail)
+                raise
+            if b is not None and b != target[j]:
+                return None
+        return tape.positions_read()
+
+    def witness_reads(word_class, _handed_over):
+        deep = inversion._fork_tree(continuation, budget, exhausted, depth,
+                                    roots=[(word_class, None)])
+        return next((reads for _, reads in deep), None)
+
+    *_, level = _class_levels(rep, finite(y_prefix))
+    surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
+    extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
+                  for word_class, reads in inversion._fork_tree(witness_reads, roots=(
+                      (assign, None) for assign, _ in level))]
+    if not extendable:
+        return FiberCount(0, surviving)
+    inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]
+    patterns = {pattern for _, word_class, _ in extendable
+                for pattern in itertools.product(*((word_class[p],) if p in word_class else (0, 1)
+                                                   for p in inside))}
+    return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
+
+
+def probe_search(count, f, y, depth, probe_len=None):
+    """count(f, y, depth, probe_len), a fiber count, with what its probe
+    search did: (the count, the extendable (class, witness reads) pairs in
+    order, probe emitter runs, probe trees that resumed a split search)."""
+    runs, leaves, resumed, fork_tree = 0, [], 0, inversion._fork_tree
+
+    def emit(tape, m):
+        nonlocal runs
+        runs += tape.source.spec == "fiber-probe"
+        return f.emit(tape, m)
+
+    def recording(run, *args, roots=None, **kwargs):
+        nonlocal resumed
+        roots = None if roots is None else list(roots)
+        resumed += any(resume.__class__ is list for _, resume in roots or ())
+        for leaf in fork_tree(run, *args, roots=roots, **kwargs):
+            if run.__name__ == "witness_reads":
+                leaves.append(leaf)
+            yield leaf
+
+    with mock.patch.object(inversion, "_fork_tree", recording):
+        got = count(RealFunction(f.name, emit), y, depth, probe_len)
+    return got, leaves, runs, resumed
 
 
 # ------------------------------------------------------------ fiber fixtures
@@ -454,6 +549,35 @@ def test_two2_hit_probe_runs_stay_linear_in_the_target():
             FiberCount(*want), depth
 
 
+# c07 two1 fixtures at depth 16 and the probe runs per target bit they may take
+TWO1_RUNS_PER_TARGET_BIT = {"c07 two1 stuck d16": 8, "c07 two1 climb d16": 5}
+
+
+def test_two1_probe_search_resumes_at_a_class_split():
+    # both halves of a class split below the depth carry on with its probe
+    # search: about 6 and 3 runs per target bit; restarting each half at
+    # output bit 0 took 1,768 runs on stuck (90 target bits) and 1,837 on
+    # climb (260)
+    for name, per_bit in TWO1_RUNS_PER_TARGET_BIT.items():
+        f, y, depth = fiber_fixtures()[name]
+        assert fiber_branch_count(f, y, depth, budget=per_bit * len(y)) == \
+            FiberCount(*PINNED[name]), name
+
+
+def assert_resuming_matches_restart(f, y, depth, probe_len=None):
+    lib = probe_search(fiber_branch_count, f, y, depth, probe_len)
+    ref = probe_search(restart_fiber_branch_count, f, y, depth, probe_len)
+    assert lib[:2] == ref[:2]
+    assert lib[2] <= ref[2]
+    return lib
+
+
+def test_resumed_probe_search_matches_restart_on_every_fixture():
+    resumed = sum(assert_resuming_matches_restart(f, y, depth)[3]
+                  for f, y, depth in fiber_fixtures().values())
+    assert resumed > 0
+
+
 def test_bit_failing_after_a_fork_leaves_no_witness_reads():
     # class {0:'0'}: the guess 1 -> '0' sends bit 0 to position 5, past the
     # barrier at 3, after the fork on 1; the reads of 0 must not outlive it
@@ -471,13 +595,17 @@ def test_bit_failing_after_a_fork_leaves_no_witness_reads():
 def test_fiber_count_branches_a_tape_at_most_once_per_surviving_class(monkeypatch):
     # the searches roll one tape back at every fork; only a class that
     # survives a forked level tree takes a copy, so thousands of forks here
-    # make no more copies than there are classes
+    # make no more copies than there are classes.  A probe tape is copied
+    # once per class split below the depth, for the second half.
     f, y, depth = fiber_fixtures()["c07 two2 hit d16"]
     branch, copies = OracleTape.branch, []
     monkeypatch.setattr(OracleTape, "branch",
-                        lambda tape, source: copies.append(tape) or branch(tape, source))
-    assert fiber_branch_count(f, y, depth) == FiberCount(*PINNED["c07 two2 hit d16"])
-    made = len(copies)
+                        lambda tape, source: copies.append(tape.source.spec) or
+                        branch(tape, source))
+    got, _, _, resumed = probe_search(fiber_branch_count, f, y, depth)
+    assert got == FiberCount(*PINNED["c07 two2 hit d16"])
+    made = copies.count("preimage-class")
+    assert 0 < copies.count("fiber-probe") == resumed / 2 == len(copies) - made
     levels = _class_levels(Representation(f, depth, len(y)), finite(y))
     assert 0 < made <= sum(len(level) for level in levels)
 
@@ -540,6 +668,12 @@ def test_fiber_counts_match_brute_force_and_reference(case):
     words = (format(i, f"0{depth}b") if depth else "" for i in range(2 ** depth))
     assert got.surviving == sum(comparable(rep.map_word(w), y) for w in words)
     assert got == ref_fiber_branch_count(f, y, depth, probe_len)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fiber_cases())
+def test_resumed_probe_search_matches_restart(case):
+    assert_resuming_matches_restart(*case)
 
 
 # ------------------------------------------- property: rollback is a branch
@@ -705,35 +839,35 @@ def test_dovetail_leaves_match():
 
 # ----------------------------------------------------------- the full check
 
-def probe_runs(f, y, depth):
-    """fiber_branch_count(f, y, depth) and its probe emitter runs."""
-    runs = 0
-
-    def emit(tape, m):
-        nonlocal runs
-        runs += tape.source.spec == "fiber-probe"
-        return f.emit(tape, m)
-
-    return fiber_branch_count(RealFunction(f.name, emit), y, depth), runs
+def two1(z, depth):
+    """The c07 two1 fixture on z (stuck: zeros, climb: ones) at any depth."""
+    return two_to_one_v1(W_EMPTY), _two1_target(W_EMPTY, random_source(11), z, depth)
 
 
 def main() -> int:
-    """Rerun the reference on every fixture and print its counts and the
-    library's probe emitter runs, then the runs on the two2 hit fixture as
-    its target grows."""
+    """Rerun the reference and the restart on every fixture and print the
+    reference's counts and the library's probe emitter runs, then the runs
+    on the two2 hit and two1 fixtures as their targets grow."""
     bad = 0
     for name, (f, y, depth) in fiber_fixtures().items():
         want = ref_fiber_branch_count(f, y, depth)
-        got, runs = probe_runs(f, y, depth)
-        ok = got == want and PINNED.get(name) == (want.branches, want.surviving)
+        got, leaves, runs, _ = probe_search(fiber_branch_count, f, y, depth)
+        restart = probe_search(restart_fiber_branch_count, f, y, depth)
+        ok = got == want and PINNED.get(name) == (want.branches, want.surviving) and \
+            restart[:2] == (got, leaves) and runs <= restart[2]
         bad += not ok
         print(f"{'ok ' if ok else 'BAD'} {name!r}: ({want.branches}, {want.surviving}),"
-              f"  # {runs} probe runs")
-    print("two2 hit: depth, target bits, probe runs, runs per target bit")
-    for depth in (8, 16, 24, 32):
-        f, y = two2_hit(depth)
-        _, runs = probe_runs(f, y, depth)
-        print(f"  {depth:>2} {len(y):>6} {runs:>7} {runs / len(y):>6.2f}")
+              f"  # {runs} probe runs, {restart[2]} restarting")
+    for label, fixture, depths in (("two2 hit", two2_hit, (8, 16, 24, 32)),
+                                   ("two1 stuck", functools.partial(two1, zeros()),
+                                    (8, 12, 16, 20)),
+                                   ("two1 climb", functools.partial(two1, ones()),
+                                    (8, 12, 16, 20))):
+        print(f"{label}: depth, target bits, probe runs, runs per target bit")
+        for depth in depths:
+            f, y = fixture(depth)
+            _, _, runs, _ = probe_search(fiber_branch_count, f, y, depth)
+            print(f"  {depth:>2} {len(y):>6} {runs:>7} {runs / len(y):>6.2f}")
     args = (_scanner(1200), "", 0, 100000, DEFAULT_BUDGET)
     ok = _dovetail_leaves(*args) == ref_dovetail_leaves(*args)
     bad += not ok

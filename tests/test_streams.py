@@ -4,7 +4,10 @@ import random
 
 import pytest
 
+from oneway.constructions import Marker, two_to_one_v1
+from oneway.enumeration import StagedEnumeration
 from oneway.errors import DeskError, DivergenceError, HorizonError, SpecParseError
+from oneway import streams
 from oneway.inversion import preimage_tree
 from oneway.streams import (
     RANDOM_POSITIONS,
@@ -12,6 +15,7 @@ from oneway.streams import (
     OracleTape,
     RealFunction,
     Representation,
+    barrier_image,
     column_source,
     columns_from_file,
     evaluate,
@@ -261,6 +265,39 @@ class TestOracleTape:
         assert other.try_emit(f, 1) is None
         assert other.positions_read() == (0, 3)
 
+    def test_checkpoint_rolls_back_a_branch_taken_after_it(self):
+        # the halves of a fiber probe split go on on a tape and a branch of
+        # it, and both roll back to checkpoints taken before the branch
+        w = StagedEnumeration.from_pairs([(1, 0), (4, 3), (6, 1)], horizon=10**4)
+        f, x = two_to_one_v1(w), interleaved(random_source(1), random_source(2))
+
+        def replayed(n):
+            tape = OracleTape(x)
+            barrier_image(f, tape, n)
+            return tape
+
+        def state(tape):
+            return tape.positions_read(), tape.use, [
+                (m.rows[:], m.k, m.d, m.kept) if isinstance(m, Marker) else m[:]
+                for m in tape.state.values()]
+
+        tape = replayed(24)
+        checkpoint = tape.checkpoint()
+        barrier_image(f, tape, 40)
+        twin = tape.branch(x)
+        barrier_image(f, tape, 56)
+        barrier_image(f, twin, 48)
+        assert state(tape) == state(replayed(56)) and state(twin) == state(replayed(48))
+        twin.rollback(checkpoint)
+        assert state(twin) == state(replayed(24))
+        assert state(tape) == state(replayed(56))  # rolling back the branch leaves the tape
+        tape.rollback(checkpoint)
+        assert state(tape) == state(replayed(24))
+        barrier_image(f, tape, 64)
+        assert state(twin) == state(replayed(24))  # and the tape's work leaves the branch
+        assert barrier_image(f, twin, 64) == barrier_image(f, replayed(64), 64)
+        assert state(tape) == state(twin) == state(replayed(64))
+
     def test_barrier(self):
         from oneway.errors import _ReadBeyondBarrier
         tape = OracleTape(ones(), barrier=2)
@@ -304,9 +341,16 @@ class TestEvaluate:
                 run(never_reads, -1)
         with pytest.raises(ValueError, match="output bit must be a natural, got -2"):
             evaluate_bit(never_reads, zeros(), -2)
-        with pytest.raises(ValueError, match="bit count must be a natural, got -3"):
+        with pytest.raises(ValueError,
+                           match=f"bit count must be a natural at most {streams.MAX_BITS}, got -3"):
             evaluate(never_reads, zeros(), -3)
         assert tuple(evaluate(never_reads, zeros(), 0)) == ("", 0)
+
+    def test_bit_count_bound(self, monkeypatch):
+        monkeypatch.setattr(streams, "MAX_BITS", 8)
+        assert evaluate(identity_function(), ones(), 8).output == "11111111"
+        with pytest.raises(ValueError, match="^bit count must be a natural at most 8, got 9$"):
+            evaluate(identity_function(), ones(), 9)
 
     @pytest.mark.parametrize("value", [2, 256, -1, "1", 1.0, None])
     def test_non_bit_output_rejected(self, value):
