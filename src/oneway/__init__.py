@@ -38,6 +38,7 @@ from .constructions import (
     two_to_one_v2,
     witness_function,
     z_builder_v1,
+    z_builder_v2,
 )
 from .enumeration import (
     DecidedSet,
@@ -72,6 +73,7 @@ from .inversion import (
     extract_randomized,
     extract_simple,
     extract_two_to_one,
+    extract_two_to_one_v2,
     fiber_branch_count,
     inverts_at_finite_stage,
     preimage_tree,

@@ -14,6 +14,9 @@ Source specs:  zeros | ones | periodic:WORD | finite:WORD | random:SEED |
 flip:POS:SRC | interleave(SRC,SRC) | columns:FILE
 where flip and interleave nest at most 64 deep around any source.
 
+Reductions, one row each of REDUCTIONS:  extract --mode simple | randomized |
+two1 | two2;  demo prop-simple | thm-surjection | thm-two1 | thm-two2.
+
 main(argv) may be called repeatedly in one process; the argument parser is
 built once, at import.
 """
@@ -22,18 +25,19 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bitcore import Word, check_word, prefix_set_from_file
 from .constructions import ConstructionHandle, bit_select, double_injection, \
     identity_injection, one_way_surjection, partial_injection, shift_injection, \
     simple_one_way, two_to_one_v1, two_to_one_v2, witness_function
-from .enumeration import StagedEnumeration, collatz_toy, decided_set_from_file, \
-    enumeration_from_file, string_enum_from_file
+from .enumeration import StagedEnumeration, StagedStringEnumeration, collatz_toy, \
+    decided_set_from_file, enumeration_from_file, string_enum_from_file
 from .errors import DeskError, SpecParseError
-from .inversion import extract_randomized, extract_simple, extract_two_to_one, \
-    fiber_branch_count, reference_inverter_simple, reference_inverter_surjection, \
-    reference_inverter_two_to_one, unique_path_invert
+from .inversion import ExtractionVerdict, InverterUnderTest, extract_randomized, extract_simple, \
+    extract_two_to_one, extract_two_to_one_v2, fiber_branch_count, reference_inverter_simple, \
+    reference_inverter_surjection, reference_inverter_two_to_one, unique_path_invert
 from .streams import BitSource, Representation, columns_from_file, evaluate, finite, \
     flipped_at, identity_function, interleaved, ones, periodic, random_source, zeros
 
@@ -167,6 +171,46 @@ def _parse_source(spec: str, depth: int) -> BitSource:
     raise SpecParseError(f"unknown source {spec!r}")
 
 
+@dataclass(frozen=True)
+class Reduction:
+    """One reduction: `extract --mode MODE` on FAMILY constructions, reading
+    the word `options` of extract, `demo DEMO` on `elements` elements of the
+    toy (W, U or None).  Its calls look library names up as they run, so a
+    name rebound at run time (a tracer) applies."""
+
+    mode: str
+    family: str
+    options: tuple[str, ...]
+    inverter: Callable[..., InverterUnderTest]  # (w, u)
+    extract: Callable[..., ExtractionVerdict]  # (g, w, u, n, extract's parsed arguments)
+    demo: str
+    toy: Callable[[], tuple[StagedEnumeration, Optional[StagedStringEnumeration]]]
+    elements: int
+
+
+REDUCTIONS = (
+    # read-back positions reach pair(63,108)+1 = 14815, so a 10^4 horizon
+    # cannot host the full n<64 sweep; rerun the same schedule under 2*10^4
+    Reduction("simple", "simple", (), lambda w, u: reference_inverter_simple(w),
+              lambda g, w, u, n, args: extract_simple(g, w, n), "prop-simple",
+              lambda: (StagedEnumeration.from_pairs(collatz_toy(64, 10**4).pairs(),
+                                                    2 * 10**4, "collatz:64(h=2e4)"), None), 64),
+    Reduction("randomized", "surj", ("sigma",), lambda w, u: reference_inverter_surjection(w),
+              lambda g, w, u, n, args: extract_randomized(
+                  g, one_way_surjection(w), _parse_word(args.sigma, "--sigma"), w, n),
+              "thm-surjection", lambda: (collatz_toy(32, 10**5), None), 32),
+    Reduction("two1", "two1", ("upsilon", "zeta"), lambda w, u: reference_inverter_two_to_one(w),
+              lambda g, w, u, n, args: extract_two_to_one(
+                  g, w, n, _parse_word(args.upsilon, "--upsilon"),
+                  _parse_word(args.zeta, "--zeta")),
+              "thm-two1", lambda: (collatz_toy(32, 10**5), None), 32),
+    Reduction("two2", "two2", (), lambda w, u: reference_inverter_two_to_one(w, u=u),
+              lambda g, w, u, n, args: extract_two_to_one_v2(g, w, u, n), "thm-two2",
+              lambda: (collatz_toy(32, 10**5), StagedStringEnumeration({0: "1"}, 10**5, "U1")), 32),
+)
+_NO_OPTIONS = argparse.Namespace(sigma="", upsilon="", zeta="")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse defaults to exit code 2
         raise SpecParseError(message)
@@ -189,8 +233,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, required=True)
 
     p = sub.add_parser("extract", help="decide membership through an inverter")
-    p.add_argument("--mode", required=True,
-                   choices=["simple", "randomized", "two1"])
+    p.add_argument("--mode", required=True, choices=[row.mode for row in REDUCTIONS])
     p.add_argument("--fn", required=True)
     p.add_argument("--inverter", default="reference")
     p.add_argument("--n", type=int, required=True)
@@ -208,7 +251,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, required=True)
 
     p = sub.add_parser("demo", help="scripted end-to-end reductions")
-    p.add_argument("script", choices=["prop-simple", "thm-surjection", "thm-two1"])
+    p.add_argument("script", choices=[row.demo for row in REDUCTIONS])
     return parser
 
 
@@ -216,64 +259,33 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-_EXTRACT_FAMILY = {"simple": "simple", "randomized": "surj", "two1": "two1"}
-
-
 def _cmd_extract(args: argparse.Namespace) -> int:
     if args.inverter != "reference":
         raise SpecParseError(
             f"only the built-in reference inverter ships; got {args.inverter!r}")
     handle = parse_construction(args.fn)
-    needed = _EXTRACT_FAMILY[args.mode]
-    if handle.family != needed:
-        raise SpecParseError(
-            f"mode {args.mode} inverts {needed}:ENUM constructions, "
-            f"got {handle.family!r}")
-    w = handle.w
-    if args.mode == "simple":
-        verdict = extract_simple(reference_inverter_simple(w), w, args.n)
-    elif args.mode == "randomized":
-        sigma = _parse_word(args.sigma, "--sigma") if args.sigma else ""
-        verdict = extract_randomized(
-            reference_inverter_surjection(w), handle.fn, sigma, w, args.n)
-    else:
-        verdict = extract_two_to_one(
-            reference_inverter_two_to_one(w), w, args.n,
-            upsilon=_parse_word(args.upsilon, "--upsilon") if args.upsilon else "",
-            zeta=_parse_word(args.zeta, "--zeta") if args.zeta else "")
-    print(verdict.line())
+    row = next(row for row in REDUCTIONS if row.mode == args.mode)
+    if handle.family != row.family:
+        raise SpecParseError(f"mode {args.mode} inverts {row.family}:ENUM constructions, "
+                             f"got {handle.family!r}")
+    unread = [f"--{name}" for name in ("sigma", "upsilon", "zeta")
+              if getattr(args, name) and name not in row.options]
+    if unread:
+        raise SpecParseError(f"mode {args.mode} reads no {' or '.join(unread)}")
+    print(row.extract(row.inverter(handle.w, handle.u), handle.w, handle.u, args.n, args).line())
     return 0
 
 
 def _run_demo(script: str, out: Callable[[str], None]) -> int:
-    # (toy, elements swept, inverter, extractor(g, toy, n)) per script; built
-    # per call so that a module name rebound at run time (a tracer) applies
-    make_toy, elements, inverter, extract = {
-        # read-back positions reach pair(63,108)+1 = 14815, so a 10^4 horizon
-        # cannot host the full n<64 sweep; rerun the same schedule under 2*10^4
-        "prop-simple": (
-            lambda: StagedEnumeration.from_pairs(collatz_toy(64, 10**4).pairs(),
-                                                 horizon=2 * 10**4,
-                                                 label="collatz:64(h=2e4)"),
-            64, reference_inverter_simple, extract_simple),
-        "thm-surjection": (
-            lambda: collatz_toy(32, 10**5), 32, reference_inverter_surjection,
-            lambda g, toy, n: extract_randomized(g, one_way_surjection(toy), "", toy, n)),
-        "thm-two1": (lambda: collatz_toy(32, 10**5), 32, reference_inverter_two_to_one,
-                     extract_two_to_one),
-    }[script]
-    toy = make_toy()
-    g = inverter(toy)
-    lines, ok = [], True
-    for n in range(elements):
-        verdict = extract(g, toy, n)
-        expected = toy.entry_stage(n) is not None
-        good = verdict.member == expected
-        ok = ok and good
-        lines.append(f"{verdict.line()} expected={'true' if expected else 'false'}"
-                     f"{'' if good else ' MISMATCH'}")
-    for line in lines:
-        out(line)
+    row = next(row for row in REDUCTIONS if row.demo == script)
+    w, u = row.toy()
+    g = row.inverter(w, u)
+    verdicts = [(row.extract(g, w, u, n, _NO_OPTIONS), w.entry_stage(n) is not None)
+                for n in range(row.elements)]
+    for verdict, expected in verdicts:
+        out(f"{verdict.line()} expected={str(expected).lower()}"
+            f"{'' if verdict.member == expected else ' MISMATCH'}")
+    ok = all(verdict.member == expected for verdict, expected in verdicts)
     out("PASS" if ok else "FAIL")
     return 0 if ok else 2
 

@@ -40,7 +40,7 @@ from .enumeration import (
     column_hit,
 )
 from .errors import _NO_VALUE, DivergenceError, HorizonError, InjectivityError
-from .streams import BitSource, OracleTape, RealFunction, column_source, selection
+from .streams import BitSource, OracleTape, RealFunction, column_source, finite, selection
 
 
 @dataclass(frozen=True)
@@ -97,12 +97,6 @@ class MarkerTrace:
     def least_stage_with_k(self, value: int) -> Optional[int]:
         for s in range(len(self.steps) + 1):
             if self.k_at(s) == value:
-                return s
-        return None
-
-    def least_stage_with_d(self, value: int) -> Optional[int]:
-        for s in range(len(self.steps) + 1):
-            if self.d_at(s) == value:
                 return s
         return None
 
@@ -196,6 +190,11 @@ class Marker:
                 rows.append((k, d, k, perm))
                 self.k, self.d = s + 1, d + 1
         return self
+
+    def state_at(self, s: int, permission: PermissionFn) -> tuple[int, int]:
+        """(k_s, d_s), the values before stage s acts; runs no stage from s on."""
+        rows = self.advance_to(s, permission).rows
+        return rows[s][:2] if s < len(rows) else (self.k, self.d)
 
     def undo(self) -> None:
         """Drop the stages past `kept`; rows hold k and d, so they come back."""
@@ -470,6 +469,22 @@ def z_builder_v1(n: int, zeta: Word = "") -> BitSource:
     return BitSource(f"zbuild:{n}:{zeta or 'e'}", bit)
 
 
+def z_builder_v2(u: StagedStringEnumeration, n: int) -> BitSource:
+    """The d-keyed adversarial z: each column is U's first word then zeros,
+    but column n is v0^ω for the first v, depth first, that no word of U is a
+    prefix of: z-permissions move the counter past each column but n."""
+    words = [word for _, word in u.pairs()] or [""]  # no word: every column is 0^ω
+    free = [""]
+    while free and any(word.startswith(free[-1]) for word in words):
+        v = free.pop()
+        free += [v + b for b in "10" if v + b not in words]
+    if not free:
+        raise ValueError(f"every column extends a word of {u.label}")
+    hit = finite(words[0]).bit
+    return replace_column(BitSource(f"zbuild2:{words[0]}", lambda m: hit(unpair(m)[1])),
+                          n, finite(free[-1]))
+
+
 def replace_column(w: BitSource, n: int, y: BitSource) -> BitSource:
     """w with column n replaced by y (bit ⟨n,i⟩ becomes y(i))."""
     if n < 0:
@@ -479,7 +494,7 @@ def replace_column(w: BitSource, n: int, y: BitSource) -> BitSource:
 
 def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration,
                                 z: BitSource, n: int) -> int:
-    """Least s with d_s = n in the d-keyed marker run.
+    """Least s with d_s = n in the d-keyed marker run, which stops there.
 
     Errors out when some counter value below n never receives permission
     within the joint horizon; the caller supplies enumerations rich enough
@@ -488,9 +503,9 @@ def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration
     if n < 0:
         raise ValueError("counter target must be a natural")
     cap = min(w.horizon, u.horizon)
-    trace = marker_run_v2(w, u, z, cap)
-    s = trace.least_stage_with_d(n)
-    if s is None:
-        raise HorizonError(
-            f"counter reached {trace.d_final}, not {n}, within horizon {cap}")
-    return s
+    marker, permission = Marker(), d_keyed(w, u, z.bit)
+    while marker.d < n and len(marker.rows) < cap:
+        marker.advance_to(len(marker.rows) + 1, permission)
+    if marker.d < n:
+        raise HorizonError(f"counter reached {marker.d}, not {n}, within horizon {cap}")
+    return len(marker.rows)

@@ -39,9 +39,10 @@ from .bitcore import (
     check_word,
     pair,
 )
-from .constructions import Marker, PermissionFn, _marker_map, k_keyed, marker_run_v1, \
-    odd_half, simple_one_way, surjection_injection, two_to_one_v1, z_builder_v1
-from .enumeration import StagedEnumeration
+from .constructions import Marker, PermissionFn, _marker_map, d_keyed, k_keyed, marker_run_v1, \
+    odd_half, simple_one_way, stage_where_counter_reaches, surjection_injection, two_to_one_v1, \
+    two_to_one_v2, z_builder_v1, z_builder_v2
+from .enumeration import StagedEnumeration, StagedStringEnumeration
 from .errors import (
     ConsistencyError,
     DeskError,
@@ -53,6 +54,7 @@ from .errors import (
 )
 from .streams import (
     DEFAULT_BUDGET,
+    MAX_BITS,
     BitSource,
     OracleTape,
     RealFunction,
@@ -81,8 +83,7 @@ class ExtractionVerdict:
 
     def line(self) -> str:
         sb = "-" if self.stage_bound is None else str(self.stage_bound)
-        member = "true" if self.member else "false"
-        return f"n={self.element} member={member} use={self.use} stagebound={sb}"
+        return f"n={self.element} member={str(self.member).lower()} use={self.use} stagebound={sb}"
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,8 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
     is not in the range at that depth; no consensus by rep.depth (or more
     than `survivor_cap` words surviving) means the fiber is not provably a
     singleton at desk scale."""
-    if n < 0:
-        raise ValueError(f"bit count must be a natural, got {n}")
+    if not 0 <= n <= MAX_BITS:  # evaluate's limit: each class level holds n-bit heads
+        raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")
     if survivor_cap < 0:
         raise ValueError(f"survivor cap must be a natural, got {survivor_cap}")
     for depth, level in enumerate(_class_levels(rep, y)):
@@ -188,44 +189,45 @@ def reference_inverter_surjection(w: StagedEnumeration) -> InverterUnderTest:
     return InverterUnderTest(selection(f"refinv-surj({w.label})", sel), binary=True)
 
 
-def reference_inverter_two_to_one(w: StagedEnumeration,
-                                  search_stages: int = 256) -> InverterUnderTest:
-    """Inverter for the k-keyed two-to-one map, built from full knowledge of w.
+def reference_inverter_two_to_one(w: StagedEnumeration, search_stages: Optional[int] = None,
+                                  u: Optional[StagedStringEnumeration] = None) -> InverterUnderTest:
+    """Inverter of the k-keyed two-to-one map, or with U the d-keyed one, from all of w.
 
     It is the map's own emitter with another index.  Odd candidate bits copy
-    y (the z half is public).  Even bit 2q scans the marker run for the
-    stage t that selected position q and copies y(2t); when the scan instead
-    shows the marker parked on q through every searched stage, the bit is
-    the unread one and the witness answers 0.
+    y (the z half is public).  Even bit 2q copies y(2t) for the marker stage
+    t that selected position q, or answers 0 (the unread bit) when the scan
+    shows the marker parked on q.  Stage q-1 selects q, or else the marker
+    parks on q from stage q with its key (k = q, or the counter d) fixed,
+    and w releases it no later than the key's entry stage: the scan runs
+    that far, exactly.  A key that never enters leaves only z-permissions,
+    watched for through stage max(256, q), a desk limit: 256 keeps every
+    query below it scanning the stages it always has, and the answer 0 past
+    it is right whenever the parked column stays silent, as on each
+    extractor's adversarial z.  `search_stages` (for tests) scans a fixed
+    number of stages instead and fails a bit it leaves unreached.
     """
 
     def selecting_stage(marker: Marker, permission: PermissionFn, q: int) -> Optional[int]:
+        stop = search_stages
+        if stop is None:
+            k, d = marker.state_at(q, permission)
+            if k != q:
+                return q - 1
+            entry = w.entry_stage(q if u is None else d)
+            stop = max(256, q) if entry is None else max(q, entry) + 1
         # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
-        for t in range(max(q - 1, 0), search_stages):
+        for t in range(max(q - 1, 0), stop):
             if marker.advance_to(t + 1, permission).rows[t][2] == q:
                 return t
-        # this marker never runs past search_stages, so k is k_{search_stages}
-        if marker.advance_to(search_stages, permission).k != q:
-            raise DivergenceError(2 * q, f"position {q} not selected within {search_stages} stages")
+        if marker.state_at(stop, permission)[0] != q:
+            raise DivergenceError(2 * q, f"position {q} not selected within {stop} stages")
         return None
 
-    return InverterUnderTest(_marker_map(f"refinv-two1({w.label},{search_stages})",
-                                         lambda tape: k_keyed(w, odd_half(tape)),
-                                         selecting_stage))
-
-
-def _bit_use_soundness(g: RealFunction, x: BitSource, m: int, bit: int, use: int,
-                       trials: int = 6, seed: int = 0) -> None:
-    """Spot-check that output bit m on x, `bit` with oracle-use `use`,
-    survives mutations beyond that use."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        _, mutated = mutate_beyond_use(x, use, rng)
-        got, _ = evaluate_bit(g, mutated, m)
-        if got != bit:
-            raise UseSoundnessError(
-                f"{g.name} bit {m} changed from {bit} to {got} "
-                f"after mutation beyond use {use}")
+    rule = (lambda tape: k_keyed(w, odd_half(tape))) if u is None else \
+        (lambda tape: d_keyed(w, u, odd_half(tape)))
+    limit = "" if search_stages is None else f",{search_stages}"
+    return InverterUnderTest(_marker_map(
+        f"refinv-two{1 if u is None else 2}({w.label}{limit})", rule, selecting_stage))
 
 
 def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
@@ -238,20 +240,41 @@ def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
     n ∈ W at stage u_n, the oracle-use of that single bit.  Validation
     audits f(g(0^ω)) at the positions the argument consults: 0..n and ⟨n,s⟩.
     """
+    _check_unary(g, "extract_simple")
+    s = w.entry_stage(n)
+    top = n if s is None else pair(n, s)  # ⟨n,0⟩ = n for n ≤ 1
+    return _extract(g, w, n, "simple", zeros(), n, simple_one_way(w),
+                    range(n + 1) if top == n else [*range(n + 1), top],
+                    lambda bit, use: (None, "positive witness bit") if bit else (use, None),
+                    validate, "inverter fails on the zero real: f(g(0^ω)) has 1")
+
+
+def _check_unary(g: InverterUnderTest, extractor: str) -> None:
     if g.binary:
-        raise ValueError("extract_simple takes a unary inverter")
-    y = zeros()
-    bit, use = evaluate_bit(g.g, y, n)
+        raise ValueError(f"{extractor} takes a unary inverter")
+
+
+def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: BitSource,
+             q: int, f: RealFunction, positions: Iterable[int],
+             bound: Callable[[int, int], tuple[Optional[int], object]], validate: bool = True,
+             failure: str = "inverter fails on the constructed input: f(g(y)) differs from y"
+             ) -> ExtractionVerdict:
+    """What the unary extractors share: g's bit q on the adversarial y, its
+    use spot-checked by six mutations beyond it and, with `validate`, the
+    audit of f(g(y)) at `positions`; bound(bit, use) then gives the stage
+    bound (None: a non-member outright) and the evidence."""
+    bit, use = evaluate_bit(g.g, y, q)
     if validate:
-        _bit_use_soundness(g.g, y, n, bit, use)
-        s = w.entry_stage(n)
-        top = n if s is None else pair(n, s)  # ⟨n,0⟩ = n for n ≤ 1
-        _audit(simple_one_way(w), g, y, range(n + 1) if top == n else [*range(n + 1), top],
-               "inverter fails on the zero real: f(g(0^ω)) has 1")
-    if bit == 1:
-        return ExtractionVerdict(n, False, use, None, "simple", "positive witness bit")
-    member = w.member_at_stage(n, use)
-    return ExtractionVerdict(n, member, use, use, "simple")
+        rng = random.Random(0)
+        for _ in range(6):
+            got, _ = evaluate_bit(g.g, mutate_beyond_use(y, use, rng)[1], q)
+            if got != bit:
+                raise UseSoundnessError(f"{g.g.name} bit {q} changed from {bit} to {got} "
+                                        f"after mutation beyond use {use}")
+        _audit(f, g, y, positions, failure)
+    stage, evidence = bound(bit, use)
+    member = stage is not None and w.member_at_stage(n, stage)
+    return ExtractionVerdict(n, member, use, stage, via, evidence)
 
 
 class _Fork(Exception):
@@ -461,29 +484,42 @@ def extract_two_to_one(g: InverterUnderTest, w: StagedEnumeration, n: int,
     enumeration would move the marker and flip the bit the inverter already
     committed to.
     """
+    _check_unary(g, "extract_two_to_one")
     check_word(upsilon)
     check_word(zeta)
-    if g.binary:
-        raise ValueError("extract_two_to_one takes a unary inverter")
     if zeta and n <= len(zeta):
         # the verbatim prefix may overwrite column n below |zeta|; past it
         # the built z is pure formula and any n works
         raise ValueError(f"need n > |zeta| = {len(zeta)}, got n = {n}")
     z = z_builder_v1(n, zeta)
-    y = interleaved(finite(upsilon), z)
-    bit, use = evaluate_bit(g.g, y, 2 * n)
-    if validate:
-        _bit_use_soundness(g.g, y, 2 * n, bit, use)
-        _audit(two_to_one_v1(w), g, y, range(2 * n + 2),
-               "inverter fails on the constructed input: f(g(y)) differs from y")
-    trace = marker_run_v1(w, z, n)
-    s = trace.least_stage_with_k(n)
-    if s is None:
-        raise ConsistencyError(
-            f"marker never reached {n} against its own adversarial z")
-    bound = max(use, s)
-    member = w.member_at_stage(n, bound)
-    return ExtractionVerdict(n, member, use, bound, "two1", trace)
+
+    def bound(bit: int, use: int) -> tuple:
+        trace = marker_run_v1(w, z, n)
+        s = trace.least_stage_with_k(n)
+        if s is None:
+            raise ConsistencyError(f"marker never reached {n} against its own adversarial z")
+        return max(use, s), trace
+
+    return _extract(g, w, n, "two1", interleaved(finite(upsilon), z), 2 * n, two_to_one_v1(w),
+                    range(2 * n + 2), bound, validate)
+
+
+def extract_two_to_one_v2(g: InverterUnderTest, w: StagedEnumeration,
+                          u: StagedStringEnumeration, n: int) -> ExtractionVerdict:
+    """Decide membership of n from an inverter of the d-keyed two-to-one map.
+
+    Against z = z_builder_v2(u, n) the counter first reaches n at a stage s,
+    the marker then sits on k* = k_s = s, and only n entering W moves it on.
+    Take the use of g's bit 2k* on y = 0^ω⊕z.  Were n to enter W at a stage
+    t past s and that use, f's bit 2t would copy input bit k*: y with bit 2t
+    set is f of an input with bit k* set, g gives it and y one bit 2k*, and
+    f(g(·)) fails at bit 2t on one of them.  So n ∈ W iff n ∈ W_max(use, s).
+    """
+    _check_unary(g, "extract_two_to_one_v2")
+    z = z_builder_v2(u, n)
+    s = stage_where_counter_reaches(w, u, z, n)
+    return _extract(g, w, n, "two2", interleaved(zeros(), z), 2 * s, two_to_one_v2(w, u),
+                    range(2 * s + 2), lambda bit, use: (max(use, s), None))
 
 
 @dataclass(frozen=True)

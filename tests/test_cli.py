@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import oneway.cli as cli
 from oneway.cli import MAX_SOURCE_NESTING, main, parse_construction, parse_source
+from oneway.enumeration import MAX_COLLATZ_ELEMENT
 from oneway.streams import MAX_BITS, MAX_DEPTH
 
 
@@ -192,6 +193,51 @@ class TestExtract:
         )
         assert (code, out) == (0, "n=5 member=true use=50 stagebound=50\n")
 
+    def test_d_keyed_two_to_one(self, capsys, tmp_path):
+        # U = {1} from stage 0: 27 enters at stage 111, long after the counter reached it
+        path = tmp_path / "u.words"
+        path.write_text("horizon 100000\n0 1\n")
+        code, out, _ = run_cli(
+            capsys,
+            ["extract", "--mode", "two2", "--fn", f"two2:collatz:32:100000:{path}",
+             "--n", "27"],
+        )
+        assert (code, out) == (0, "n=27 member=true use=758 stagebound=758\n")
+
+    def test_d_keyed_late_entry(self, capsys, tmp_path):
+        """3 enters at stage 1000, past stage 256 and the use of the
+        counter's run: the inverter follows the parked marker to that entry."""
+        w, u = tmp_path / "w.enum", tmp_path / "u.words"
+        w.write_text("horizon 100000\n1000 3\n")
+        u.write_text("horizon 100000\n0 1\n")
+        assert run_cli(capsys, ["extract", "--mode", "two2", "--fn", f"two2:{w}:{u}",
+                                "--n", "3"]) == \
+            (0, "n=3 member=true use=2001 stagebound=2001\n", "")
+
+    @pytest.mark.parametrize("mode,fn,option", [
+        ("two2", "two2:collatz:32:100000:U", "--zeta"),
+        ("two2", "two2:collatz:32:100000:U", "--sigma"),
+        ("simple", "simple:collatz:32:1000", "--upsilon"),
+        ("randomized", "surj:collatz:32:1000", "--zeta"),
+        ("two1", "two1:collatz:32:1000", "--sigma"),
+    ])
+    def test_rejects_word_options_the_mode_does_not_read(self, capsys, tmp_path, mode, fn,
+                                                         option):
+        (tmp_path / "U").write_text("horizon 100000\n0 1\n")
+        argv = ["extract", "--mode", mode, "--fn", fn.replace("U", str(tmp_path / "U")),
+                "--n", "3", option, "01"]
+        assert err_line(capsys, argv) == (1, f"error: mode {mode} reads no {option}")
+
+    def test_two_to_one_scans_past_256_stages(self, capsys):
+        """Position 258 parks the marker from stage 258 until 258 enters at
+        293: the default scan reaches it, and the verdict needs a stage past
+        the 10^5 horizon, which only the 10^6 horizon holds."""
+        argv = ["extract", "--mode", "two1", "--n", "258", "--fn"]
+        assert err_line(capsys, [*argv, "two1:collatz:300:100000"]) == \
+            (2, "error: stage 303636 beyond horizon 100000")
+        assert run_cli(capsys, [*argv, "two1:collatz:300:1000000"]) == \
+            (0, "n=258 member=true use=303636 stagebound=303636\n", "")
+
     def test_two_to_one_rejects_small_n(self, capsys):
         code, err = err_line(
             capsys,
@@ -323,7 +369,7 @@ class TestSpecErrors:
             (["eval", "--fn", "identity", "--input", "zeros", "--bits", "-3"],
              f"bit count must be a natural at most {MAX_BITS}, got -3"),
             (["invert-tree", "--fn", "identity", "--target", "zeros", "--bits", "-1",
-              "--depth", "4"], "bit count must be a natural, got -1"),
+              "--depth", "4"], f"bit count must be a natural at most {MAX_BITS}, got -1"),
             (["extract", "--mode", "simple", "--fn", "simple:collatz", "--n", "-1"],
              "output bit must be a natural, got -1"),
         ],
@@ -347,6 +393,21 @@ class TestSpecErrors:
         argv = ["eval", "--fn", "identity", "--input", "zeros", "--bits", str(bits)]
         assert err_line(capsys, argv) == \
             (2, f"error: bit count must be a natural at most {MAX_BITS}, got {bits}")
+
+    def test_inversion_bit_count_bound_ends_at_once(self, capsys):
+        # checked by unique_path_invert before any class level holds n-bit heads
+        argv = ["invert-tree", "--fn", "identity", "--target", "zeros", "--bits", "300000000",
+                "--depth", "4"]
+        assert err_line(capsys, argv) == \
+            (2, f"error: bit count must be a natural at most {MAX_BITS}, got 300000000")
+
+    def test_collatz_bound_ends_at_once(self, capsys):
+        # checked by collatz_toy before any trajectory is walked
+        argv = ["eval", "--fn", "simple:collatz:1000000000:1000000000", "--input", "zeros",
+                "--bits", "4"]
+        assert err_line(capsys, argv) == \
+            (2, f"error: max element must be a natural at most {MAX_COLLATZ_ELEMENT}, "
+                "got 1000000000")
 
     def test_deepest_fiber_count_prints(self, capsys):
         # 2^4096 has 1,234 digits, inside the int-string limit
@@ -449,18 +510,17 @@ DEMO_DIGESTS = {
     "prop-simple": "98b390b48ec9bcddc60622813512c9f07ac3249c6078f0be4ac853688dd4631c",
     "thm-surjection": "e1619f0077e201618ee520be08d659d1550adb55a0fb9bad49d00bda9a5c3a1c",
     "thm-two1": "441a543205b34707f237fd91265abd833005fc2e5e3202a179bfafbb4ab36607",
+    "thm-two2": "efacdfa8726c3d9134417f99c67dee2014298c6801d0f89bde6767f79d38179e",
 }
 
 
 class TestDemo:
-    @pytest.mark.parametrize(
-        "script,rows",
-        [
-            ("prop-simple", 64),
-            ("thm-surjection", 32),
-            ("thm-two1", 32),
-        ],
-    )
+    def test_every_reduction_has_a_pinned_demo(self):
+        assert [row.demo for row in cli.REDUCTIONS] == list(DEMO_DIGESTS)
+
+    # the sweep runs every demo of the reduction table, each over its elements
+    @pytest.mark.parametrize("script,rows",
+                             [(row.demo, row.elements) for row in cli.REDUCTIONS])
     def test_scripts_pass(self, capsys, script, rows):
         code, out, err = run_cli(capsys, ["demo", script])
         lines = out.splitlines()
@@ -469,6 +529,30 @@ class TestDemo:
         assert lines[-1] == "PASS"
         assert all(" MISMATCH" not in line for line in lines)
         assert hashlib.sha256(out.encode()).hexdigest() == DEMO_DIGESTS[script]
+
+    def test_table_looks_names_up_at_call_time(self, capsys, monkeypatch):
+        """A tracer rebinds library names in this module while a run is on;
+        extract and demo must call what the names are bound to then."""
+        calls = []
+
+        def spy(name):
+            original = getattr(cli, name)
+
+            def rebound(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, rebound)
+
+        spy("extract_simple")
+        spy("extract_two_to_one")
+        assert run_cli(capsys, ["extract", "--mode", "simple", "--fn",
+                                "simple:collatz:16:1000", "--n", "7"])[0] == 0
+        assert run_cli(capsys, ["extract", "--mode", "two1", "--fn",
+                                "two1:collatz:16:100000", "--n", "5"])[0] == 0
+        assert calls == ["extract_simple", "extract_two_to_one"]
+        assert run_cli(capsys, ["demo", "thm-two1"])[0] == 0
+        assert run_cli(capsys, ["demo", "prop-simple"])[0] == 0
+        assert calls[2:] == ["extract_two_to_one"] * 32 + ["extract_simple"] * 64
 
     def test_prop_simple_is_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, ["demo", "prop-simple"])

@@ -27,6 +27,7 @@ from oneway.constructions import (
     two_to_one_v2,
     witness_function,
     z_builder_v1,
+    z_builder_v2,
 )
 from oneway.enumeration import (
     DecidedSet,
@@ -393,6 +394,45 @@ class TestStageWhereCounterReaches:
         w, u, z = counter_fixture(3)
         with pytest.raises(ValueError):
             stage_where_counter_reaches(w, u, z, -1)
+
+    def test_runs_only_the_stages_it_needs(self):
+        """The run stops at the first stage where d = n: each stage asks W
+        once, so s stages ask it s times, not once per stage of the horizon."""
+        w, u, z = counter_fixture(9)
+        asked = []
+        w.member_at_stage = lambda k, s: asked.append(s) or False
+        assert [stage_where_counter_reaches(w, u, z, d) for d in (3, 0)] == [4, 0]
+        assert asked == [0, 1, 2, 3]
+
+
+class TestZBuilderV2:
+    def test_counter_runs_as_on_the_test_fixture(self):
+        """Every column but n carries U's first word (τ_0, entering at stage
+        1), the fixture's column d carries τ_d (entering at d+1): the counter
+        moves at the same stages below 9 and sticks on n in both."""
+        for n in range(9):
+            w, u, fixture = counter_fixture(n)
+            built = z_builder_v2(u, n)
+            assert [stage_where_counter_reaches(w, u, built, d) for d in range(n + 1)] == \
+                [stage_where_counter_reaches(w, u, fixture, d) for d in range(n + 1)]
+            with pytest.raises(HorizonError, match=f"counter reached {n}, not {n + 1}"):
+                stage_where_counter_reaches(w, u, built, n + 1)
+
+    def test_blocked_column_escapes_every_word(self):
+        u = StagedStringEnumeration.from_pairs([(1, "0"), (2, "10"), (3, "111")], horizon=8)
+        z = z_builder_v2(u, 2)
+        # column 2 is 110 0^ω, the first word that none of 0, 10, 111 is a prefix of
+        assert [z.bit(pair(2, i)) for i in range(5)] == [1, 1, 0, 0, 0]
+        assert [z.bit(pair(c, i)) for c in (0, 3) for i in range(3)] == [0, 0, 0] * 2
+
+    def test_words_covering_every_column(self):
+        u = StagedStringEnumeration.from_pairs([(1, "0"), (2, "11"), (3, "10")], horizon=8)
+        with pytest.raises(ValueError, match="every column extends a word"):
+            z_builder_v2(u, 0)
+
+    def test_empty_word_set_leaves_zeros(self):
+        z = z_builder_v2(StagedStringEnumeration.from_pairs([], horizon=8), 1)
+        assert {z.bit(m) for m in range(40)} == {0}
 
 
 def test_construction_handle_is_frozen():

@@ -158,10 +158,6 @@ KEPT_UNREACHED = {
                                   "test_acceptance.py::test_criterion_10"),
     "preimage_witness": ("the canonical preimage of a bit selection, for the d-keyed "
                          "reduction", "test_constructions.py::test_select_inverts_witness"),
-    "replace_column": ("builds the d-keyed adversarial z",
-                       "test_constructions.py::test_replace_column"),
-    "stage_where_counter_reaches": ("the stage bound of the d-keyed reduction",
-                                    "test_acceptance.py::test_criterion_09"),
     "inverts_at_finite_stage": ("refutes an inverter on a named input; the extractors "
                                 "audit through the same loop at their own positions",
                                 "test_inversion.py::test_refuted"),
@@ -264,7 +260,8 @@ KEPT_KNOBS = {
     "inverts_at_finite_stage(budget)": ("a small step budget shows a diverging inverter after "
                                         "a few reads", "test_inversion.py::test_diverged"),
     "reference_inverter_two_to_one(search_stages)": (
-        "how many marker stages the inverter scans for the stage that selected a position",
+        "a fixed scan limit in place of the rule that follows a parked key to its entry, so "
+        "a test can make the inverter fail on a chosen bit or differ from the map on a drawn one",
         "test_inversion.py::test_two_to_one_failed_bit_drops_its_marker_stages"),
     "unique_path_invert(survivor_cap)": ("stops a lossy inversion before its levels outgrow "
                                          "desk scale", "test_inversion.py::test_survivor_cap"),

@@ -48,6 +48,7 @@ from oneway.inversion import (
     unique_path_invert,
 )
 from oneway.streams import (
+    MAX_BITS,
     OracleTape,
     RealFunction,
     Representation,
@@ -124,7 +125,8 @@ class TestUniquePathInvert:
 
     def test_negative_bit_count(self):
         rep = Representation(bit_select(identity_injection()), 8)
-        with pytest.raises(ValueError, match="bit count must be a natural, got -1"):
+        with pytest.raises(ValueError, match=f"bit count must be a natural at most {MAX_BITS}, "
+                                             "got -1"):
             unique_path_invert(rep, zeros(), -1)
 
     def test_negative_survivor_cap(self):
@@ -474,6 +476,9 @@ class TestExtractTwoToOne:
         toy = collatz_toy(16, 10**3)
         with pytest.raises(ValueError, match="unary"):
             extract_two_to_one(reference_inverter_surjection(toy), w, 5)
+        # the arity is checked first, before n is held against zeta
+        with pytest.raises(ValueError, match="^extract_two_to_one takes a unary inverter$"):
+            extract_two_to_one(reference_inverter_surjection(toy), w, 1, zeta="0101")
 
     def test_audited_bit_runs_once_before_its_mutations(self):
         # n = 3 never enters, so the adversarial z parks the marker on it and

@@ -11,11 +11,14 @@
   bits failed under a barrier before the rest ran without one, reads what a
   fresh tape reads for the same bits: a failed bit leaves no marker stage
   behind whose reads the tape forgot;
+* the d-keyed extractor returns the toy's membership, non-members included;
 * the shipped injections are injective, and a collision is named.
 
 The strategies for small toys and marker maps are shared with the fiber
 property of `test_fork_differential.py`.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,7 +42,7 @@ from oneway.constructions import (
 )
 from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration
 from oneway.errors import InjectivityError
-from oneway.inversion import reference_inverter_two_to_one
+from oneway.inversion import extract_two_to_one_v2, reference_inverter_two_to_one
 from oneway.streams import (
     BitSource,
     OracleTape,
@@ -183,6 +186,23 @@ def test_failed_bits_leave_no_stage_the_tape_forgot(f, z, seed, evens, barrier, 
     fresh = OracleTape(x)
     assert [tape.try_emit(f, m) for m in range(n)] == [fresh.try_emit(f, m) for m in range(n)]
     assert tape.positions_read() == fresh.positions_read()
+
+
+# ---------------------------------------------------------------- extraction
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from([24, 1000]).flatmap(lambda stages: toys(stages=stages)), word_toys(),
+       st.integers(0, 11))
+def test_d_keyed_extraction_matches_membership(w, u, n):
+    """The d-keyed extractor, given the reference inverter of its own toy,
+    returns the toy's membership of n: toys hold at most five of the twelve
+    elements drawn from, so most n are non-members, and members may enter
+    before or after the counter reaches them, and before or after stage 256,
+    the inverter's scan limit for a parked key that never enters."""
+    assume(u.pairs())  # with no word the counter moves only as W enumerates
+    assume(sum(Fraction(1, 2 ** len(word)) for _, word in u.pairs()) < 1)  # a column is free
+    g = reference_inverter_two_to_one(w, u=u)
+    assert extract_two_to_one_v2(g, w, u, n).member == (w.entry_stage(n) is not None)
 
 
 # --------------------------------------------------------------- injections
