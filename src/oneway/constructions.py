@@ -368,7 +368,7 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
     output bits make O(n) reads and an odd bit's step budget pays only for
     positions no earlier bit on that tape checked.  The count moves only
     after a whole scan passes, so a bit that stops mid-scan (divergence,
-    barrier, horizon, a search fork) leaves it as it was.
+    barrier, horizon, a search's handover) leaves it as it was.
     """
     for n in sorted(w.limit_members()):
         if n > d.horizon or not d.contains(n):
@@ -402,8 +402,8 @@ def _marker_map(name: str, rule: Callable[[OracleTape], PermissionFn],
     None; `index` runs the map's marker on the tape as far as bit 2s needs.
     A bit that succeeds keeps the stages it ran; one that fails with an
     `errors._NO_VALUE` failure drops them, as `try_emit` makes the tape
-    forget its reads; any other exception, such as a search's fork, leaves
-    them open for a rerun."""
+    forget its reads; any other exception, such as a search handing over
+    its split, leaves them open for a rerun."""
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:
@@ -498,13 +498,17 @@ def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration
 
     Errors out when some counter value below n never receives permission
     within the joint horizon; the caller supplies enumerations rich enough
-    to drive the counter that far.
+    to drive the counter that far.  With no word in U only W enumerating d
+    moves the counter, so a d that W never enumerates ends the run at once.
     """
     if n < 0:
         raise ValueError("counter target must be a natural")
     cap = min(w.horizon, u.horizon)
     marker, permission = Marker(), d_keyed(w, u, z.bit)
+    wordless = not u.pairs()
     while marker.d < n and len(marker.rows) < cap:
+        if wordless and w.entry_stage(marker.d) is None:
+            break  # the counter stays at d through the horizon
         marker.advance_to(len(marker.rows) + 1, permission)
     if marker.d < n:
         raise HorizonError(f"counter reached {marker.d}, not {n}, within horizon {cap}")

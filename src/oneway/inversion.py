@@ -8,15 +8,17 @@ the reductions executable end to end; the toy stands where no computable
 inverter could.
 
 No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
-splits a computation at the first open position it reads and resumes both
-halves on one tape rolled back there, so a leaf stands for every word that
-agrees with its read pattern.  `_class_levels` grows such read classes one
-barrier position at a time, to the depth of the `Representation` it is
-given; unique-path inversion, `preimage_tree` and fiber counts read its
-levels, the last probing each surviving class with a nested tree that
-hands a split below the depth, with the rest of its search, to the class
-tree.  The randomized extraction collects halting patterns in (length,
-lex) order until they cover more than half of the conditioning cylinder.
+splits a computation at the first open position it reads, so a leaf stands
+for every word that agrees with its read pattern.  The read answers 0 and
+that half goes on in place; the other half later redoes the read's bit
+with a 1 there, on the same tape rolled back to the read.  `_class_levels`
+grows such read classes one barrier position at a time, to the depth of
+the `Representation` it is given; unique-path inversion, `preimage_tree`
+and fiber counts read its levels, the last probing each surviving class
+with a nested tree that hands a split below the depth, with the rest of
+its search, to the class tree.  The randomized extraction collects halting
+patterns in (length, lex) order until they cover more than half of the
+conditioning cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -103,21 +105,30 @@ def _class_levels(rep: Representation,
     """Level d = 0..rep.depth: the read classes of the length-d words whose image
     under rep is a prefix of y, as (assignment, tape holding the image).  A
     class reruns on its own tape with the barrier at d+1 and splits only
-    where a bit reads an open position; both halves roll the tape back to
-    the split, and a surviving half takes a branch of it to the next level."""
+    where a bit reads an open position: the 0 half goes on in place, the 1
+    half later rolls the tape back to the split and redoes the bit.  A
+    surviving half takes a branch of the tape to the next level while a
+    half is still pending on it."""
+    pending = 0  # halves of the current tree waiting on its tape
 
-    def grow(assign: dict[int, int], resume: tuple) -> Optional[OracleTape]:
+    def grow(assign: dict[int, int], resume: tuple,
+             split: Callable[[int, Any], int]) -> Optional[OracleTape]:
+        nonlocal pending
         tape, checkpoint = resume
+
+        def guess(p: int) -> int:
+            nonlocal pending
+            bit = split(p, (tape, tape.checkpoint()))
+            pending += 1
+            return bit
+
         if checkpoint is None:
-            tape.source, tape.barrier = _fork_source("preimage-class", (), assign), barrier
+            tape.source, tape.barrier = _fork_source("preimage-class", (), assign, guess), barrier
         else:
             tape.rollback(checkpoint)
-        try:
-            image = barrier_image(rep.f, tape, rep.out_cap, y)
-        except _Fork as fork:
-            fork.resume = (tape, tape.checkpoint())
-            raise
-        return None if image is None else tape if checkpoint is None else tape.branch(tape.source)
+            pending -= 1
+        image = barrier_image(rep.f, tape, rep.out_cap, y)
+        return None if image is None else tape.branch(tape.source) if pending else tape
 
     level = [({}, OracleTape(zeros(), budget=rep.budget))]
     for barrier in range(rep.depth + 1):
@@ -147,9 +158,10 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
     for depth, level in enumerate(_class_levels(rep, y)):
         if not level:
             raise NotInRangeError(f"target not in range at depth {depth}")
-        heads = {tuple(assign.get(p) for p in range(n)) for assign, _ in level}
-        if len(heads) == 1 and None not in (head := heads.pop()):
-            return "".join(map(str, head))
+        if depth >= n:  # level d reads nothing from d on, so below n a head holds None
+            heads = {tuple(assign.get(p) for p in range(n)) for assign, _ in level}
+            if len(heads) == 1 and None not in (head := heads.pop()):
+                return "".join(map(str, head))
         survivors = sum(2 ** (depth - len(assign)) for assign, _ in level)
         if survivors > survivor_cap:
             raise NotSingletonError(
@@ -278,32 +290,58 @@ def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: Bi
 
 
 class _Fork(Exception):
-    def __init__(self, position: int):
+    """The handover of a search at an open read below its `owned_from`."""
+
+    def __init__(self, position: int, resume: Any):
         self.position = position
-        self.resume: Any = None  # a checkpoint the run hands to both children
+        self.resume = resume  # what the run needs to redo the read
         super().__init__(str(position))
 
 
-def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float = float("inf"),
-               exhausted: Optional[DeskError] = None, owned_from: int = 0,
-               roots: Optional[Iterable] = None) -> Iterator[tuple[dict[int, int], Any]]:
+def _fork_tree(run: Callable[[dict[int, int], Any, Callable[[int, Any], int]], object],
+               node_budget: float = float("inf"), exhausted: Optional[DeskError] = None,
+               owned_from: int = 0, roots: Optional[Iterable] = None
+               ) -> Iterator[tuple[dict[int, int], Any]]:
     """The leaves of the fork-on-read trees of `run`, lazily, depth first.
 
-    `run(assignment, resume)` raises `_Fork(p)` at the first position p it
-    reads that the assignment leaves open, and the node splits on p, 0
-    before 1; both children get the fork's `resume`, a tape and the
-    checkpoint to roll it back to.  The trees grow from `roots`,
-    (assignment, resume) pairs in order (default: the empty assignment
-    without a checkpoint).  A tree's one assignment dict grows and shrinks
-    in place; leaves with a result other than None are yielded as (a copy
-    of it, result).  Past `node_budget` nodes the tree raises `exhausted`.
+    `run(assignment, resume, split)` reads through a `_fork_source` that
+    calls split(p, resume) at the first read of a position p the assignment
+    leaves open, with the resume the run builds there: what the other half
+    needs to redo the read (a tape and the checkpoint to roll it back to).
+    The node splits on p, 0 before 1.  Child 0 goes on in place: split
+    counts it as a node, pushes child 1 with the resume, sets p to 0 in the
+    assignment, and the read returns 0, so a split costs one rerun, child
+    1's.  Child 0's bit keeps the step budget it started with and pays for
+    all of its reads once, as an unforked run does; child 1's rerun gets a
+    fresh budget on a tape that keeps the marker stages committed before
+    the read, and pays only for the reads after them.  The trees grow from
+    `roots`, (assignment, resume) pairs in order (default: the empty
+    assignment without a checkpoint).  A tree's one assignment dict grows
+    and shrinks in place; leaves with a result other than None are yielded
+    as (a copy of it, result).  Past `node_budget` nodes the tree raises
+    `exhausted`.
 
-    A fork below `owned_from`, in a tree of one root, leaves with the rest
-    of its search as the resume: the list of pending nodes, last the node
-    that forked, whose guess holds every guess on its path.  A root with
-    such a resume, a half of the old root split there, carries on from it.
+    An open read below `owned_from`, in a tree of one root, hands over: split
+    raises `_Fork(p)`, which leaves with the rest of the search as its
+    resume, the list of pending nodes, last the node that read p, whose
+    guess holds every guess on its path.  A root with such a resume, a half
+    of the old root split there, carries on from it.  A run that lets a
+    nested tree's `_Fork` out splits its node on p, both children taking the
+    fork's resume.
     """
     nodes = 0
+
+    def split(p: int, resume: Any) -> int:  # the tree's root, assignment and stack are the loop's
+        nonlocal nodes
+        if p < owned_from:
+            raise _Fork(p, resume)
+        stack.append((len(assign) - base, {p: 1}, resume))
+        nodes += 1
+        if nodes > node_budget:
+            raise exhausted
+        assign[p] = 0
+        return 0
+
     for root, resume in [({}, None)] if roots is None else roots:
         base, assign = len(root), dict(root)  # stack: (parent's size past root, guess, resume)
         stack = [*resume] if resume.__class__ is list else [(0, {}, resume)]
@@ -316,7 +354,7 @@ def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float 
             if nodes > node_budget:
                 raise exhausted
             try:
-                result = run(assign, resume)
+                result = run(assign, resume, split)
             except _Fork as fork:
                 size, p, resume = len(assign) - base, fork.position, fork.resume
                 if p < owned_from:
@@ -328,16 +366,15 @@ def _fork_tree(run: Callable[[dict[int, int], Any], object], node_budget: float 
                 yield dict(assign), result
 
 
-def _fork_source(spec: str, prefix: tuple[int, ...], assign: dict[int, int]) -> BitSource:
-    """The bits of `prefix`, then the assignment; a read anywhere else forks."""
+def _fork_source(spec: str, prefix: tuple[int, ...], assign: dict[int, int],
+                 split: Callable[[int], int]) -> BitSource:
+    """The bits of `prefix`, then the assignment; a read anywhere else is split(i)."""
 
     def bit_at(i: int) -> int:
         if i < len(prefix):
             return prefix[i]
         b = assign.get(i)
-        if b is None:
-            raise _Fork(i)
-        return b
+        return split(i) if b is None else b
 
     return BitSource(spec, bit_at)
 
@@ -408,8 +445,11 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
 
     prefix = tuple(map(int, sigma))
 
-    def run(assign: dict[int, int], _resume: None) -> Optional[int]:
-        tape = OracleTape(_fork_source("dovetail-candidate", prefix, assign), budget=run_budget)
+    def run(assign: dict[int, int], _resume: None,
+            split: Callable[[int, Any], int]) -> Optional[int]:
+        # the 1 half of a split reruns from scratch on a fresh tape
+        source = _fork_source("dovetail-candidate", prefix, assign, lambda p: split(p, None))
+        tape = OracleTape(source, budget=run_budget)
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
@@ -542,24 +582,27 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     `branches` counts at read resolution, so bits f has not read do not
     inflate a two-element fiber.  A surviving class is extendable when a
-    nested fork tree over the positions from `depth` on, rolling one probe
-    tape back at each split, finds a continuation passing every bit of
-    `y_prefix`.  One that reads an open position q below `depth` splits its
-    class on q, and both halves carry on with the search from that read,
-    which no earlier run made: they find the continuation a fresh search of
-    each half would.  The extendable classes' distinct patterns on the
-    positions below `depth` read by the passing bits of the least
-    extendable word, times two per other position below `depth`, give
-    `branches`; a target through the outputs publishing each selection made
-    below `depth` pins this to the true fiber.
+    nested fork tree over the positions from `depth` on, going on in place
+    at each split and rolling one probe tape back for its second half,
+    finds a continuation passing every bit of `y_prefix`.  One that reads
+    an open position q below `depth` splits its class on q, and both halves
+    carry on with the search from that read, which no earlier run made:
+    they find the continuation a fresh search of each half would.  The
+    extendable classes' distinct patterns on the positions below `depth`
+    read by the passing bits of the least extendable word, times two per
+    other position below `depth`, give `branches`; a target through the
+    outputs publishing each selection made below `depth` pins this to the
+    true fiber.
 
-    A continuation checks the output bits from 0 up.  After a fork at bit j
-    it checks j, then the guessed positions that are output bits, oldest
-    first, then the bits past the last one it reached, skipping guesses.
-    Where output bit p copies input bit p, as in the marker maps, a wrong
-    guess at p thus fails before the guesses made after it run on: the
-    probe makes a few runs per target bit at every depth, where checking
-    the newest guess first walked the whole target once per wrong guess.
+    A continuation checks the output bits from 0 up.  A guess made during
+    bit j joins the end of the queue of guessed positions to check when it
+    is an output bit; the guess's second half checks j, then that queue,
+    oldest first, then the bits past the last one it reached, skipping
+    guesses.  Where output bit p copies input bit p, as in the marker
+    maps, a wrong guess at p thus fails before the guesses made after it
+    run on: the probe makes a few runs per target bit at every depth, where
+    checking the newest guess first walked the whole target once per wrong
+    guess.
 
     A bit that reads from `probe_len` on (default: past the prefix and the
     pairings consulted near `depth`), runs out of steps or diverges passes
@@ -576,24 +619,32 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     n_out, target = len(y_prefix), tuple(map(int, y_prefix))
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(budget))
-    tape = bound = None  # the probe tape of the class searched, the assignment it reads
+    tape: OracleTape  # the probe tape of the class searched
 
-    def continuation(assign: dict[int, int], resume: Optional[tuple]) -> Optional[tuple[int, ...]]:
+    def continuation(assign: dict[int, int], resume: Optional[tuple],
+                     split: Callable[[int, Any], int]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         The bits to check are `queue`, a tuple of output bits, then `tail`,
-        tail+1, …, n_out-1.  A run that forks at a read of bit j hands a
-        checkpoint, j, its queue, the guessed position if it is an output
-        bit past `depth`, and its tail to both children: they roll back and
-        check j, the queue, the guess, then the tail, which skips the
-        guesses the queue checked.  The queue is first in, first out, so
-        the oldest guess is checked first and a wrong one fails before the
-        guesses made after it run on to the end of the target."""
-        nonlocal bound
-        if assign is not bound:  # a tree's first node: the tape reads its assignment
-            tape.source, bound = _fork_source("fiber-probe", (), assign), assign
+        tail+1, …, n_out-1.  An open read of position p during bit j splits
+        the guess: the 0 half goes on in place, with p at the end of its
+        queue if p is an output bit past `depth`; the 1 half gets a
+        checkpoint, j, that queue and the tail, rolls back and checks j, the
+        queue, then the tail, which skips the guesses the queue checked.
+        The queue is first in, first out, so the oldest guess is checked
+        first and a wrong one fails before the guesses made after it run on
+        to the end of the target."""
         checkpoint, queue, tail = resume or (None, (), 0)
         if checkpoint:
             tape.rollback(checkpoint)
+
+        def guess(p: int) -> int:
+            nonlocal queue
+            after = (*queue, p) if depth <= p < n_out else queue
+            bit = split(p, (tape.checkpoint(), (j, *after), tail))
+            queue = after
+            return bit
+
+        tape.source = _fork_source("fiber-probe", (), assign, guess)
         while queue or tail < n_out:
             if queue:
                 j, queue = queue[0], queue[1:]
@@ -603,18 +654,13 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                     continue
             if next(runs, None) is None:
                 raise exhausted
-            try:
-                b = tape.try_emit(f, j)
-            except _Fork as fork:
-                p = fork.position
-                queue = (j, *queue, p) if depth <= p < n_out else (j, *queue)
-                fork.resume = tape.checkpoint(), queue, tail
-                raise
+            b = tape.try_emit(f, j)
             if b is not None and b != target[j]:
                 return None
         return tape.positions_read()
 
-    def witness_reads(word_class: dict[int, int], resume: Optional[tuple]) -> Optional[tuple]:
+    def witness_reads(word_class: dict[int, int], resume: Optional[tuple],
+                      _split: Callable[[int, Any], int]) -> Optional[tuple]:
         # halves of a split go on with its search, the first on its tape, the second on a branch
         nonlocal tape
         pending, tapes = resume or (None, [OracleTape(zeros(), barrier=probe_len)])

@@ -20,9 +20,10 @@ that succeeded on that tape has run, and an odd bit 2j+1 of the partial
 injection only for the guard positions no earlier bit on that tape has
 checked.  `barrier_image` keeps its output bits on the tape, so moving the
 barrier reruns only the rest.  A search over the words of a `Representation`
-runs to its depth and rolls a tape back to a `checkpoint` at each split, at
-the cost of the open bit's work alone; the checkpoint also rolls back a
-`branch` taken after it, so the halves of a split can go on on two tapes.
+runs to its depth; at each split one half goes on in place and the other
+later rolls the tape back to a `checkpoint` taken at the read, at the cost
+of the open bit's work alone.  The checkpoint also rolls back a `branch`
+taken after it, so the halves of a split can go on on two tapes.
 
 Sources, tapes, emitters and images carry bits as the ints 0 and 1.  A
 `Word` (a str of '0'/'1') appears only at the API edge: words that build
@@ -248,9 +249,10 @@ class OracleTape:
         """Output bit m of f, or None when it reads past the barrier or
         diverges (budget included).  A failed bit's reads are forgotten, also
         before a HorizonError propagates, so positions_read() covers exactly
-        the bits emitted; use stays monotone.  A fork of a search source
-        passes through untouched and leaves bit m open: rerun after a rollback
-        or on a branch, a failing bit m also forgets the reads made before the fork."""
+        the bits emitted; use stays monotone.  Any other exception, such as a
+        search handing over its split, passes through untouched and leaves
+        bit m open: rerun after a rollback or on a branch, a failing bit m
+        also forgets the reads made before it."""
         mark = self._open[1] if self._open and self._open[0] == m else len(self._reads)
         self._open = (m, mark)
         try:
@@ -420,7 +422,8 @@ class Representation:
     any failure to produce the next bit (barrier, budget, genuine
     divergence, horizon overrun) truncates; monotone by construction.
     Images stop at `out_cap` bits, by default max(2·depth + 8, 48).  The
-    depth is at most MAX_DEPTH, checked here for every search.
+    depth is at most MAX_DEPTH and the cap at most MAX_BITS, checked here
+    for every search.
     """
 
     def __init__(self, f: RealFunction, depth: int, out_cap: Optional[int] = None,
@@ -428,8 +431,8 @@ class Representation:
         if not 0 <= depth <= MAX_DEPTH:
             raise ValueError(f"depth must be a natural at most {MAX_DEPTH}, got {depth}")
         out_cap = max(2 * depth + 8, 48) if out_cap is None else out_cap
-        if out_cap < 0:
-            raise ValueError(f"out_cap must be a natural, got {out_cap}")
+        if not 0 <= out_cap <= MAX_BITS:  # evaluate's limit: an image holds out_cap bits
+            raise ValueError(f"out_cap must be a natural at most {MAX_BITS}, got {out_cap}")
         self.f = f
         self.depth = depth
         self.out_cap = out_cap

@@ -394,6 +394,13 @@ class TestSpecErrors:
         assert err_line(capsys, argv) == \
             (2, f"error: bit count must be a natural at most {MAX_BITS}, got {bits}")
 
+    def test_fiber_target_bound_ends_at_once(self, capsys):
+        # the target sets the image cap, checked by Representation before any search runs
+        argv = ["fiber", "--fn", "bitselect:double", "--target", "0" * (MAX_BITS + 1),
+                "--depth", "4"]
+        assert err_line(capsys, argv) == \
+            (2, f"error: out_cap must be a natural at most {MAX_BITS}, got {MAX_BITS + 1}")
+
     def test_inversion_bit_count_bound_ends_at_once(self, capsys):
         # checked by unique_path_invert before any class level holds n-bit heads
         argv = ["invert-tree", "--fn", "identity", "--target", "zeros", "--bits", "300000000",

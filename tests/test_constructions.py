@@ -404,6 +404,18 @@ class TestStageWhereCounterReaches:
         assert [stage_where_counter_reaches(w, u, z, d) for d in (3, 0)] == [4, 0]
         assert asked == [0, 1, 2, 3]
 
+    def test_stops_where_the_counter_cannot_move(self):
+        """With no word in U only W moves the counter: once d = 1, which W
+        never enumerates, the run ends with the horizon's text at once
+        instead of asking W at every stage up to the horizon."""
+        w = StagedEnumeration.from_pairs([(2, 0)], horizon=10**5)
+        u = StagedStringEnumeration.from_pairs([], horizon=10**5)
+        asked, member = [], w.member_at_stage
+        w.member_at_stage = lambda k, s: asked.append(s) or member(k, s)
+        with pytest.raises(HorizonError, match="^counter reached 1, not 3, within horizon 10+$"):
+            stage_where_counter_reaches(w, u, zeros(), 3)
+        assert asked == [0, 1, 2]
+
 
 class TestZBuilderV2:
     def test_counter_runs_as_on_the_test_fixture(self):

@@ -9,15 +9,24 @@ test-only copies:
   every output bit it checks;
 * `ref_dovetail_leaves` keeps its own stack and reruns the inverter at every
   fork node;
+* `ref_fork_tree` and `ref_fork_source` are the library's engine before a
+  split went on in place: an open read raises `RefFork` and unwinds the
+  run, and both children roll the tape back and redo the read's bit.
+  `ref_class_levels`, `ref_engine_fiber_branch_count` and
+  `ref_engine_dovetail_leaves` are the library's three searches on it;
 * `restart_fiber_branch_count` is the library's fiber count before a class
   split below the depth handed its probe search to the two halves: each half
   grows a fresh probe tree from output bit 0, replaying every run the split
-  search made before it read the split position.
+  search made before it read the split position.  It runs on the
+  exception-based engine.
 
 The library now runs every one of these searches on one fork tree.  Fiber
 counts and dovetail leaves must agree exactly; against the restart, so must
 the witness reads of every extendable class, in order, and the library may
-make no more probe runs.
+make no more probe runs.  Against the exception-based engine, every fork
+tree of the class levels, the fiber counts and the dovetail leaves must
+have the same nodes, splits and leaves in the same order, and the library
+may make no more emitter runs.
 
 The two fiber probes check output bits in different orders.  After a fork
 the reference checks the forking bit, then the guessed position, then every
@@ -34,13 +43,16 @@ on its second and third x seeds are left to
 `PYTHONPATH=src python tests/test_fork_differential.py`, which runs
 the reference and the library once on every fixture, the 1,200-position
 scanner included, and checks them and PINNED against each other.  The
-restart costs about what the library did, so the default run compares it
-with the library on every fixture; the full check does so too.  It also
-prints the library's probe emitter runs on each fixture, and on the two2
-hit fixture at depths 8 to 32 and the two1 stuck and climb fixtures at
-depths 8 to 20 its runs per target bit.
+restart and the exception-based engine cost about what the library does,
+so the default run compares them with the library on every fixture; the
+full check does so too.  It also prints, on each fixture, the splits and
+the emitter runs of the library and of the exception-based engine and the
+probe runs of the library and the restart, and on the two2 hit fixture at
+depths 8 to 32 and the two1 stuck and climb fixtures at depths 8 to 20 the
+library's probe runs per target bit.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -71,7 +83,7 @@ from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumer
 from oneway.errors import DeskError, DivergenceError, HorizonError, MeasureThresholdError, \
     _BudgetExhausted, _ReadBeyondBarrier
 from oneway.inversion import DovetailLeaf, FiberCount, Representation, _class_levels, \
-    _dovetail_leaves, _Fork, _fork_source, fiber_branch_count, reference_inverter_surjection
+    _dovetail_leaves, _pattern, fiber_branch_count, reference_inverter_surjection
 from oneway.streams import (
     DEFAULT_BUDGET,
     BitSource,
@@ -231,6 +243,164 @@ def ref_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
     return leaves
 
 
+# ------------------------------------------------ the exception-based engine
+
+class RefFork(Exception):
+    def __init__(self, position):
+        self.position = position
+        self.resume = None  # a checkpoint the run hands to both children
+        super().__init__(str(position))
+
+
+def ref_fork_tree(run, node_budget=float("inf"), exhausted=None, owned_from=0, roots=None):
+    """The library's fork tree before a split went on in place: an open read
+    raises RefFork and unwinds the run, and both children rerun the read
+    from the resume the run attached to the fork."""
+    nodes = 0
+    for root, resume in [({}, None)] if roots is None else roots:
+        base, assign = len(root), dict(root)
+        stack = [*resume] if resume.__class__ is list else [(0, {}, resume)]
+        while stack:
+            size, guess, resume = stack.pop()
+            while len(assign) > base + size:
+                assign.popitem()
+            assign.update(guess)
+            nodes += 1
+            if nodes > node_budget:
+                raise exhausted
+            try:
+                result = run(assign, resume)
+            except RefFork as fork:
+                size, p, resume = len(assign) - base, fork.position, fork.resume
+                if p < owned_from:
+                    fork.resume = [*stack, (0, dict([*assign.items()][base:]), resume)]
+                    raise
+                stack += (size, {p: 1}, resume), (size, {p: 0}, resume)
+                continue
+            if result is not None:
+                yield dict(assign), result
+
+
+def ref_fork_source(spec, prefix, assign):
+    def bit_at(i):
+        if i < len(prefix):
+            return prefix[i]
+        b = assign.get(i)
+        if b is None:
+            raise RefFork(i)
+        return b
+
+    return BitSource(spec, bit_at)
+
+
+def ref_class_levels(rep, y):
+    def grow(assign, resume):
+        tape, checkpoint = resume
+        if checkpoint is None:
+            tape.source, tape.barrier = ref_fork_source("preimage-class", (), assign), barrier
+        else:
+            tape.rollback(checkpoint)
+        try:
+            image = barrier_image(rep.f, tape, rep.out_cap, y)
+        except RefFork as fork:
+            fork.resume = (tape, tape.checkpoint())
+            raise
+        return None if image is None else tape if checkpoint is None else tape.branch(tape.source)
+
+    level = [({}, OracleTape(zeros(), budget=rep.budget))]
+    for barrier in range(rep.depth + 1):
+        level = list(ref_fork_tree(grow, roots=((assign, (tape, None)) for assign, tape in level)))
+        yield level
+
+
+def ref_engine_fiber_branch_count(f, y_prefix, depth, probe_len=None, budget=1000000):
+    """The library's fiber count on the exception-based engine: both halves
+    of a probe split roll the tape back and redo the forking bit."""
+    check_word(y_prefix)
+    rep = Representation(f, depth, len(y_prefix))
+    if probe_len is None:
+        probe_len = max(2 * pair(depth + 2, depth + 2) + 4, 2 * len(y_prefix) + 2)
+    probe_len = max(probe_len, depth)
+    n_out, target = len(y_prefix), tuple(map(int, y_prefix))
+    exhausted = DeskError("fiber probe budget exhausted")
+    runs = iter(range(budget))
+    tape = bound = None
+
+    def continuation(assign, resume):
+        nonlocal bound
+        if assign is not bound:
+            tape.source, bound = ref_fork_source("fiber-probe", (), assign), assign
+        checkpoint, queue, tail = resume or (None, (), 0)
+        if checkpoint:
+            tape.rollback(checkpoint)
+        while queue or tail < n_out:
+            if queue:
+                j, queue = queue[0], queue[1:]
+            else:
+                j, tail = tail, tail + 1
+                if j >= depth and j in assign:
+                    continue
+            if next(runs, None) is None:
+                raise exhausted
+            try:
+                b = tape.try_emit(f, j)
+            except RefFork as fork:
+                p = fork.position
+                queue = (j, *queue, p) if depth <= p < n_out else (j, *queue)
+                fork.resume = tape.checkpoint(), queue, tail
+                raise
+            if b is not None and b != target[j]:
+                return None
+        return tape.positions_read()
+
+    def witness_reads(word_class, resume):
+        nonlocal tape
+        pending, tapes = resume or (None, [OracleTape(zeros(), barrier=probe_len)])
+        tape = tapes.pop()
+        deep = ref_fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, pending)])
+        try:
+            return next((reads for _, reads in deep), None)
+        except RefFork as fork:
+            fork.resume = fork.resume, [tape.branch(tape.source), tape]
+            raise
+
+    *_, level = ref_class_levels(rep, finite(y_prefix))
+    surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
+    extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
+                  for word_class, reads in ref_fork_tree(witness_reads, roots=(
+                      (assign, None) for assign, _ in level))]
+    return _patterns(extendable, depth, surviving)
+
+
+def _patterns(extendable, depth, surviving):
+    """The FiberCount of the extendable (least word, class, witness reads) triples."""
+    if not extendable:
+        return FiberCount(0, surviving)
+    inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]
+    patterns = {pattern for _, word_class, _ in extendable
+                for pattern in itertools.product(*((word_class[p],) if p in word_class else (0, 1)
+                                                   for p in inside))}
+    return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
+
+
+def ref_engine_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
+    prefix = tuple(map(int, sigma))
+
+    def run(assign, _resume):
+        tape = OracleTape(ref_fork_source("dovetail-candidate", prefix, assign), budget=run_budget)
+        return None if tape.try_emit(g, bit_index) is None else tape.use
+
+    exhausted = MeasureThresholdError(
+        f"dovetail fork tree exceeded {node_budget} nodes; "
+        f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
+    leaves = []
+    for assign, use in ref_fork_tree(run, node_budget, exhausted):
+        length = max(use, len(sigma))
+        leaves.append(DovetailLeaf(_pattern(assign), use, length,
+                                   2 ** (length - len(sigma) - len(assign))))
+    return leaves
+
+
 def restart_fiber_branch_count(f, y_prefix, depth, probe_len=None, budget=1000000):
     """The library's fiber count as it was when a split class restarted its
     probe search.  A probe tree that reads an open position below `depth`
@@ -247,7 +417,7 @@ def restart_fiber_branch_count(f, y_prefix, depth, probe_len=None, budget=100000
 
     def continuation(assign, resume):
         if resume is None:
-            tape = OracleTape(_fork_source("fiber-probe", (), assign), barrier=probe_len)
+            tape = OracleTape(ref_fork_source("fiber-probe", (), assign), barrier=probe_len)
             queue, tail = (), 0
         else:
             tape, checkpoint, j, queue, tail = resume
@@ -263,7 +433,7 @@ def restart_fiber_branch_count(f, y_prefix, depth, probe_len=None, budget=100000
                 raise exhausted
             try:
                 b = tape.try_emit(f, j)
-            except _Fork as fork:
+            except RefFork as fork:
                 fork.resume = (tape, tape.checkpoint(), j, queue, tail)
                 raise
             if b is not None and b != target[j]:
@@ -271,47 +441,87 @@ def restart_fiber_branch_count(f, y_prefix, depth, probe_len=None, budget=100000
         return tape.positions_read()
 
     def witness_reads(word_class, _handed_over):
-        deep = inversion._fork_tree(continuation, budget, exhausted, depth,
-                                    roots=[(word_class, None)])
+        deep = ref_fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, None)])
         return next((reads for _, reads in deep), None)
 
-    *_, level = _class_levels(rep, finite(y_prefix))
+    *_, level = ref_class_levels(rep, finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
     extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
-                  for word_class, reads in inversion._fork_tree(witness_reads, roots=(
+                  for word_class, reads in ref_fork_tree(witness_reads, roots=(
                       (assign, None) for assign, _ in level))]
-    if not extendable:
-        return FiberCount(0, surviving)
-    inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]
-    patterns = {pattern for _, word_class, _ in extendable
-                for pattern in itertools.product(*((word_class[p],) if p in word_class else (0, 1)
-                                                   for p in inside))}
-    return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
+    return _patterns(extendable, depth, surviving)
+
+
+ENGINES = {"library": (fiber_branch_count, _dovetail_leaves),
+           "reference": (ref_engine_fiber_branch_count, ref_engine_dovetail_leaves)}
+
+
+def levels(engine):
+    """The class levels of one engine, as a search: each level's classes
+    with the positions their tapes read, and the tapes' use."""
+    class_levels = _class_levels if engine == "library" else ref_class_levels
+
+    def search(f, rep, y):
+        return [[(assign, tape.positions_read(), tape.use) for assign, tape in level]
+                for level in class_levels(Representation(f, rep.depth, rep.out_cap), y)]
+
+    return search
+
+
+def engine_work(search, fn, *args):
+    """search(fn, *args) with the work it did: (its outcome, per fork tree in
+    the order grown its run's name, nodes, splits and leaves, emitter runs
+    by tape source, trees that resumed a split search).  A library node is
+    a run or a split that went on in place; a reference node is a run."""
+    trees, runs, resumed = [], collections.Counter(), 0
+
+    def emit(tape, m):
+        runs[tape.source.spec] += 1
+        return fn.emit(tape, m)
+
+    library, reference = inversion._fork_tree, ref_fork_tree
+
+    def recording(tree, run, node_budget=float("inf"), exhausted=None, owned_from=0, roots=None):
+        nonlocal resumed
+        roots = None if roots is None else list(roots)
+        resumed += any(resume.__class__ is list for _, resume in roots or ())
+        record = {"run": run.__name__, "nodes": 0, "splits": 0, "leaves": []}
+        trees.append(record)
+
+        def counted(assign, resume, *split):
+            record["nodes"] += 1
+
+            def in_place(p, resume):
+                record["splits"] += p >= owned_from
+                bit = split[0](p, resume)
+                record["nodes"] += 1
+                return bit
+
+            try:
+                return run(assign, resume, *(in_place,)[:len(split)])
+            except (inversion._Fork, RefFork) as fork:
+                record["splits"] += fork.position >= owned_from
+                raise
+
+        for assign, result in tree(counted, node_budget, exhausted, owned_from, roots):
+            record["leaves"].append(
+                (assign, (result.positions_read(), result.use) if isinstance(result, OracleTape)
+                 else result))
+            yield assign, result
+
+    with mock.patch.object(inversion, "_fork_tree", functools.partial(recording, library)), \
+            mock.patch.dict(globals(), ref_fork_tree=functools.partial(recording, reference)):
+        got = outcome(search, RealFunction(fn.name, emit), *args)
+    return got, trees, runs, resumed
 
 
 def probe_search(count, f, y, depth, probe_len=None):
     """count(f, y, depth, probe_len), a fiber count, with what its probe
     search did: (the count, the extendable (class, witness reads) pairs in
     order, probe emitter runs, probe trees that resumed a split search)."""
-    runs, leaves, resumed, fork_tree = 0, [], 0, inversion._fork_tree
-
-    def emit(tape, m):
-        nonlocal runs
-        runs += tape.source.spec == "fiber-probe"
-        return f.emit(tape, m)
-
-    def recording(run, *args, roots=None, **kwargs):
-        nonlocal resumed
-        roots = None if roots is None else list(roots)
-        resumed += any(resume.__class__ is list for _, resume in roots or ())
-        for leaf in fork_tree(run, *args, roots=roots, **kwargs):
-            if run.__name__ == "witness_reads":
-                leaves.append(leaf)
-            yield leaf
-
-    with mock.patch.object(inversion, "_fork_tree", recording):
-        got = count(RealFunction(f.name, emit), y, depth, probe_len)
-    return got, leaves, runs, resumed
+    got, trees, runs, resumed = engine_work(count, f, y, depth, probe_len)
+    leaves = [leaf for tree in trees if tree["run"] == "witness_reads" for leaf in tree["leaves"]]
+    return got, leaves, runs["fiber-probe"], resumed
 
 
 # ------------------------------------------------------------ fiber fixtures
@@ -564,6 +774,53 @@ def test_two1_probe_search_resumes_at_a_class_split():
             FiberCount(*PINNED[name]), name
 
 
+def test_two2_hit_split_goes_on_in_place():
+    # the 0 half of a probe split goes on in place, so only the 1 half
+    # reruns its bit: about 2.4 probe runs per target bit at depths 16 and
+    # 24, where rerunning both halves took 3.4 (881 and 1,948 runs)
+    for depth in (16, 24):
+        f, y = two2_hit(depth)
+        assert fiber_branch_count(f, y, depth, budget=3 * len(y)) == FiberCount(*TWO2_HIT[depth])
+
+
+def assert_engines_agree(searches, fn, *args):
+    """The library and the exception-based engine on one search: the same
+    outcome, the same fork trees (run, nodes, splits, leaves in order) and
+    at least as many emitter runs in the reference.  Returns both works."""
+    lib, ref = (engine_work(search, fn, *args) for search in searches)
+    assert lib[:2] == ref[:2]
+    assert lib[3] == ref[3]
+    assert sum(lib[2].values()) <= sum(ref[2].values())
+    return lib, ref
+
+
+def test_engines_agree_on_class_levels():
+    from test_preimage_differential import invert_tree_fixtures  # it imports this module
+    fixtures = [(rep.f, rep, y) for rep, y, _ in invert_tree_fixtures().values()]
+    fixtures += [(f, Representation(f, depth, len(y)), finite(y))
+                 for f, y, depth in fiber_fixtures().values()]
+    reruns = 0
+    for f, rep, y in fixtures:
+        lib, ref = assert_engines_agree((levels("library"), levels("reference")), f, rep, y)
+        reruns += sum(ref[2].values()) - sum(lib[2].values())
+    assert reruns > 0
+
+
+def test_engines_agree_on_pinned_fibers():
+    fewer = 0
+    for name, (f, y, depth) in fiber_fixtures().items():
+        lib, ref = assert_engines_agree((ENGINES["library"][0], ENGINES["reference"][0]),
+                                        f, y, depth)
+        assert lib[0] == FiberCount(*PINNED[name]), name
+        fewer += lib[2]["fiber-probe"] < ref[2]["fiber-probe"]
+    assert fewer > 0
+
+
+def test_engines_agree_on_dovetail_leaves():
+    for name, (g, *args) in dovetail_fixtures().items():
+        assert_engines_agree((ENGINES["library"][1], ENGINES["reference"][1]), g, *args)
+
+
 def assert_resuming_matches_restart(f, y, depth, probe_len=None):
     lib = probe_search(fiber_branch_count, f, y, depth, probe_len)
     ref = probe_search(restart_fiber_branch_count, f, y, depth, probe_len)
@@ -676,6 +933,12 @@ def test_resumed_probe_search_matches_restart(case):
     assert_resuming_matches_restart(*case)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fiber_cases())
+def test_engines_agree_on_drawn_fibers(case):
+    assert_engines_agree((ENGINES["library"][0], ENGINES["reference"][0]), *case)
+
+
 # ------------------------------------------- property: rollback is a branch
 
 def guarded_maps():
@@ -694,7 +957,7 @@ def _image_answering_forks(f, tape, n, assign, x, forks=None):
         try:
             barrier_image(f, tape, n)
             return None, answered
-        except _Fork as fork:
+        except RefFork as fork:
             if answered == forks:
                 return fork, answered
             assign[fork.position] = x.bit(fork.position)
@@ -710,7 +973,7 @@ def _tape_state(tape):
 def _resumed(f, tape, m):
     try:
         bit = tape.try_emit(f, m)
-    except _Fork as fork:
+    except RefFork as fork:
         bit = ("fork", fork.position)
     except HorizonError:
         bit = "horizon"
@@ -734,7 +997,7 @@ def test_rollback_to_a_fork_restores_the_branch_taken_there(data):
 
     def fork_source_tape():
         assign = {p: x.bit(p) for p in range(known) if p not in holes}
-        return assign, OracleTape(_fork_source("probe", (), assign), barrier=barrier)
+        return assign, OracleTape(ref_fork_source("probe", (), assign), barrier=barrier)
 
     assign, tape = fork_source_tape()
     _, forks = _image_answering_forks(f, tape, n, assign, x)
@@ -745,7 +1008,7 @@ def test_rollback_to_a_fork_restores_the_branch_taken_there(data):
     m, at_fork = tape._open[0], dict(assign)
     checkpoint = tape.checkpoint()
     twin_assign = dict(assign)
-    twin = tape.branch(_fork_source("probe", (), twin_assign))
+    twin = tape.branch(ref_fork_source("probe", (), twin_assign))
 
     def fails(t, j):
         for p in list(reversed(assign))[:j]:
@@ -845,19 +1108,28 @@ def two1(z, depth):
 
 
 def main() -> int:
-    """Rerun the reference and the restart on every fixture and print the
-    reference's counts and the library's probe emitter runs, then the runs
-    on the two2 hit and two1 fixtures as their targets grow."""
+    """Rerun the reference, the restart and the exception-based engine on
+    every fixture; print the reference's counts and, for the library and
+    the exception-based engine, the splits and emitter runs.  Then the
+    library's probe runs on the two2 hit and two1 fixtures as their targets
+    grow."""
     bad = 0
+    print("fixture: (branches, surviving), splits, emitter runs library/reference engine, "
+          "probe runs library/restart")
     for name, (f, y, depth) in fiber_fixtures().items():
         want = ref_fiber_branch_count(f, y, depth)
+        lib, ref = (engine_work(ENGINES[engine][0], f, y, depth) for engine in ENGINES)
         got, leaves, runs, _ = probe_search(fiber_branch_count, f, y, depth)
         restart = probe_search(restart_fiber_branch_count, f, y, depth)
+        work = [(sum(tree["splits"] for tree in trees), sum(counts.values()))
+                for _, trees, counts, _ in (lib, ref)]
         ok = got == want and PINNED.get(name) == (want.branches, want.surviving) and \
-            restart[:2] == (got, leaves) and runs <= restart[2]
+            restart[:2] == (got, leaves) and runs <= restart[2] and lib[:2] == ref[:2] and \
+            work[0][0] == work[1][0] and work[0][1] <= work[1][1]
         bad += not ok
         print(f"{'ok ' if ok else 'BAD'} {name!r}: ({want.branches}, {want.surviving}),"
-              f"  # {runs} probe runs, {restart[2]} restarting")
+              f"  # {work[0][0]} splits, {work[0][1]}/{work[1][1]} runs,"
+              f" {runs}/{restart[2]} probe runs")
     for label, fixture, depths in (("two2 hit", two2_hit, (8, 16, 24, 32)),
                                    ("two1 stuck", functools.partial(two1, zeros()),
                                     (8, 12, 16, 20)),
@@ -869,9 +1141,11 @@ def main() -> int:
             _, _, runs, _ = probe_search(fiber_branch_count, f, y, depth)
             print(f"  {depth:>2} {len(y):>6} {runs:>7} {runs / len(y):>6.2f}")
     args = (_scanner(1200), "", 0, 100000, DEFAULT_BUDGET)
-    ok = _dovetail_leaves(*args) == ref_dovetail_leaves(*args)
+    lib, ref = (engine_work(ENGINES[engine][1], *args) for engine in ENGINES)
+    ok = lib[0] == ref_dovetail_leaves(*args) and lib[:2] == ref[:2]
     bad += not ok
-    print(f"{'ok ' if ok else 'BAD'} scanner 1200 leaves")
+    print(f"{'ok ' if ok else 'BAD'} scanner 1200 leaves: {lib[1][0]['splits']} splits,"
+          f" {sum(lib[2].values())}/{sum(ref[2].values())} runs")
     print(f"{bad} mismatches")
     return 1 if bad else 0
 

@@ -548,7 +548,8 @@ class TestFiberBranchCount:
 
     def test_image_runs_grow_linearly_in_depth(self):
         # every class grows its image on its own tape, one barrier position
-        # at a time, so no fork node reruns the image from bit 0
+        # at a time, so no fork node reruns the image from bit 0; the 0 half
+        # of a split goes on in place, so only the 1 half reruns its bit
         f = bit_select(double_injection())
 
         def image_runs(depth):
@@ -564,7 +565,7 @@ class TestFiberBranchCount:
             return sum(b is not None and b <= depth for b in barriers)
 
         depths = (8, 16, 24, 32)
-        assert [image_runs(depth) for depth in depths] == [5 * d // 2 + 1 for d in depths]
+        assert [image_runs(depth) for depth in depths] == [2 * d + 1 for d in depths]
 
     def test_probe_past_the_horizon_is_an_error(self):
         # the image check truncates at the horizon; a probed bit does not

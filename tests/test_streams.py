@@ -408,6 +408,12 @@ class TestRepresentation:
         rep = Representation(identity_function(), depth=8, out_cap=2)
         assert rep.map_word("0110") == "01"
 
+    @pytest.mark.parametrize("out_cap", [-1, streams.MAX_BITS + 1])
+    def test_out_cap_bound(self, out_cap):
+        message = f"^out_cap must be a natural at most {streams.MAX_BITS}, got {out_cap}$"
+        with pytest.raises(ValueError, match=message):
+            Representation(identity_function(), depth=2, out_cap=out_cap)
+
     def test_depth_guard(self):
         rep = Representation(identity_function(), depth=2, out_cap=8)
         with pytest.raises(ValueError):
