@@ -56,8 +56,14 @@ def _parse_word(text: str, where: str) -> Word:
     return text
 
 
+def _is_numeral(text: str) -> bool:
+    """A natural's numeral: ASCII digits only (str.isdigit also takes
+    superscripts and other scripts' digits, which int() rejects or reads)."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_nat(text: str, where: str) -> int:
-    if not text.isdigit():
+    if not _is_numeral(text):
         raise SpecParseError(f"{where}: expected a natural, got {text!r}")
     return int(text)
 
@@ -75,7 +81,7 @@ def _split_enum(spec: str) -> tuple[StagedEnumeration, str, str]:
     if parts[0] == "collatz":
         numeric = []
         i = 1
-        while i < len(parts) and i <= 2 and parts[i].isdigit():
+        while i < len(parts) and i <= 2 and _is_numeral(parts[i]):
             numeric.append(int(parts[i]))
             i += 1
         max_element = numeric[0] if numeric else 64

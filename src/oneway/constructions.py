@@ -153,6 +153,10 @@ class Marker:
     rest (`undo`), as the tape forgets their reads, and one that forks
     leaves them open.  The permission rule is passed in, never stored: a
     marker kept on a tape holds no reference back to the tape.
+
+    `advance_to` runs the stages below a count; `first_update` stops early,
+    after the first stage from a given one on that moves k.  Both run the
+    one stage loop, `_run`.
     """
 
     def __init__(self):
@@ -180,16 +184,33 @@ class Marker:
         """Run the stages below `stages` that have not run yet."""
         if stages < 0:
             raise ValueError("stages must be a natural")
+        self._run(stages, permission, stages)
+        return self
+
+    def first_update(self, start: int, stop: int, permission: PermissionFn) -> Optional[int]:
+        """The first stage t with start <= t < stop that updates the marker,
+        running the stages below `stop` only up to it; None when none does."""
         rows = self.rows
+        for t in range(start, min(stop, len(rows))):
+            if rows[t][3] is not None:
+                return t
+        return self._run(stop, permission, start)
+
+    def _run(self, stages: int, permission: PermissionFn, watch: int) -> Optional[int]:
+        """The stage loop: run the stages below `stages` that have not run
+        yet, stopping after the first one from `watch` on that updates the
+        marker and returning it."""
+        rows, k, d = self.rows, self.k, self.d
         for s in range(len(rows), stages):
-            k, d = self.k, self.d
             perm = permission(k, d, s)
             if perm is None:
                 rows.append((k, d, s + 1, None))
             else:
                 rows.append((k, d, k, perm))
-                self.k, self.d = s + 1, d + 1
-        return self
+                self.k, self.d = k, d = s + 1, d + 1
+                if s >= watch:
+                    return s
+        return None
 
     def state_at(self, s: int, permission: PermissionFn) -> tuple[int, int]:
         """(k_s, d_s), the values before stage s acts; runs no stage from s on."""
@@ -459,10 +480,11 @@ def z_builder_v1(n: int, zeta: Word = "") -> BitSource:
     if n < 0:
         raise ValueError("column index must be a natural")
     check_word(zeta)
+    prefix, k = tuple(map(int, zeta)), len(zeta)
 
     def bit(m: int) -> int:
-        if m < len(zeta):
-            return int(zeta[m])
+        if m < k:
+            return prefix[m]
         i, _ = unpair(m)
         return 0 if i == n else 1
 

@@ -13,6 +13,7 @@ its field parsers and prefixes its constructor's errors with the path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Iterable, Mapping, Optional
 
 from .bitcore import Word, check_word, comparable, data_records, pair, unpair
@@ -85,7 +86,8 @@ class StagedEnumeration:
 
     def member_at_stage(self, n: int, s: int) -> bool:
         """n ∈ W_s, the accumulated set at stage s."""
-        _check_stage(s, self.horizon)
+        if not 0 <= s <= self.horizon:
+            _check_stage(s, self.horizon)
         entry = self._by_element.get(n)
         return entry is not None and entry <= s
 
@@ -177,6 +179,10 @@ class StagedStringEnumeration:
                         f"word {word!r} at stage {s} comparable with {earlier!r} at stage {t}")
             ordered.append((s, word))
         self._ordered = tuple(ordered)
+        # U_s is a leading slice of the words; column_hit compares their bits
+        self._stages = [s for s, _ in ordered]
+        self._words = tuple(word for _, word in ordered)
+        self._bits = {word: tuple(map(int, word)) for word in self._words}
         self.horizon = horizon
         self.label = label
 
@@ -194,9 +200,11 @@ class StagedStringEnumeration:
         return cls(schedule, horizon, label)
 
     def words_at(self, s: int) -> tuple[Word, ...]:
-        """Accumulated prefix-free set U_s, in stage order."""
-        _check_stage(s, self.horizon)
-        return tuple(word for t, word in self._ordered if t <= s)
+        """Accumulated prefix-free set U_s, in stage order: the schedule is
+        in stage order, so U_s is its leading words, found by bisection."""
+        if not 0 <= s <= self.horizon:
+            _check_stage(s, self.horizon)
+        return self._words[:bisect_right(self._stages, s)]
 
     def pairs(self) -> tuple[tuple[int, Word], ...]:
         return self._ordered
@@ -209,10 +217,17 @@ def column_hit(u: StagedStringEnumeration, col: Callable[[int], int], s: int) ->
     """Whether some word of U_s is a prefix of the column, a bit function.
 
     Reads exactly the column bits needed for the comparisons, in schedule
-    order, so tape-backed columns see a deterministic read sequence.
+    order, so tape-backed columns see a deterministic read sequence: the
+    reads comparing `words_at(s)` character by character would make.  Each
+    word's bits are converted to ints once, when U is built, so a stage
+    neither filters U nor converts a character.
     """
+    bits = u._bits
     for word in u.words_at(s):
-        if all(col(i) == int(ch) for i, ch in enumerate(word)):
+        for i, b in enumerate(bits[word]):
+            if col(i) != b:
+                break
+        else:
             return True
     return False
 

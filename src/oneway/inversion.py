@@ -64,6 +64,7 @@ from .streams import (
     barrier_image,
     evaluate_bit,
     finite,
+    flipped_at,
     interleaved,
     mutate_beyond_use,
     output_source,
@@ -210,26 +211,29 @@ def reference_inverter_two_to_one(w: StagedEnumeration, search_stages: Optional[
     t that selected position q, or answers 0 (the unread bit) when the scan
     shows the marker parked on q.  Stage q-1 selects q, or else the marker
     parks on q from stage q with its key (k = q, or the counter d) fixed,
-    and w releases it no later than the key's entry stage: the scan runs
-    that far, exactly.  A key that never enters leaves only z-permissions,
-    watched for through stage max(256, q), a desk limit: 256 keeps every
-    query below it scanning the stages it always has, and the answer 0 past
-    it is right whenever the parked column stays silent, as on each
-    extractor's adversarial z.  `search_stages` (for tests) scans a fixed
-    number of stages instead and fails a bit it leaves unreached.
+    and the first stage from q on that updates it is the one that selects
+    q: the scan is `Marker.first_update`, the marker's own stage loop
+    stopped there.  w releases the marker no later than the key's entry
+    stage: the scan runs that far, exactly.  A key that never enters leaves
+    only z-permissions, watched for through stage max(256, q), a desk
+    limit: 256 keeps every query below it scanning the stages it always
+    has, and the answer 0 past it is right whenever the parked column stays
+    silent, as on each extractor's adversarial z.  `search_stages` (for
+    tests) scans a fixed number of stages instead and fails a bit it leaves
+    unreached.
     """
 
     def selecting_stage(marker: Marker, permission: PermissionFn, q: int) -> Optional[int]:
         stop = search_stages
-        if stop is None:
+        if stop is None or q <= stop:
             k, d = marker.state_at(q, permission)
             if k != q:
-                return q - 1
-            entry = w.entry_stage(q if u is None else d)
-            stop = max(256, q) if entry is None else max(q, entry) + 1
-        # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
-        for t in range(max(q - 1, 0), stop):
-            if marker.advance_to(t + 1, permission).rows[t][2] == q:
+                return q - 1  # p_{q-1} = q exactly when k_q is not q
+            if stop is None:
+                entry = w.entry_stage(q if u is None else d)
+                stop = max(256, q) if entry is None else max(q, entry) + 1
+            t = marker.first_update(q, stop, permission)
+            if t is not None:
                 return t
         if marker.state_at(stop, permission)[0] != q:
             raise DivergenceError(2 * q, f"position {q} not selected within {stop} stages")
@@ -266,6 +270,12 @@ def _check_unary(g: InverterUnderTest, extractor: str) -> None:
         raise ValueError(f"{extractor} takes a unary inverter")
 
 
+# the offsets past an extracted bit's use that its six spot checks flip: the
+# positions the first six mutation draws of random.Random(0) place past use 0
+_SPOT_CHECKS = tuple(mutate_beyond_use(zeros(), 0, rng)[0]
+                     for rng in itertools.repeat(random.Random(0), 6))
+
+
 def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: BitSource,
              q: int, f: RealFunction, positions: Iterable[int],
              bound: Callable[[int, int], tuple[Optional[int], object]], validate: bool = True,
@@ -274,12 +284,13 @@ def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: Bi
     """What the unary extractors share: g's bit q on the adversarial y, its
     use spot-checked by six mutations beyond it and, with `validate`, the
     audit of f(g(y)) at `positions`; bound(bit, use) then gives the stage
-    bound (None: a non-member outright) and the evidence."""
+    bound (None: a non-member outright) and the evidence.  The six
+    mutations flip use + offset for the fixed offset sets `_SPOT_CHECKS`,
+    the positions `mutate_beyond_use` draws from random.Random(0)."""
     bit, use = evaluate_bit(g.g, y, q)
     if validate:
-        rng = random.Random(0)
-        for _ in range(6):
-            got, _ = evaluate_bit(g.g, mutate_beyond_use(y, use, rng)[1], q)
+        for offsets in _SPOT_CHECKS:
+            got, _ = evaluate_bit(g.g, flipped_at(y, *(use + offset for offset in offsets)), q)
             if got != bit:
                 raise UseSoundnessError(f"{g.g.name} bit {q} changed from {bit} to {got} "
                                         f"after mutation beyond use {use}")

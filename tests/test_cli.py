@@ -354,6 +354,23 @@ class TestSpecErrors:
         )
         assert (code, err) == (1, f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "fn,source,message",
+        [
+            ("identity", "random:²", "random seed: expected a natural, got '²'"),
+            ("identity", "random:٣", "random seed: expected a natural, got '٣'"),
+            ("identity", "flip:²:zeros", "flip position: expected a natural, got '²'"),
+            ("simple:collatz:²", "zeros", "trailing '²' after simple:collatz"),
+            ("simple:collatz:16:٣", "zeros", "trailing '٣' after simple:collatz:16"),
+        ],
+    )
+    def test_numerals_take_ascii_digits_only(self, capsys, fn, source, message):
+        # str.isdigit takes '²' (which int() rejects) and '٣' (which it reads as 3)
+        code, err = err_line(
+            capsys, ["eval", "--fn", fn, "--input", source, "--bits", "4"]
+        )
+        assert (code, err) == (1, f"error: {message}")
+
     def test_missing_enumeration_file(self, capsys, tmp_path):
         code, err = err_line(
             capsys,

@@ -1,5 +1,6 @@
 """Inverters, extraction adversaries, and fiber evidence."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,7 @@ from oneway.streams import (
     evaluate,
     finite,
     interleaved,
+    mutate_beyond_use,
     ones,
     output_source,
     random_source,
@@ -496,6 +498,27 @@ class TestExtractTwoToOne:
         with pytest.raises(DivergenceError, match="inverter validation diverged") as err:
             extract_two_to_one(only_bit(10), w, 5)
         assert err.value.bit_index == 0
+
+
+@pytest.mark.parametrize("extract,make,n,use", [
+    (extract_simple, reference_inverter_simple, 0, 0),
+    (extract_simple, reference_inverter_simple, 2, 8),
+    (extract_simple, reference_inverter_simple, 5, 73),
+    (extract_two_to_one, reference_inverter_two_to_one, 5, 122),
+    (extract_two_to_one, reference_inverter_two_to_one, 3, 67334),
+])
+def test_spot_checks_flip_fixed_draws_past_the_use(extract, make, n, use):
+    # the six spot-checked tapes of the extracted bit read y flipped where
+    # six successive mutate_beyond_use draws of random.Random(0) flip it,
+    # past each use; the audit's tape, if it emits the bit, comes after them
+    w = enum([(1, 2), (4, 7), (6, 5)], 10**5)
+    m = n if extract is extract_simple else 2 * n
+    g, tapes = tapes_emitting(make(w), m)
+    assert extract(g, w, n).use == use
+    y, rng = tapes[0].source, random.Random(0)
+    draws = [mutate_beyond_use(y, use, rng) for _ in range(6)]
+    assert [(tuple(sorted(tape.source.flips)), tape.source.spec) for tape in tapes[1:7]] == \
+        [(positions, x.spec) for positions, x in draws]
 
 
 class TestFiberBranchCount:

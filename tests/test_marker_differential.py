@@ -5,32 +5,51 @@ every query, exactly as the library once did in four places.  The library
 now keeps one marker per map and tape and runs stages forward on demand;
 every output, use, read set, trace and verdict must agree with the
 reference.
+
+`ref_scan_inverter` is the reference inverter of both two-to-one maps as it
+was when its scan for the stage selecting a parked position q called
+`Marker.advance_to` once per stage.  The library's scan is one pass of the
+marker's own stage loop up to the first update from stage q on; on every
+query, bit, use, reads in order, marker rows and error text must agree.
+
+`PYTHONPATH=src python tests/test_marker_differential.py` prints, for the
+thm-two1 and thm-two2 demos, the marker stages each extraction phase runs
+and the passes of the marker's stage loop that run them, for the library
+and for the per-stage scan.
 """
 
 import random
+import sys
 
 import pytest
 
 from oneway.bitcore import pair
+import oneway.cli as cli
+import oneway.inversion as inversion
 from oneway.constructions import (
     Marker,
     MarkerStep,
     MarkerTrace,
     _marker_map,
     _selected_position,
+    d_keyed,
+    k_keyed,
     marker_run_v1,
     marker_run_v2,
     odd_half,
+    stage_where_counter_reaches,
     two_to_one_v1,
     two_to_one_v2,
+    z_builder_v1,
+    z_builder_v2,
 )
 from oneway.enumeration import StagedEnumeration, StagedStringEnumeration, \
     collatz_toy, column_hit
 from oneway.errors import DivergenceError, HorizonError
 from oneway.inversion import InverterUnderTest, extract_two_to_one, \
     fiber_branch_count, reference_inverter_two_to_one
-from oneway.streams import BitSource, RealFunction, Representation, evaluate, \
-    interleaved, periodic, random_source
+from oneway.streams import BitSource, OracleTape, RealFunction, Representation, evaluate, \
+    evaluate_bit, finite, interleaved, periodic, random_source
 
 from test_acceptance import seeded_enumeration, seeded_string_enumeration
 
@@ -278,3 +297,255 @@ def test_d_keyed_reads_in_the_old_order():
         assert runs[0] == runs[1], trial
         z_stages += sum(step.permission == "z" for step in runs[0][0].steps)
     assert z_stages > 0  # some column hit a word, so whole words were compared
+
+
+# ------------------------------------------------- the per-stage parked scan
+
+def ref_selecting_stage(w, search_stages, u):
+    """The reference inverter's index with its scan for the stage that
+    selects q made one `Marker.advance_to` call per stage."""
+
+    def selecting_stage(marker, permission, q):
+        stop = search_stages
+        if stop is None:
+            k, d = marker.state_at(q, permission)
+            if k != q:
+                return q - 1
+            entry = w.entry_stage(q if u is None else d)
+            stop = max(256, q) if entry is None else max(q, entry) + 1
+        # p_t is t+1 or k_t <= t, so no stage before q-1 selects q
+        for t in range(max(q - 1, 0), stop):
+            if marker.advance_to(t + 1, permission).rows[t][2] == q:
+                return t
+        if marker.state_at(stop, permission)[0] != q:
+            raise DivergenceError(2 * q, f"position {q} not selected within {stop} stages")
+        return None
+
+    return selecting_stage
+
+
+def ref_scan_inverter(w, search_stages=None, u=None):
+    """`reference_inverter_two_to_one` with the per-stage scan."""
+    rule = (lambda tape: k_keyed(w, odd_half(tape))) if u is None else \
+        (lambda tape: d_keyed(w, u, odd_half(tape)))
+    limit = "" if search_stages is None else f",{search_stages}"
+    return InverterUnderTest(_marker_map(
+        f"refinv-two{1 if u is None else 2}({w.label}{limit})", rule,
+        ref_selecting_stage(w, search_stages, u)))
+
+
+SCANS = {"library": reference_inverter_two_to_one, "per-stage": ref_scan_inverter}
+
+
+def markers(tape):
+    """Every marker on the tape: k, d, kept and its rows."""
+    return [(m.k, m.d, m.kept, tuple(m.rows))
+            for m in tape.state.values() if isinstance(m, Marker)]
+
+
+def logged(make, log):
+    """`make`'s inverter, appending to `log` for every bit it emits: the
+    bit or the type and text of what it raised, then the tape's use, its
+    reads in first-read order and its markers."""
+
+    def build(w, search_stages=None, u=None):
+        g = make(w, search_stages, u)
+
+        def emit(tape, m):
+            try:
+                b = g.g.emit(tape, m)
+            except Exception as exc:
+                log.append((m, type(exc), str(exc), tape.use, tuple(tape._reads),
+                            markers(tape)))
+                raise
+            log.append((m, b, tape.use, tuple(tape._reads), markers(tape)))
+            return b
+
+        return InverterUnderTest(RealFunction(g.g.name, emit), g.binary)
+
+    return build
+
+
+def queried(g, y, queries):
+    """Each query on a fresh tape, then all of them in turn on one tape;
+    with every outcome the use, reads in first-read order, sorted reads and
+    markers, and every read of y in order."""
+    x, reads = recording(y)
+    fresh = [outcome(evaluate_bit, g.g, x, m) for m in queries]
+    tape, log = OracleTape(x), []
+    for m in queries:
+        log.append((outcome(tape.try_emit, g.g, m), outcome(tape.emit, g.g, m), tape.use,
+                    tuple(tape._reads), tape.positions_read(), markers(tape)))
+    return fresh, log, reads
+
+
+WHERE = ("before q", "after q", "past 256", "never")
+
+
+def _entry(rng, where, q):
+    return {"before q": rng.randrange(q) if q else 0, "after q": rng.randrange(q + 1, 257),
+            "past 256": rng.randrange(257, 600), "never": None}[where]
+
+
+def _toy(rng, key, entry, elements, horizon):
+    """A schedule of a few drawn elements other than `key`, which enters at
+    `entry` (or never), within a horizon of at least `horizon`."""
+    schedule = {} if entry is None else {entry: key}
+    for _ in range(rng.randrange(6)):
+        s, n = rng.randrange(min(horizon, 300) + 1), rng.randrange(elements)
+        if s not in schedule and n != key and n not in schedule.values():
+            schedule[s] = n
+    return StagedEnumeration(schedule, max(horizon, *schedule, 0), f"toy{len(schedule)}")
+
+
+def _word(rng, most):
+    return "".join(rng.choice("01") for _ in range(rng.randrange(most + 1)))
+
+
+def _even_half(rng):
+    """υ0^ω for a drawn υ, or a random real: y's bits the inverter copies."""
+    if rng.random() < 0.5:
+        return finite(_word(rng, 8))
+    return random_source(rng.randrange(10**6))
+
+
+def k_keyed_case(rng, where):
+    """(w, None, y, q): the even half of y drawn, its odd half the adversarial
+    z that parks the k-keyed marker on q, whose key q enters W `where`."""
+    q = rng.randrange(1, 40)
+    horizon = rng.choice([10**4, rng.randrange(q, 300)])
+    w = _toy(rng, q, _entry(rng, where, q), 64, horizon)
+    zeta = _word(rng, min(q - 1, 5))
+    return w, None, interleaved(_even_half(rng), z_builder_v1(q, zeta)), q
+
+
+def d_keyed_case(rng, where):
+    """(w, U, y, q): the even half of y drawn, its odd half the adversarial
+    z that parks the d-keyed marker at the stage q where its counter reaches
+    n, and the key n enters W `where` relative to that stage."""
+    while True:
+        u = seeded_string_enumeration(rng, stages=60, draws=rng.randrange(1, 5), horizon=10**4)
+        n = rng.randrange(1, 10)
+        try:
+            z = z_builder_v2(u, n)
+            q = stage_where_counter_reaches(_toy(rng, n, None, 16, 10**4), u, z, n)
+        except (ValueError, HorizonError):
+            continue
+        horizon = rng.choice([10**4, rng.randrange(q, 300)])
+        w = _toy(rng, n, _entry(rng, where, q), 16, horizon)
+        return w, u, interleaved(_even_half(rng), z), q
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("keyed", ["k", "d"])
+def test_parked_scan_matches_per_stage_scan(keyed, where):
+    """Drawn toys, upsilon and zeta, and scan limits below, at and above q."""
+    rng = random.Random(f"parked:{keyed}:{where}")
+    for trial in range(6):
+        w, u, y, q = (k_keyed_case if keyed == "k" else d_keyed_case)(rng, where)
+        queries = [2 * q, *range(2 * q + 4), 2 * (q + rng.randrange(1, 30)), 2 * q]
+        for search_stages in (None, rng.randrange(q), q, q + rng.randrange(1, 300)):
+            runs = [queried(make(w, search_stages, u), y, queries) for make in SCANS.values()]
+            assert runs[0] == runs[1], (trial, w.pairs(), y.spec, q, search_stages)
+
+
+@pytest.mark.parametrize("script", [row.demo for row in cli.REDUCTIONS])
+def test_demo_queries_match_per_stage_scan(monkeypatch, script):
+    """Every bit the four demos ask of the reference inverter, in order."""
+    runs = []
+    for make in SCANS.values():
+        log, lines = [], []
+        monkeypatch.setattr(cli, "reference_inverter_two_to_one", logged(make, log))
+        assert cli._run_demo(script, lines.append) == 0
+        runs.append((lines, log))
+    assert runs[0] == runs[1]
+    assert bool(runs[0][1]) == script.startswith("thm-two")
+
+
+def test_extractions_match_per_stage_scan():
+    """extract two1 with drawn upsilon and zeta, query by query."""
+    rng = random.Random("extract two1")
+    for trial in range(12):
+        w = _toy(rng, None, None, 32, 10**5)
+        n = rng.randrange(1, 32)
+        upsilon, zeta = _word(rng, 6), _word(rng, min(n - 1, 4))
+        runs = []
+        for make in SCANS.values():
+            log = []
+            g = logged(make, log)(w)
+            runs.append((outcome(lambda: extract_two_to_one(g, w, n, upsilon, zeta).line()),
+                         log))
+        assert runs[0] == runs[1], (trial, w.pairs(), n, upsilon, zeta)
+
+
+# ---------------------------------------------------------------- the tool
+
+def phase_stages(script, make):
+    """(stages, loop passes) of the marker per phase of the demo's
+    extractions: the base bit, its six spot checks, the audit and the bound
+    (every other marker run: the extractor's own marker)."""
+    counts = {phase: [0, 0] for phase in ("bit", "spot", "audit", "bound")}
+    phase, bits = ["bound"], [0]
+    run, evaluate_one, audit, extract = \
+        Marker._run, inversion.evaluate_bit, inversion._audit, inversion._extract
+
+    def counted_run(marker, stages, permission, watch):
+        before = len(marker.rows)
+        try:
+            return run(marker, stages, permission, watch)
+        finally:
+            counts[phase[0]][0] += len(marker.rows) - before
+            counts[phase[0]][1] += 1
+
+    def in_phase(name, fn):
+        def wrapper(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = "bound"
+        return wrapper
+
+    def evaluate_counted(*args, **kwargs):
+        bits[0] += 1  # an extraction's first bit is the base bit, the rest spot checks
+        return in_phase("bit" if bits[0] == 1 else "spot", evaluate_one)(*args, **kwargs)
+
+    def extract_counted(*args, **kwargs):
+        bits[0] = 0
+        return extract(*args, **kwargs)
+
+    patches = {(Marker, "_run"): counted_run, (cli, "reference_inverter_two_to_one"): make,
+               (inversion, "evaluate_bit"): evaluate_counted,
+               (inversion, "_audit"): in_phase("audit", audit),
+               (inversion, "_extract"): extract_counted}
+    saved = {key: getattr(*key) for key in patches}
+    try:
+        for (owner, name), value in patches.items():
+            setattr(owner, name, value)
+        lines = []
+        ok = cli._run_demo(script, lines.append) == 0
+    finally:
+        for (owner, name), value in saved.items():
+            setattr(owner, name, value)
+    return ok, lines, counts
+
+
+def main() -> int:
+    """Per demo and phase, the marker stages run and the passes of the
+    marker's stage loop that ran them, library beside the per-stage scan."""
+    bad = 0
+    for script in ("thm-two1", "thm-two2"):
+        runs = {name: phase_stages(script, make) for name, make in SCANS.items()}
+        same = runs["library"][:2] == runs["per-stage"][:2] and runs["library"][0]
+        bad += not same
+        print(f"{'ok ' if same else 'BAD'} {script}: phase, stages library/per-stage, "
+              f"loop passes library/per-stage")
+        for phase in runs["library"][2]:
+            lib, ref = runs["library"][2][phase], runs["per-stage"][2][phase]
+            print(f"  {phase:<6} {lib[0]:>7}/{ref[0]:<7} {lib[1]:>7}/{ref[1]}")
+    print(f"{bad} mismatches")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
