@@ -7,7 +7,9 @@ Each pair runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0``
 once in each checkout; which side goes first alternates from pair to pair.
 Then one ``--trace 1`` run per side gives the per-layer metrics.  From every
 run the ``row`` lines, the host-slowdown line and the final JSON line are
-kept.
+kept.  Last, each side runs its tier-1 suite once (``python -m pytest -q
+--durations=10``, ``PYTHONPATH=src``), and its wall time, summary line and
+ten slowest tests are kept beside the runs.
 
 The file gets, per side, the median and quartiles of every end-to-end metric
 over the pairs, the median of every row, the per-layer metrics, whether
@@ -37,6 +39,8 @@ from pathlib import Path
 
 ROW = re.compile(r"^row  (.+?)\s+median\s+([\d.]+) ms\s+\(raw ([\d.]+) ms\)\s+n=(\d+)$")
 SLOWDOWN = re.compile(r"^host slowdown against the idle probe: median ([\d.]+)$")
+DURATION = re.compile(r"^([\d.]+)s (call|setup|teardown)\s+(.+)$")
+SUMMARY = re.compile(r"^=*\s*(\d+ \w+.*) in ([\d.]+)s\b")
 SIDES = ("parent", "change")
 
 
@@ -64,6 +68,24 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float,
     return {"rows": rows, "host_slowdown": slowdown, "correct": result["correct"],
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One tier-1 run: wall time, pytest's summary and its ten slowest tests."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "--continue-on-collection-errors", "--durations=10"]
+    started = time.time()
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=3600,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+                               "PYTHONPATH": "src"})
+    wall = round(time.time() - started, 2)
+    lines = proc.stdout.splitlines()
+    summary = next((m for m in map(SUMMARY.match, reversed(lines)) if m), None)
+    return {"wall_s": wall, "exit": proc.returncode,
+            "summary": summary.group(1) if summary else None,
+            "pytest_s": float(summary.group(2)) if summary else None,
+            "slowest": [{"s": float(m.group(1)), "phase": m.group(2), "test": m.group(3)}
+                        for m in map(DURATION.match, lines) if m]}
 
 
 def spread(values: list[float]) -> dict:
@@ -124,6 +146,10 @@ def record(args) -> dict:
              "pairs": args.pairs, "wall_s": round(time.time() - started, 1),
              "change_wins": wins}
     entry.update({side: summarise(runs[side], traced[side]) for side in SIDES})
+    for side in SIDES:
+        entry[side]["tier1"] = run_tier1(checkouts[side])
+        print(f"record: {side} tier-1 {entry[side]['tier1']['summary']} "
+              f"in {entry[side]['tier1']['wall_s']} s", file=sys.stderr)
     return entry
 
 

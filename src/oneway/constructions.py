@@ -4,7 +4,8 @@ maps, each parameterized by staged enumerations.
 
 Most of them copy one chosen input bit: `streams.selection(name, sel)` is
 that emitter, and the simple map, bit selections, witness maps, the
-surjection and the partial injection's even half only supply `sel`.  Both
+surjection and the partial injection's even half only supply `sel`, which
+`evaluate` reads in one pass for all but the partial injection.  Both
 two-to-one maps and the k-keyed map's reference inverter are
 `_marker_map(name, rule, index)`, which differ only in their permission rule
 and in the index i whose input bit 2i an even bit copies.
@@ -516,7 +517,8 @@ def replace_column(w: BitSource, n: int, y: BitSource) -> BitSource:
 
 def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration,
                                 z: BitSource, n: int) -> int:
-    """Least s with d_s = n in the d-keyed marker run, which stops there.
+    """Least s with d_s = n in the d-keyed marker run, which stops there
+    after n `Marker.first_update` passes: each update moves d by one.
 
     Errors out when some counter value below n never receives permission
     within the joint horizon; the caller supplies enumerations rich enough
@@ -528,10 +530,11 @@ def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration
     cap = min(w.horizon, u.horizon)
     marker, permission = Marker(), d_keyed(w, u, z.bit)
     wordless = not u.pairs()
-    while marker.d < n and len(marker.rows) < cap:
+    while marker.d < n:
         if wordless and w.entry_stage(marker.d) is None:
             break  # the counter stays at d through the horizon
-        marker.advance_to(len(marker.rows) + 1, permission)
+        if marker.first_update(len(marker.rows), cap, permission) is None:
+            break
     if marker.d < n:
         raise HorizonError(f"counter reached {marker.d}, not {n}, within horizon {cap}")
     return len(marker.rows)

@@ -9,7 +9,10 @@ positions over its base, so a read through it costs one set lookup.  An
 OracleTape wraps a source and records exactly how much of it a computation
 reads; the oracle-use of an evaluation is (max position read) + 1.  A
 RealFunction emits output bits one at a time through a tape, so use
-accounting and read barriers apply to every construction uniformly.
+accounting and read barriers apply to every construction uniformly.  The
+one exception is `evaluate` of a `selection`, which copies input bit sel(m)
+to output bit m: `OracleTape.read_selection` reads its prefix in one loop,
+making the checks of `read` and `BitSource.bit` inline.
 
 Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
 budget (one step per tape read, default 10^6), and budget exhaustion
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import copy
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .bitcore import Word, check_word, data_records, unpair
@@ -234,6 +237,33 @@ class OracleTape:
         self._reads[i] = None
         return b
 
+    def read_selection(self, sel: Callable[[int], Optional[int]], n: int) -> list[int]:
+        """Output bits 0..n-1 of `selection(name, sel)` on this fresh tape with
+        no barrier, as n `emit` calls give them, in one loop: each bit makes
+        the checks of `read` and `BitSource.bit` inline, in their order."""
+        source, budget, reads, use = self.source, self._budget_limit, self._reads, self.use
+        raw, bits = source._bit, []
+        try:
+            for m in range(n):
+                i = sel(m)
+                if i is None:
+                    bits.append(0)
+                    continue
+                if i < 0:
+                    raise ValueError(f"tape position must be a natural, got {i}")
+                if budget <= 0:  # each bit's fresh budget pays for its one read
+                    raise DivergenceError(m, "step budget exhausted")
+                b = raw(i)
+                if b.__class__ is not int or b not in (0, 1):
+                    raise ValueError(f"source {source.spec} produced non-bit {b!r} at {i}")
+                if i >= use:
+                    use = i + 1
+                reads[i] = None
+                bits.append(b)
+        finally:
+            self.use = use
+        return bits
+
     def emit(self, f: RealFunction, m: int) -> int:
         """Output bit m of f, under a fresh step budget; running out of steps
         is a DivergenceError for bit m."""
@@ -317,11 +347,13 @@ class RealFunction:
     `emit(tape, m)` produces output bit m, reading the input only through
     the tape.  Determinism and use-soundness (output depends only on the
     prefix actually read) are the contract; useSoundnessCheck spot-checks
-    the latter.
+    the latter.  `sel`, set only by `selection`, is the emitter's own
+    position map, which `evaluate` reads in one pass.
     """
 
     name: str
     emit: Callable[[OracleTape, int], int]
+    sel: Optional[Callable[[int], Optional[int]]] = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         return f"RealFunction({self.name})"
@@ -341,14 +373,16 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     """First n output bits of f on x, plus the exact oracle-use.
 
     One tape serves all n bits, so `use` covers the whole prefix
-    computation; the step budget is per output bit.  An emitted value other
-    than 0 or 1 (False and True count as those) is a ValueError.
+    computation; the step budget is per output bit.  A selection's bits come
+    from one `read_selection` loop, any other function's from n `emit`
+    calls.  An emitted value other than 0 or 1 (False and True count as
+    those) is a ValueError.
     """
     if not 0 <= n <= MAX_BITS:
         raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")
     tape = OracleTape(x, budget=budget)
     emit = tape.emit
-    bits = [emit(f, m) for m in range(n)]
+    bits = [emit(f, m) for m in range(n)] if f.sel is None else tape.read_selection(f.sel, n)
     try:
         raw = bytes(bits)
     except (TypeError, ValueError):
@@ -366,13 +400,14 @@ def evaluate_bit(f: RealFunction, x: BitSource, m: int,
 
 
 def selection(name: str, sel: Callable[[int], Optional[int]]) -> RealFunction:
-    """Output bit m is input bit sel(m), or 0 where sel(m) is None."""
+    """Output bit m is input bit sel(m), or 0 where sel(m) is None; `sel`
+    rides on the function, for `evaluate`'s one pass."""
 
     def emit(tape: OracleTape, m: int) -> int:
         i = sel(m)
         return 0 if i is None else tape.read(i)
 
-    return RealFunction(name, emit)
+    return RealFunction(name, emit, sel)
 
 
 def identity_function() -> RealFunction:

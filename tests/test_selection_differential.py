@@ -8,8 +8,14 @@ the two two-to-one marker maps once wrote out their own emit body.  The
 references below are those bodies, kept as test-only copies.  Per bit on one
 tape, every family must give the same bit or error, the same `use` and the
 same positions read; representations and fiber counts must agree too.
+
+`evaluate` reads a selection's prefix in one loop,
+`OracleTape.read_selection`; the tests at the end hold it to n `emit` calls
+on one tape, the per-bit path that every search still takes, with the same
+bits, use, positions read and errors.
 """
 
+import dataclasses
 import random
 from typing import Optional
 
@@ -34,13 +40,17 @@ from oneway.constructions import (
     two_to_one_v1,
     two_to_one_v2,
     witness_function,
+    z_builder_v1,
+    z_builder_v2,
 )
 from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumeration, \
     collatz_toy
-from oneway.errors import DivergenceError, HorizonError
+from oneway.errors import DeskError, DivergenceError, HorizonError
 from oneway.inversion import InverterUnderTest, fiber_branch_count, \
     reference_inverter_simple, reference_inverter_surjection
 from oneway.streams import (
+    RANDOM_POSITIONS,
+    BitSource,
     OracleTape,
     RealFunction,
     Representation,
@@ -53,6 +63,7 @@ from oneway.streams import (
     ones,
     periodic,
     random_source,
+    selection,
     zeros,
 )
 
@@ -393,3 +404,139 @@ def test_longer_evaluation_extends_the_shorter(family, word, seed, n):
         assert long.output.startswith(short.output)
         assert len(long.output) == n + 1
         assert short.use <= long.use
+
+
+# ------------------------------------------------ one pass against per bit
+
+# every map the library builds with `selection`, each built fresh per call
+SELECTIONS = {
+    "identity": identity_function,
+    **{f"{kind}:{p.name}": (lambda kind=kind, p=p: make(p))
+       for kind, make in (("bitselect", bit_select), ("witness", witness_function))
+       for p in (identity_injection(), double_injection(), shift_injection())},
+    "simple": lambda: simple_one_way(TOY),
+    "surj": lambda: one_way_surjection(TOY),
+    "simple:short": lambda: simple_one_way(SHORT),
+    "surj:short": lambda: one_way_surjection(SHORT),
+    "refinv-simple": lambda: reference_inverter_simple(TOY).g,
+    "refinv-surj": lambda: reference_inverter_surjection(TOY).g,
+}
+
+
+def failure(exc):
+    """An exception as an outcome: its type, text and the bit it names."""
+    return type(exc), str(exc), getattr(exc, "bit_index", None)
+
+
+def one_pass(f, x, n, budget=10**6):
+    """`read_selection` on a fresh tape: the bits or the failure, then the
+    use, `positions_read()` and the positions in first-read order."""
+    tape = OracleTape(x, budget=budget)
+    try:
+        got = tape.read_selection(f.sel, n)
+    except Exception as exc:  # the error is the outcome
+        got = failure(exc)
+    return got, tape.use, tape.positions_read(), tuple(tape._reads)
+
+
+def per_bit(f, x, n, budget=10**6):
+    """n `emit` calls on one fresh tape, reported as `one_pass` reports."""
+    tape = OracleTape(x, budget=budget)
+    got = []
+    try:
+        for m in range(n):
+            got.append(tape.emit(f, m))
+    except Exception as exc:  # the error is the outcome
+        got = failure(exc)
+    return got, tape.use, tape.positions_read(), tuple(tape._reads)
+
+
+def evaluated(f, x, n, budget=10**6):
+    """`evaluate`'s output and use, or its failure."""
+    try:
+        return tuple(evaluate(f, x, n, budget))
+    except Exception as exc:  # the error is the outcome
+        return failure(exc)
+
+
+def drawn_source(draw):
+    """A source of every kind the library builds, with drawn parameters."""
+    word = draw(st.text("01", max_size=24))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(["random", "periodic", "finite", "interleave", "flips",
+                                 "columns", "zeros", "ones", "zbuild1", "zbuild2"]))
+    if kind == "random":
+        return random_source(seed)
+    if kind == "periodic":
+        return periodic(word or "1")
+    if kind == "finite":
+        return finite(word)
+    if kind == "interleave":
+        return interleaved(finite(word), random_source(seed))
+    if kind == "flips":  # a flip of a flip stack merges into one set
+        stack = flipped_at(random_source(seed), *draw(st.lists(st.integers(0, 300), max_size=4)))
+        return flipped_at(stack, *draw(st.lists(st.integers(0, 300), max_size=4)))
+    if kind == "columns":
+        c = draw(st.integers(0, 5))
+        return column_source({c: finite(word), c + 2: ones()}, periodic("011"))
+    if kind == "zbuild1":
+        return z_builder_v1(draw(st.integers(0, 8)), word)
+    if kind == "zbuild2":
+        return z_builder_v2(U2, draw(st.integers(0, 8)))
+    return zeros() if kind == "zeros" else ones()
+
+
+def test_every_selection_carries_its_map():
+    for label, make in SELECTIONS.items():
+        assert make().sel is not None, label
+    for label in ("inj", "two1", "two2"):
+        assert FAMILIES[label]()[0].sel is None, label
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(sorted(SELECTIONS)), st.data(), st.integers(0, 700))
+def test_one_pass_matches_emit_per_bit(family, data, n):
+    """Same bits or error, use, positions read and first-read order; and
+    `evaluate` gives what it gives with the selection's `sel` dropped."""
+    f, x = SELECTIONS[family](), drawn_source(data.draw)
+    assert one_pass(f, x, n) == per_bit(f, x, n)
+    assert evaluated(f, x, n) == evaluated(dataclasses.replace(f, sel=None), x, n)
+
+
+# (selection, source, bits): each fails at a bit that names its cause
+FAILURES = {
+    # positions 0..7 of simple(SHORT) are None, pair(1, 2) = 8 is not
+    "budget 0": (lambda: simple_one_way(SHORT), ones, 20),
+    "negative position": (lambda: selection("down", lambda m: 5 - m), ones, 9),
+    "source bit 2": (identity_function,
+                     lambda: BitSource("two", lambda i: 2 if i == 7 else i & 1), 9),
+    "source bit True": (lambda: bit_select(double_injection()),
+                        lambda: BitSource("true", lambda i: True if i == 4 else 0), 9),
+    "random bound": (lambda: selection("far", lambda m: None if m < 3 else RANDOM_POSITIONS),
+                     lambda: random_source(1), 9),
+    "simple horizon": (lambda: simple_one_way(SHORT), ones, pair(0, 13) + 2),
+    "surj horizon": (lambda: one_way_surjection(SHORT), ones, pair(0, 13) + 2),
+}
+FAILED = {
+    "budget 0": (DivergenceError, "no output bit at index 8: step budget exhausted", 8),
+    "negative position": (ValueError, "tape position must be a natural, got -1", None),
+    "source bit 2": (ValueError, "source two produced non-bit 2 at 7", None),
+    "source bit True": (ValueError, "source true produced non-bit True at 4", None),
+    "random bound": (DeskError, f"random source position {RANDOM_POSITIONS} past the "
+                                f"{RANDOM_POSITIONS}-bit bound", None),
+    "simple horizon": (HorizonError, "stage 13 beyond horizon 12", None),
+    "surj horizon": (HorizonError, "stage 13 beyond horizon 12", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_one_pass_fails_as_emit_per_bit(case):
+    """The same type, text and bit index from the same bit, with the same
+    use and reads before it; `evaluate` raises it whichever path it takes."""
+    make, source, n = FAILURES[case]
+    f, budget = make(), 0 if case == "budget 0" else 10**6
+    got = one_pass(f, source(), n, budget)
+    assert got[0] == FAILED[case]
+    assert got == per_bit(f, source(), n, budget)
+    assert evaluated(f, source(), n, budget) == FAILED[case] == \
+        evaluated(dataclasses.replace(f, sel=None), source(), n, budget)
