@@ -23,7 +23,10 @@ prefix in the word enumeration).  The halting clause is checked first and
 short-circuits, so a halting stage reads nothing from z.
 
 `Marker` runs the recursion; `k_keyed` and `d_keyed` are the permission
-rules.  `_marker_map` keeps one marker per map on the evaluation's tape, so
+rules.  A rule reads bit ⟨·,·⟩ of z at input position 2⟨·,·⟩+1, computed
+inline, through the reader it is given: on a two-to-one map that is
+`OracleTape.read`, whose inline checks are the only ones a stage's read
+passes.  `_marker_map` keeps one marker per map on the evaluation's tape, so
 output bit 2s runs (and its step budget pays for) only the stages that no
 earlier bit that succeeded on that tape has run.
 """
@@ -38,6 +41,7 @@ from .enumeration import (
     DecidedSet,
     StagedEnumeration,
     StagedStringEnumeration,
+    _check_stage,
     column_hit,
 )
 from .errors import _NO_VALUE, DivergenceError, HorizonError, InjectivityError
@@ -229,13 +233,21 @@ class Marker:
                            self.k, self.d)
 
 
-def k_keyed(w: StagedEnumeration, z: Callable[[int], int]) -> PermissionFn:
-    """Variant 1: halting when k_s is enumerated by stage s, else z(⟨k_s,s⟩)."""
+def k_keyed(w: StagedEnumeration, read: Callable[[int], int]) -> PermissionFn:
+    """Variant 1 over an input x⊕z that `read` reads: halting when k_s is
+    enumerated by stage s, else z(⟨k_s,s⟩), input bit 2⟨k_s,s⟩+1.  The stage
+    is checked against the horizon, as `member_at_stage` checks it, then k
+    looked up in W's entry table; ⟨k,s⟩ is computed inline."""
+    entry_stage, horizon = w._by_element.get, w.horizon
 
     def permission(k: int, d: int, s: int) -> Optional[str]:
-        if w.member_at_stage(k, s):
+        if not 0 <= s <= horizon:
+            _check_stage(s, horizon)
+        entry = entry_stage(k)
+        if entry is not None and entry <= s:
             return "halting"
-        if z(pair(k, s)) == 1:
+        t = k + s
+        if read(t * (t + 1) + 2 * s + 1) == 1:  # 2⟨k,s⟩+1
             return "z"
         return None
 
@@ -243,29 +255,33 @@ def k_keyed(w: StagedEnumeration, z: Callable[[int], int]) -> PermissionFn:
 
 
 def d_keyed(w: StagedEnumeration, u: StagedStringEnumeration,
-            z: Callable[[int], int]) -> PermissionFn:
-    """Variant 2: halting when d_s is enumerated by stage s, else column d_s of z hitting U_s."""
+            read: Callable[[int], int]) -> PermissionFn:
+    """Variant 2 over an input x⊕z that `read` reads: halting when d_s is
+    enumerated by stage s (`member_at_stage`), else column d_s of z hitting
+    U_s, its bit i read at input position 2⟨d_s,i⟩+1, computed inline."""
 
     def permission(k: int, d: int, s: int) -> Optional[str]:
         if w.member_at_stage(d, s):
             return "halting"
-        if column_hit(u, lambda i: z(pair(d, i)), s):
+        if column_hit(u, lambda i: read((d + i) * (d + i + 1) + 2 * i + 1), s):
             return "z"
         return None
 
     return permission
 
 
-def odd_half(tape: OracleTape) -> Callable[[int], int]:
-    """z of an input x⊕z, read through the tape: z(i) is input bit 2i+1."""
-    return lambda i: tape.read(2 * i + 1)
+def _as_odd_half(z: BitSource) -> Callable[[int], int]:
+    """A reader of an input whose odd half is z, for a rule run on z alone:
+    input bit 2i+1 is z(i)."""
+    bit = z.bit
+    return lambda i: bit(i >> 1)
 
 
 def marker_run_v1(w: StagedEnumeration, z: BitSource, stages: int) -> MarkerTrace:
     """Marker recursion with permissions keyed on k_s."""
     if stages > w.horizon:
         raise HorizonError(f"marker run of {stages} stages beyond horizon {w.horizon}")
-    return Marker().advance_to(stages, k_keyed(w, z.bit)).trace()
+    return Marker().advance_to(stages, k_keyed(w, _as_odd_half(z))).trace()
 
 
 def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
@@ -274,7 +290,7 @@ def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
     if stages > w.horizon or stages > u.horizon:
         raise HorizonError(
             f"marker run of {stages} stages beyond horizons ({w.horizon}, {u.horizon})")
-    return Marker().advance_to(stages, d_keyed(w, u, z.bit)).trace()
+    return Marker().advance_to(stages, d_keyed(w, u, _as_odd_half(z))).trace()
 
 
 @dataclass(frozen=True)
@@ -330,11 +346,13 @@ def surjection_injection(w: StagedEnumeration) -> Injection:
     Injective because each element enters at most once: entries land on
     distinct even values, everything else on distinct odd values.  Both
     directions ask `w.entrant`, a table lookup below pair(0, horizon+1), so
-    neither unpairs an index whose stage is known to lie within the horizon.
+    neither unpairs an index whose stage is known to lie within the horizon;
+    the forward map, called once per output bit, looks in that table itself.
     """
+    entries, table_below, entrant = w._entries, w._unpair_from, w.entrant
 
     def fn(m: int) -> int:
-        n = w.entrant(m)
+        n = entries.get(m) if 0 <= m < table_below else entrant(m)
         return 2 * m + 1 if n is None else 2 * n
 
     def inverse(v: int) -> Optional[int]:
@@ -459,7 +477,7 @@ def _selected_position(cap: int) -> Callable[[Marker, PermissionFn, int], int]:
 def two_to_one_v1(w: StagedEnumeration) -> RealFunction:
     """The marker map with permissions keyed on the marker k_s; they read z
     at input positions 2⟨k,t⟩+1."""
-    return _marker_map(f"two1({w.label})", lambda tape: k_keyed(w, odd_half(tape)),
+    return _marker_map(f"two1({w.label})", lambda tape: k_keyed(w, tape.read),
                        _selected_position(w.horizon))
 
 
@@ -467,7 +485,7 @@ def two_to_one_v2(w: StagedEnumeration, u: StagedStringEnumeration) -> RealFunct
     """The marker map with permissions keyed on the update counter: halting
     on d_t entering w, z-permission when column d_t of z extends a word of
     U_t."""
-    return _marker_map(f"two2({w.label},{u.label})", lambda tape: d_keyed(w, u, odd_half(tape)),
+    return _marker_map(f"two2({w.label},{u.label})", lambda tape: d_keyed(w, u, tape.read),
                        _selected_position(min(w.horizon, u.horizon)))
 
 
@@ -528,7 +546,7 @@ def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration
     if n < 0:
         raise ValueError("counter target must be a natural")
     cap = min(w.horizon, u.horizon)
-    marker, permission = Marker(), d_keyed(w, u, z.bit)
+    marker, permission = Marker(), d_keyed(w, u, _as_odd_half(z))
     wordless = not u.pairs()
     while marker.d < n:
         if wordless and w.entry_stage(marker.d) is None:

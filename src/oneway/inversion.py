@@ -42,7 +42,7 @@ from .bitcore import (
     pair,
 )
 from .constructions import Marker, PermissionFn, _marker_map, d_keyed, k_keyed, marker_run_v1, \
-    odd_half, simple_one_way, stage_where_counter_reaches, surjection_injection, two_to_one_v1, \
+    simple_one_way, stage_where_counter_reaches, surjection_injection, two_to_one_v1, \
     two_to_one_v2, z_builder_v1, z_builder_v2
 from .enumeration import StagedEnumeration, StagedStringEnumeration
 from .errors import (
@@ -239,8 +239,8 @@ def reference_inverter_two_to_one(w: StagedEnumeration, search_stages: Optional[
             raise DivergenceError(2 * q, f"position {q} not selected within {stop} stages")
         return None
 
-    rule = (lambda tape: k_keyed(w, odd_half(tape))) if u is None else \
-        (lambda tape: d_keyed(w, u, odd_half(tape)))
+    rule = (lambda tape: k_keyed(w, tape.read)) if u is None else \
+        (lambda tape: d_keyed(w, u, tape.read))
     limit = "" if search_stages is None else f",{search_stages}"
     return InverterUnderTest(_marker_map(
         f"refinv-two{1 if u is None else 2}({w.label}{limit})", rule, selecting_stage))

@@ -2,17 +2,18 @@
 representations.
 
 A BitSource is a total deterministic map position → bit.  A read is
-checked once, by the outer `BitSource.bit`: composite sources (flips,
-interleaves and column sources) call their children's raw
-bit functions, and a stack of flips collapses into one set of flipped
-positions over its base, so a read through it costs one set lookup.  An
-OracleTape wraps a source and records exactly how much of it a computation
-reads; the oracle-use of an evaluation is (max position read) + 1.  A
-RealFunction emits output bits one at a time through a tape, so use
-accounting and read barriers apply to every construction uniformly.  The
-one exception is `evaluate` of a `selection`, which copies input bit sel(m)
-to output bit m: `OracleTape.read_selection` reads its prefix in one loop,
-making the checks of `read` and `BitSource.bit` inline.
+checked once, at the outermost call: `BitSource.bit` checks a direct read,
+and `OracleTape.read` and `read_selection` make the same checks inline
+around the raw map.  Composite sources (flips, interleaves and column
+sources) call their children's raw bit functions, and a stack of flips
+collapses into one set of flipped positions over its base, so a read
+through it costs one set lookup.  An OracleTape wraps a source and records
+exactly how much of it a computation reads; the oracle-use of an
+evaluation is (max position read) + 1.  A RealFunction emits output bits
+one at a time through a tape, so use accounting and read barriers apply to
+every construction uniformly.  The one exception is `evaluate` of a
+`selection`, which copies input bit sel(m) to output bit m:
+`OracleTape.read_selection` reads its prefix in one loop.
 
 Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
 budget (one step per tape read, default 10^6), and budget exhaustion
@@ -224,6 +225,9 @@ class OracleTape:
         self.state: dict[object, object] = {}
 
     def read(self, i: int) -> int:
+        """Input bit i, in one frame down to the raw source: the position,
+        barrier and budget checks, then `BitSource.bit`'s non-bit check
+        inline; the read counts toward `use` and `positions_read()`."""
         if i < 0:
             raise ValueError(f"tape position must be a natural, got {i}")
         if self.barrier is not None and i >= self.barrier:
@@ -231,7 +235,9 @@ class OracleTape:
         if self._budget_left <= 0:
             raise _BudgetExhausted()
         self._budget_left -= 1
-        b = self.source.bit(i)
+        b = self.source._bit(i)
+        if b.__class__ is not int or b not in (0, 1):
+            raise ValueError(f"source {self.source.spec} produced non-bit {b!r} at {i}")
         if i + 1 > self.use:
             self.use = i + 1
         self._reads[i] = None
@@ -277,7 +283,9 @@ class OracleTape:
 
     def try_emit(self, f: RealFunction, m: int) -> Optional[int]:
         """Output bit m of f, or None when it reads past the barrier or
-        diverges (budget included).  A failed bit's reads are forgotten, also
+        diverges (budget included).  It runs `f.emit` itself, with `emit`'s
+        check of m and fresh budget, and takes budget exhaustion as any
+        other divergence.  A failed bit's reads are forgotten, also
         before a HorizonError propagates, so positions_read() covers exactly
         the bits emitted; use stays monotone.  Any other exception, such as a
         search handing over its split, passes through untouched and leaves
@@ -285,9 +293,12 @@ class OracleTape:
         also forgets the reads made before it."""
         mark = self._open[1] if self._open and self._open[0] == m else len(self._reads)
         self._open = (m, mark)
+        if m < 0:
+            raise ValueError(f"output bit must be a natural, got {m}")
+        self._budget_left = self._budget_limit
         try:
-            b = self.emit(f, m)
-        except _NO_VALUE as exc:
+            b = f.emit(self, m)
+        except _NO_VALUE as exc:  # budget exhaustion among them
             self._open = None
             while len(self._reads) > mark:
                 self._reads.popitem()  # dicts pop the latest insertion

@@ -36,7 +36,6 @@ from oneway.constructions import (
     k_keyed,
     marker_run_v1,
     marker_run_v2,
-    odd_half,
     stage_where_counter_reaches,
     two_to_one_v1,
     two_to_one_v2,
@@ -283,7 +282,8 @@ def test_d_keyed_reads_in_the_old_order():
         w = seeded_enumeration(rng, elements=40, stages=200, draws=6, horizon=512)
         u = seeded_string_enumeration(rng, stages=200, draws=5, horizon=512)
         old = _marker_map(f"two2({w.label},{u.label})",
-                          lambda tape: old_d_keyed(w, u, odd_half(tape)), _selected_position(512))
+                          lambda tape: old_d_keyed(w, u, lambda i: tape.read(2 * i + 1)),
+                          _selected_position(512))
         runs = []
         for f in (two_to_one_v2(w, u), old):
             x, reads = recording(random_source(8000 + trial))
@@ -326,8 +326,8 @@ def ref_selecting_stage(w, search_stages, u):
 
 def ref_scan_inverter(w, search_stages=None, u=None):
     """`reference_inverter_two_to_one` with the per-stage scan."""
-    rule = (lambda tape: k_keyed(w, odd_half(tape))) if u is None else \
-        (lambda tape: d_keyed(w, u, odd_half(tape)))
+    rule = (lambda tape: k_keyed(w, tape.read)) if u is None else \
+        (lambda tape: d_keyed(w, u, tape.read))
     limit = "" if search_stages is None else f",{search_stages}"
     return InverterUnderTest(_marker_map(
         f"refinv-two{1 if u is None else 2}({w.label}{limit})", rule,

@@ -31,7 +31,6 @@ from oneway.constructions import (
     double_injection,
     identity_injection,
     k_keyed,
-    odd_half,
     one_way_surjection,
     partial_injection,
     shift_injection,
@@ -158,7 +157,7 @@ def ref_two_to_one_v1(w):
         if s + 1 > w.horizon:
             raise HorizonError(
                 f"output bit {m} needs marker stage {s + 1} beyond horizon {w.horizon}")
-        marker = Marker.on(tape, key).advance_to(s + 1, k_keyed(w, odd_half(tape)))
+        marker = Marker.on(tape, key).advance_to(s + 1, k_keyed(w, tape.read))
         return tape.read(2 * marker.rows[s][2])
 
     return RealFunction(f"two1({w.label})", emit)
@@ -175,7 +174,7 @@ def ref_two_to_one_v2(w, u):
         if s + 1 > cap:
             raise HorizonError(
                 f"output bit {m} needs marker stage {s + 1} beyond horizon {cap}")
-        marker = Marker.on(tape, key).advance_to(s + 1, d_keyed(w, u, odd_half(tape)))
+        marker = Marker.on(tape, key).advance_to(s + 1, d_keyed(w, u, tape.read))
         return tape.read(2 * marker.rows[s][2])
 
     return RealFunction(f"two2({w.label},{u.label})", emit)
