@@ -9,7 +9,8 @@ Then one ``--trace 1`` run per side gives the per-layer metrics.  From every
 run the ``row`` lines, the host-slowdown line and the final JSON line are
 kept.  Last, each side runs its tier-1 suite once (``python -m pytest -q
 --durations=10``, ``PYTHONPATH=src``), and its wall time, summary line and
-ten slowest tests are kept beside the runs.
+ten slowest tests are kept beside the runs, with the line count of each
+module of its ``src/oneway`` and their total.
 
 The file gets, per side, the median and quartiles of every end-to-end metric
 over the pairs, the median of every row, the per-layer metrics, whether
@@ -88,6 +89,13 @@ def run_tier1(checkout: Path) -> dict:
                         for m in map(DURATION.match, lines) if m]}
 
 
+def source_lines(checkout: Path) -> dict:
+    """Lines per module of the checkout's src/oneway, by stem, and their total."""
+    counts = {path.stem: len(path.read_bytes().splitlines())
+              for path in sorted((checkout / "src" / "oneway").glob("*.py"))}
+    return {**counts, "total": sum(counts.values())}
+
+
 def spread(values: list[float]) -> dict:
     if len(values) > 1:
         q1, _, q3 = statistics.quantiles(values, n=4)
@@ -148,8 +156,10 @@ def record(args) -> dict:
     entry.update({side: summarise(runs[side], traced[side]) for side in SIDES})
     for side in SIDES:
         entry[side]["tier1"] = run_tier1(checkouts[side])
+        entry[side]["src_lines"] = source_lines(checkouts[side])
         print(f"record: {side} tier-1 {entry[side]['tier1']['summary']} "
-              f"in {entry[side]['tier1']['wall_s']} s", file=sys.stderr)
+              f"in {entry[side]['tier1']['wall_s']} s, src/oneway "
+              f"{entry[side]['src_lines']['total']} lines", file=sys.stderr)
     return entry
 
 

@@ -28,8 +28,6 @@ from .constructions import (
     marker_run_v2,
     one_way_surjection,
     partial_injection,
-    preimage_witness,
-    replace_column,
     shift_injection,
     simple_one_way,
     stage_where_counter_reaches,

@@ -115,9 +115,8 @@ def parse_construction(spec: str) -> ConstructionHandle:
         w, enum_spec, leftover = _split_enum(spec)
         if not leftover:
             raise SpecParseError(f"inj needs a decided-set file: {spec!r}")
-        d = decided_set_from_file(leftover)
-        return ConstructionHandle(
-            "inj", f"inj:{enum_spec}:{leftover}", partial_injection(w, d), w=w, d=d)
+        return ConstructionHandle("inj", f"inj:{enum_spec}:{leftover}",
+                                  partial_injection(w, decided_set_from_file(leftover)), w=w)
     if head == "two2":
         w, enum_spec, leftover = _split_enum(spec)
         if not leftover:

@@ -61,7 +61,6 @@ class ConstructionHandle:
     fn: RealFunction
     w: Optional[StagedEnumeration] = None
     u: Optional[StagedStringEnumeration] = None
-    d: Optional[DecidedSet] = None
 
 
 @dataclass(frozen=True)
@@ -295,35 +294,22 @@ def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
 
 @dataclass(frozen=True)
 class Injection:
-    """A position map claimed injective; `check_injective` tests the claim
-    over a stated range.  The optional inverse returns None for values
-    outside the range."""
+    """A position map claimed injective, with its inverse, which returns
+    None for values outside the range; `check_injective` tests the claim
+    over a stated range.  A tape read refuses a negative value of `fn`."""
 
     name: str
     fn: Callable[[int], int]
-    inverse: Optional[Callable[[int], Optional[int]]] = None
-
-    def apply(self, n: int) -> int:
-        if n < 0:
-            raise ValueError(f"{self.name} takes naturals, got {n}")
-        v = self.fn(n)
-        if v < 0:
-            raise ValueError(f"{self.name}({n}) = {v} is not a natural")
-        return v
+    inverse: Callable[[int], Optional[int]]
 
     def check_injective(self, limit: int) -> None:
         """Raise InjectivityError if two arguments below `limit` share a value."""
         seen: dict[int, int] = {}
         for n in range(limit):
-            v = self.apply(n)
+            v = self.fn(n)
             prior = seen.setdefault(v, n)
             if prior != n:
                 raise InjectivityError(f"{self.name} maps {prior} and {n} both to {v}")
-
-    def invert(self, m: int) -> Optional[int]:
-        if self.inverse is None:
-            raise ValueError(f"{self.name} carries no inverse")
-        return self.inverse(m)
 
 
 def identity_injection() -> Injection:
@@ -367,23 +353,13 @@ def surjection_injection(w: StagedEnumeration) -> Injection:
 
 def bit_select(p: Injection, name: Optional[str] = None) -> RealFunction:
     """Output bit n = input bit p(n)."""
-    return selection(name or f"bitselect({p.name})", p.apply)
-
-
-def preimage_witness(p: Injection, y: BitSource) -> BitSource:
-    """The canonical preimage of y under bitSelect(p): y(n) at position p(n),
-    zeros off the range of p."""
-
-    def bit(m: int) -> int:
-        n = p.invert(m)
-        return 0 if n is None else y.bit(n)
-
-    return BitSource(f"witness({p.name},{y.spec})", bit)
+    return selection(name or f"bitselect({p.name})", p.fn)
 
 
 def witness_function(p: Injection) -> RealFunction:
-    """The witness map itself as a function on reals: x ↦ preimageWitness(p, x)."""
-    return selection(f"witness({p.name})", p.invert)
+    """The canonical preimage under bitSelect(p) as a function on reals:
+    output bit m is input bit n where p(n) = m, and 0 off the range of p."""
+    return selection(f"witness({p.name})", p.inverse)
 
 
 def simple_one_way(w: StagedEnumeration) -> RealFunction:
@@ -514,6 +490,8 @@ def z_builder_v2(u: StagedStringEnumeration, n: int) -> BitSource:
     """The d-keyed adversarial z: each column is U's first word then zeros,
     but column n is v0^ω for the first v, depth first, that no word of U is a
     prefix of: z-permissions move the counter past each column but n."""
+    if n < 0:
+        raise ValueError("column index must be a natural")
     words = [word for _, word in u.pairs()] or [""]  # no word: every column is 0^ω
     free = [""]
     while free and any(word.startswith(free[-1]) for word in words):
@@ -522,15 +500,8 @@ def z_builder_v2(u: StagedStringEnumeration, n: int) -> BitSource:
     if not free:
         raise ValueError(f"every column extends a word of {u.label}")
     hit = finite(words[0]).bit
-    return replace_column(BitSource(f"zbuild2:{words[0]}", lambda m: hit(unpair(m)[1])),
-                          n, finite(free[-1]))
-
-
-def replace_column(w: BitSource, n: int, y: BitSource) -> BitSource:
-    """w with column n replaced by y (bit ⟨n,i⟩ becomes y(i))."""
-    if n < 0:
-        raise ValueError("column index must be a natural")
-    return column_source({n: y}, w)
+    return column_source({n: finite(free[-1])},
+                         BitSource(f"zbuild2:{words[0]}", lambda m: hit(unpair(m)[1])))
 
 
 def stage_where_counter_reaches(w: StagedEnumeration, u: StagedStringEnumeration,

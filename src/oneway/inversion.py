@@ -196,14 +196,15 @@ def reference_inverter_surjection(w: StagedEnumeration) -> InverterUnderTest:
     p = surjection_injection(w)
 
     def sel(m: int) -> Optional[int]:
-        idx = p.invert(m)
+        idx = p.inverse(m)
         return None if idx is None else 2 * idx
 
     return InverterUnderTest(selection(f"refinv-surj({w.label})", sel), binary=True)
 
 
-def reference_inverter_two_to_one(w: StagedEnumeration, search_stages: Optional[int] = None,
-                                  u: Optional[StagedStringEnumeration] = None) -> InverterUnderTest:
+def reference_inverter_two_to_one(w: StagedEnumeration, *,
+                                  u: Optional[StagedStringEnumeration] = None
+                                  ) -> InverterUnderTest:
     """Inverter of the k-keyed two-to-one map, or with U the d-keyed one, from all of w.
 
     It is the map's own emitter with another index.  Odd candidate bits copy
@@ -218,32 +219,21 @@ def reference_inverter_two_to_one(w: StagedEnumeration, search_stages: Optional[
     only z-permissions, watched for through stage max(256, q), a desk
     limit: 256 keeps every query below it scanning the stages it always
     has, and the answer 0 past it is right whenever the parked column stays
-    silent, as on each extractor's adversarial z.  `search_stages` (for
-    tests) scans a fixed number of stages instead and fails a bit it leaves
-    unreached.
+    silent, as on each extractor's adversarial z.
     """
 
     def selecting_stage(marker: Marker, permission: PermissionFn, q: int) -> Optional[int]:
-        stop = search_stages
-        if stop is None or q <= stop:
-            k, d = marker.state_at(q, permission)
-            if k != q:
-                return q - 1  # p_{q-1} = q exactly when k_q is not q
-            if stop is None:
-                entry = w.entry_stage(q if u is None else d)
-                stop = max(256, q) if entry is None else max(q, entry) + 1
-            t = marker.first_update(q, stop, permission)
-            if t is not None:
-                return t
-        if marker.state_at(stop, permission)[0] != q:
-            raise DivergenceError(2 * q, f"position {q} not selected within {stop} stages")
-        return None
+        k, d = marker.state_at(q, permission)
+        if k != q:
+            return q - 1  # p_{q-1} = q exactly when k_q is not q
+        entry = w.entry_stage(q if u is None else d)
+        return marker.first_update(q, max(256, q) if entry is None else max(q, entry) + 1,
+                                   permission)
 
     rule = (lambda tape: k_keyed(w, tape.read)) if u is None else \
         (lambda tape: d_keyed(w, u, tape.read))
-    limit = "" if search_stages is None else f",{search_stages}"
     return InverterUnderTest(_marker_map(
-        f"refinv-two{1 if u is None else 2}({w.label}{limit})", rule, selecting_stage))
+        f"refinv-two{1 if u is None else 2}({w.label})", rule, selecting_stage))
 
 
 def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
@@ -611,9 +601,7 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     oldest first, then the bits past the last one it reached, skipping
     guesses.  Where output bit p copies input bit p, as in the marker
     maps, a wrong guess at p thus fails before the guesses made after it
-    run on: the probe makes a few runs per target bit at every depth, where
-    checking the newest guess first walked the whole target once per wrong
-    guess.
+    run on: the probe makes a few runs per target bit at every depth.
 
     A bit that reads from `probe_len` on (default: past the prefix and the
     pairings consulted near `depth`), runs out of steps or diverges passes

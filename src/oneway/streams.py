@@ -31,8 +31,7 @@ taken after it, so the halves of a split can go on on two tapes.
 
 Sources, tapes, emitters and images carry bits as the ints 0 and 1.  A
 `Word` (a str of '0'/'1') appears only at the API edge: words that build
-sources, `BitSource.prefix`, `evaluate`'s output and `Representation`'s
-maps.
+sources, `evaluate`'s output and `Representation`'s maps.
 """
 
 from __future__ import annotations
@@ -67,9 +66,6 @@ class BitSource:
         if b.__class__ is not int or b not in (0, 1):
             raise ValueError(f"source {self.spec} produced non-bit {b!r} at {i}")
         return b
-
-    def prefix(self, n: int) -> Word:
-        return "".join(str(self.bit(i)) for i in range(n))
 
     def __repr__(self) -> str:
         return f"BitSource({self.spec})"
@@ -485,16 +481,11 @@ class Representation:
         self.budget = budget
 
     def map_word(self, sigma: Word) -> Word:
-        return self.map_with_reads(sigma)[0]
-
-    def map_with_reads(self, sigma: Word) -> tuple[Word, tuple[int, ...]]:
-        """(map_word(σ), sorted positions read by the emitted bits)."""
         check_word(sigma)
         if len(sigma) > self.depth:
             raise ValueError(f"word of length {len(sigma)} exceeds depth {self.depth}")
         tape = OracleTape(finite(sigma), barrier=len(sigma), budget=self.budget)
-        image = barrier_image(self.f, tape, self.out_cap)
-        return "".join(map(str, image)), tape.positions_read()
+        return "".join(map(str, barrier_image(self.f, tape, self.out_cap)))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,6 @@ from oneway.constructions import (
     marker_run_v2,
     one_way_surjection,
     partial_injection,
-    preimage_witness,
-    replace_column,
     shift_injection,
     simple_one_way,
     stage_where_counter_reaches,
@@ -108,8 +106,7 @@ def tau(d):
 def counter_fixture(n, toy_pairs=()):
     u = StagedStringEnumeration.from_pairs(
         [(d + 1, tau(d)) for d in range(9)], horizon=64)
-    z = replace_column(
-        column_source({i: finite(tau(i)) for i in range(9)}, zeros()), n, zeros())
+    z = column_source({**{i: finite(tau(i)) for i in range(9)}, n: zeros()}, zeros())
     w = StagedEnumeration.from_pairs(list(toy_pairs), horizon=64)
     return w, u, z
 
@@ -136,7 +133,7 @@ def test_criterion_01():
     for p in (identity_injection(), double_injection(), shift_injection()):
         f = bit_select(p)
         for length in range(7):
-            span = max((p.apply(m) for m in range(length)), default=-1) + 1
+            span = max((p.fn(m) for m in range(length)), default=-1) + 1
             counts = {}
             for bits in itertools.product("01", repeat=span):
                 out = evaluate(f, finite("".join(bits)), length).output
@@ -161,7 +158,7 @@ def test_criterion_02():
     for f, p in cases:
         for seed in range(100):
             y = random_source(2000 + seed)
-            out = evaluate(f, preimage_witness(p, y), 64).output
+            out = evaluate(f, output_source(witness_function(p), y), 64).output
             assert out == "".join(str(y.bit(m)) for m in range(64)), \
                 (f.name, seed)
 

@@ -17,8 +17,6 @@ from oneway.constructions import (
     marker_run_v2,
     one_way_surjection,
     partial_injection,
-    preimage_witness,
-    replace_column,
     shift_injection,
     simple_one_way,
     stage_where_counter_reaches,
@@ -37,6 +35,7 @@ from oneway.enumeration import (
 from oneway.errors import DivergenceError, HorizonError, InjectivityError
 from oneway.streams import (
     OracleTape,
+    Representation,
     column_source,
     evaluate,
     evaluate_bit,
@@ -48,6 +47,7 @@ from oneway.streams import (
     random_source,
     zeros,
 )
+from test_streams import prefix_of
 
 
 def empty_enum(horizon):
@@ -147,46 +147,57 @@ class TestMarkerTraceInvariants:
 class TestInjections:
     def test_builtin_maps(self):
         ident, double, shift = identity_injection(), double_injection(), shift_injection()
-        assert [ident.apply(n) for n in range(4)] == [0, 1, 2, 3]
-        assert [double.apply(n) for n in range(4)] == [0, 2, 4, 6]
-        assert [shift.apply(n) for n in range(4)] == [1, 2, 3, 4]
-        assert double.invert(6) == 3
-        assert double.invert(5) is None
-        assert shift.invert(0) is None
-        assert shift.invert(1) == 0
-        assert ident.invert(7) == 7
+        assert [ident.fn(n) for n in range(4)] == [0, 1, 2, 3]
+        assert [double.fn(n) for n in range(4)] == [0, 2, 4, 6]
+        assert [shift.fn(n) for n in range(4)] == [1, 2, 3, 4]
+        assert double.inverse(6) == 3
+        assert double.inverse(5) is None
+        assert shift.inverse(0) is None
+        assert shift.inverse(1) == 0
+        assert ident.inverse(7) == 7
 
     def test_collision_detected(self):
-        bad = Injection("bad", lambda n: n // 2)
+        bad = Injection("bad", lambda n: n // 2, lambda m: 2 * m)
         with pytest.raises(InjectivityError, match="maps 0 and 1 both to 0"):
             bad.check_injective(2)
         bad.check_injective(1)
-        # apply is pure: it keeps no history, so a collision never raises there
-        assert [bad.apply(0), bad.apply(1), bad.apply(0)] == [0, 0, 0]
+        # the check keeps no history on the map, so a collision never raises there
+        assert [bad.fn(0), bad.fn(1), bad.fn(0)] == [0, 0, 0]
 
-    def test_no_inverse(self):
-        p = Injection("fwd", lambda n: n + 3)
-        assert p.inverse is None
-        with pytest.raises(ValueError, match="no inverse"):
-            p.invert(3)
+    def test_inverse_is_required(self):
+        with pytest.raises(TypeError):
+            Injection("fwd", lambda n: n + 3)
+
+    def test_negative_position_refused_at_its_bit(self):
+        """A map that goes negative at n = 4: bits 0..3 read positions 3..0,
+        and bit 4 is a ValueError, in evaluate's one pass and in a barrier
+        search alike, as when the injection checked its own values."""
+        f = bit_select(Injection("down", lambda n: 3 - n, lambda m: 3 - m if m <= 3 else None))
+        assert evaluate(f, finite("1011"), 4).output == "1101"
+        with pytest.raises(ValueError, match="natural"):
+            evaluate(f, finite("1011"), 5)
+        rep = Representation(f, 4, 8)
+        assert rep.map_word("101") == ""  # bit 0 reads position 3, past the barrier
+        with pytest.raises(ValueError, match="natural"):
+            rep.map_word("1011")
 
     def test_surjection_injection_frozen(self):
         w = StagedEnumeration.from_pairs([(1, 2)], horizon=8)
         p = surjection_injection(w)
-        assert p.apply(7) == 4  # 7 = ⟨2,1⟩ and 2 enters at stage 1
-        assert [p.apply(m) for m in range(7)] == [1, 3, 5, 7, 9, 11, 13]
-        assert p.invert(4) == 7
-        assert p.invert(2) is None  # 1 never enters, so 2 has no preimage
-        assert p.invert(9) == 4
+        assert p.fn(7) == 4  # 7 = ⟨2,1⟩ and 2 enters at stage 1
+        assert [p.fn(m) for m in range(7)] == [1, 3, 5, 7, 9, 11, 13]
+        assert p.inverse(4) == 7
+        assert p.inverse(2) is None  # 1 never enters, so 2 has no preimage
+        assert p.inverse(9) == 4
 
     def test_surjection_injection_is_injective_at_scale(self):
         from oneway.enumeration import collatz_toy
         p = surjection_injection(collatz_toy(16, 100))
         p.check_injective(512)
-        values = [p.apply(m) for m in range(512)]
+        values = [p.fn(m) for m in range(512)]
         assert len(set(values)) == 512
         for m in range(512):
-            assert p.invert(values[m]) == m
+            assert p.inverse(values[m]) == m
 
 
 class TestBitSelectAndWitness:
@@ -212,11 +223,12 @@ class TestBitSelectAndWitness:
                                       shift_injection])
     def test_select_inverts_witness(self, make):
         y = random_source(3)
-        x = preimage_witness(make(), y)
-        assert evaluate(bit_select(make()), x, 24).output == y.prefix(24)
-        # and the functional form agrees with the source form
-        via_fn = output_source(witness_function(make()), y)
-        assert via_fn.prefix(24) == x.prefix(24)
+        x = output_source(witness_function(make()), y)
+        assert evaluate(bit_select(make()), x, 24).output == prefix_of(y, 24)
+        # y(n) at position p(n), zeros off the range of p
+        p = make()
+        assert prefix_of(x, 24) == "".join(
+            "0" if p.inverse(m) is None else str(y.bit(p.inverse(m))) for m in range(24))
 
 
 class TestSimpleAndPartial:
@@ -267,7 +279,7 @@ class TestTwoToOne:
         f = two_to_one_v1(empty_enum(20))
         z = random_source(9)
         out = evaluate(f, interleaved(zeros(), z), 16).output
-        assert out[1::2] == z.prefix(8)
+        assert out[1::2] == prefix_of(z, 8)
 
     def test_v1_horizon(self):
         f = two_to_one_v1(empty_enum(3))
@@ -346,11 +358,12 @@ class TestZBuilderAndColumns:
         assert z.bit(pair(0, 2)) == 0 if pair(0, 2) >= 3 else True
 
     def test_replace_column(self):
-        w = replace_column(ones(), 2, zeros())
+        w = column_source({2: zeros()}, ones())
         assert w.bit(pair(2, 4)) == 0
         assert w.bit(pair(1, 4)) == 1
-        with pytest.raises(ValueError):
-            replace_column(ones(), -1, zeros())
+        u = StagedStringEnumeration.from_pairs([(1, "01")], horizon=8)
+        with pytest.raises(ValueError, match="^column index must be a natural$"):
+            z_builder_v2(u, -1)
 
 
 def tau(d):
@@ -362,8 +375,7 @@ def counter_fixture(n, toy_pairs=()):
     """The d-keyed stuck fixture: column d of z matches τ_d except column n."""
     u = StagedStringEnumeration.from_pairs(
         [(d + 1, tau(d)) for d in range(9)], horizon=64)
-    z = replace_column(
-        column_source({i: finite(tau(i)) for i in range(9)}, zeros()), n, zeros())
+    z = column_source({**{i: finite(tau(i)) for i in range(9)}, n: zeros()}, zeros())
     w = StagedEnumeration.from_pairs(list(toy_pairs), horizon=64)
     return w, u, z
 

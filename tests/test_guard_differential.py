@@ -31,6 +31,7 @@ from oneway.streams import (
     use_soundness_check,
     zeros,
 )
+from test_streams import image_with_reads
 
 
 # ----------------------------------------------------------------- reference
@@ -142,7 +143,7 @@ def test_representation_matches_for_every_word_to_depth_8():
     for length in range(9):
         for i in range(2 ** length):
             sigma = format(i, f"0{length}b") if length else ""
-            assert got.map_with_reads(sigma) == want.map_with_reads(sigma), sigma
+            assert image_with_reads(got, sigma) == image_with_reads(want, sigma), sigma
 
 
 def test_out_of_order_odd_bits_match():

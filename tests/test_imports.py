@@ -156,8 +156,9 @@ KEPT_UNREACHED = {
                                   "test_properties.py::test_injections_are_injective"),
     "UseSoundnessReport.passed": ("the verdict of a use-soundness check",
                                   "test_acceptance.py::test_criterion_10"),
-    "preimage_witness": ("the canonical preimage of a bit selection, for the d-keyed "
-                         "reduction", "test_constructions.py::test_select_inverts_witness"),
+    "Representation.map_word": ("the benchmark's layer tracer wraps it by name; it goes "
+                                "when in-library counters replace that wrapper",
+                                "test_streams.py::TestRepresentation::test_monotone"),
     "inverts_at_finite_stage": ("refutes an inverter on a named input; the extractors "
                                 "audit through the same loop at their own positions",
                                 "test_inversion.py::test_refuted"),
@@ -173,10 +174,14 @@ def used_names(trees) -> set[str]:
 
 def unreached(library, users) -> list[str]:
     """The public functions, classes and methods of the `library` trees, by
-    qualified name, whose name no tree of `users` uses.  The scan goes by
-    name, so it misses a name that other code also uses for something else,
-    such as `members` or `words`: only a name nothing uses at all is caught."""
+    qualified name, whose name no tree of `users` uses: a function or class
+    by any use, a method only as an attribute (`x.name`), so a variable of
+    the same name does not reach it.  The scan goes by name, so it misses a
+    name that other code also uses for something else, such as `members` or
+    `words`: only a name nothing uses that way is caught."""
     used = used_names(users)
+    attributes = {node.attr for tree in users for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
     found = []
     for tree in library:
         for node in tree.body:
@@ -187,7 +192,7 @@ def unreached(library, users) -> list[str]:
             if isinstance(node, ast.ClassDef):
                 found += [f"{node.name}.{sub.name}" for sub in node.body
                           if isinstance(sub, ast.FunctionDef)
-                          and sub.name[0] != "_" and sub.name not in used]
+                          and sub.name[0] != "_" and sub.name not in attributes]
     return sorted(found)
 
 
@@ -220,8 +225,9 @@ def test_kept_names_are_tested(name):
 def test_unreached_name_detected():
     lib = ast.parse("def f():\n    return g()\n\ndef g():\n    pass\n\n"
                     "class K:\n    def m(self):\n        return self.n\n\n"
-                    "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n")
-    assert unreached([lib], [lib]) == ["K", "K.m", "f"]
+                    "    def n(self):\n        pass\n\n    def _p(self):\n        pass\n\n"
+                    "    def q(self):\n        q = 1\n        return q\n")
+    assert unreached([lib], [lib]) == ["K", "K.m", "K.q", "f"]
 
 
 # Defaulted parameters of public functions and methods that no call in
@@ -259,10 +265,6 @@ KEPT_KNOBS = {
                                       "test_inversion.py::test_budget_exhaustion_is_a_desk_error"),
     "inverts_at_finite_stage(budget)": ("a small step budget shows a diverging inverter after "
                                         "a few reads", "test_inversion.py::test_diverged"),
-    "reference_inverter_two_to_one(search_stages)": (
-        "a fixed scan limit in place of the rule that follows a parked key to its entry, so "
-        "a test can make the inverter fail on a chosen bit or differ from the map on a drawn one",
-        "test_inversion.py::test_two_to_one_failed_bit_drops_its_marker_stages"),
     "unique_path_invert(survivor_cap)": ("stops a lossy inversion before its levels outgrow "
                                          "desk scale", "test_inversion.py::test_survivor_cap"),
 }

@@ -64,6 +64,7 @@ from oneway.streams import (
 )
 
 from test_acceptance import calibrated_len
+from test_marker_differential import fixed_limit_inverter
 
 
 def enum(pairs, horizon):
@@ -170,7 +171,7 @@ class TestReferenceInverters:
         """A bit that diverges runs marker stages whose reads the tape
         forgets; it must drop them too, so a later bit reads what it reads
         on a fresh tape."""
-        g = reference_inverter_two_to_one(enum([], 300), search_stages=6).g
+        g = fixed_limit_inverter(enum([], 300), 6).g
         tape, fresh = OracleTape(zeros()), OracleTape(zeros())
         assert tape.try_emit(g, 20) is None
         assert tape.try_emit(g, 2) == fresh.try_emit(g, 2) == 0

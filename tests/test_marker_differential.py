@@ -11,6 +11,9 @@ was when its scan for the stage selecting a parked position q called
 `Marker.advance_to` once per stage.  The library's scan is one pass of the
 marker's own stage loop up to the first update from stage q on; on every
 query, bit, use, reads in order, marker rows and error text must agree.
+`fixed_limit_inverter` is that one-pass scan cut at a fixed number of
+stages, the library's `_marker_map` under a test-local index: with it a
+test makes the inverter fail on a chosen bit.
 
 `PYTHONPATH=src python tests/test_marker_differential.py` prints, for the
 thm-two1 and thm-two2 demos, the marker stages each extraction phase runs
@@ -51,6 +54,7 @@ from oneway.streams import BitSource, OracleTape, RealFunction, Representation, 
     evaluate_bit, finite, interleaved, periodic, random_source
 
 from test_acceptance import seeded_enumeration, seeded_string_enumeration
+from test_streams import image_with_reads
 
 
 # ----------------------------------------------------------------- reference
@@ -131,6 +135,29 @@ def ref_two_to_one_v2(w, u):
         permission = ref_d_permission(w, u, column)
         return tape.read(2 * ref_marker_run(s + 1, permission).steps[s].p)
     return RealFunction(f"two2({w.label},{u.label})", emit)
+
+
+def fixed_limit_inverter(w, limit, u=None):
+    """The reference inverter of either two-to-one map with its scan cut at
+    `limit` stages in place of the key's entry: `Marker.state_at`, then
+    `first_update` below the limit; a bit whose position no stage below the
+    limit selects, with the marker not parked on it, diverges."""
+
+    def selecting_stage(marker, permission, q):
+        if q <= limit:
+            if marker.state_at(q, permission)[0] != q:
+                return q - 1
+            t = marker.first_update(q, limit, permission)
+            if t is not None:
+                return t
+        if marker.state_at(limit, permission)[0] != q:
+            raise DivergenceError(2 * q, f"position {q} not selected within {limit} stages")
+        return None
+
+    rule = (lambda tape: k_keyed(w, tape.read)) if u is None else \
+        (lambda tape: d_keyed(w, u, tape.read))
+    return InverterUnderTest(_marker_map(
+        f"refinv-two{1 if u is None else 2}({w.label},{limit})", rule, selecting_stage))
 
 
 def ref_inverter_two_to_one(w, search_stages=256):
@@ -221,7 +248,7 @@ def test_representation_matches_for_every_word_to_depth_8():
         for length in range(9):
             for i in range(2 ** length):
                 sigma = format(i, f"0{length}b") if length else ""
-                assert got.map_with_reads(sigma) == want.map_with_reads(sigma), sigma
+                assert image_with_reads(got, sigma) == image_with_reads(want, sigma), sigma
 
 
 def test_fiber_counts_match():
@@ -234,7 +261,7 @@ def test_fiber_counts_match():
 
 def test_reference_inverter_matches():
     for search_stages in (0, 1, 5, 256):
-        new = reference_inverter_two_to_one(TOY, search_stages).g
+        new = fixed_limit_inverter(TOY, search_stages).g
         old = ref_inverter_two_to_one(TOY, search_stages).g
         for name, y in sorted(SOURCES.items()):
             for bits in (1, 2, 9, 64, 200):
@@ -334,7 +361,14 @@ def ref_scan_inverter(w, search_stages=None, u=None):
         ref_selecting_stage(w, search_stages, u)))
 
 
-SCANS = {"library": reference_inverter_two_to_one, "per-stage": ref_scan_inverter}
+def library_scan(w, search_stages=None, u=None):
+    """The library's inverter, or with a limit `fixed_limit_inverter`."""
+    if search_stages is None:
+        return reference_inverter_two_to_one(w, u=u)
+    return fixed_limit_inverter(w, search_stages, u)
+
+
+SCANS = {"library": library_scan, "per-stage": ref_scan_inverter}
 
 
 def markers(tape):

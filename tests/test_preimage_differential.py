@@ -42,6 +42,7 @@ from oneway.streams import (
 
 from test_fork_differential import adaptive_emitters
 from test_marker_differential import outcome
+from test_streams import prefix_of
 
 
 # ----------------------------------------------------------------- reference
@@ -171,7 +172,7 @@ def test_fixture_errors_are_the_pinned_ones():
             "128 surviving words at depth 14; fiber not provably singleton at desk scale")
     rep, y, bits = fx["witness:shift"]
     x = random_source(7)
-    assert unique_path_invert(rep, y, bits) == x.prefix(bits)
+    assert unique_path_invert(rep, y, bits) == prefix_of(x, bits)
 
 
 def test_lossy_emitter_runs_grow_linearly_in_depth():

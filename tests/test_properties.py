@@ -56,6 +56,7 @@ from oneway.streams import (
     random_source,
     zeros,
 )
+from test_marker_differential import fixed_limit_inverter
 
 # ---------------------------------------------------------------- strategies
 
@@ -166,7 +167,7 @@ def test_marker_traces_keep_their_invariants(w, u, z, stages):
 def reference_inverters():
     """The two-to-one reference inverter over drawn toys, with a search
     short enough that some even bits diverge."""
-    return st.builds(lambda w, stages: reference_inverter_two_to_one(w, stages).g,
+    return st.builds(lambda w, stages: fixed_limit_inverter(w, stages).g,
                      toys(), st.integers(1, 24))
 
 
@@ -217,7 +218,7 @@ def test_injections_are_injective(w, a, gap):
               surjection_injection(w)):
         p.check_injective(limit)
     b = a + gap
-    collide = Injection("collide", lambda n: a if n == b else n)
+    collide = Injection("collide", lambda n: a if n == b else n, lambda m: m)
     collide.check_injective(b)
     with pytest.raises(InjectivityError, match=f"collide maps {a} and {b} both to {a}$"):
         collide.check_injective(b + 1)

@@ -54,6 +54,7 @@ from oneway.streams import (
     random_source,
     zeros,
 )
+from test_marker_differential import library_scan
 
 
 # ---------------------------------------------------------------- references
@@ -258,8 +259,7 @@ def drawn_maps(draw, w, u):
     if label.startswith("refinv"):
         v = None if label == "refinv-two1" else u
         stages = draw(st.one_of(st.none(), st.integers(0, 60)))
-        return (label, reference_inverter_two_to_one(w, stages, v).g,
-                former_reference_inverter(w, stages, v).g)
+        return label, library_scan(w, stages, v).g, former_reference_inverter(w, stages, v).g
     if label == "inj":
         d = DecidedSet(set(w.limit_members()) | {1, 4, 9}, horizon=max(w.horizon, 40))
         f = partial_injection(w, d)

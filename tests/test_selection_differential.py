@@ -65,6 +65,7 @@ from oneway.streams import (
     selection,
     zeros,
 )
+from test_streams import image_with_reads
 
 
 # ---------------------------------------------------------------- references
@@ -75,12 +76,12 @@ def ref_identity_function():
 
 def ref_bit_select(p, name: Optional[str] = None):
     return RealFunction(name or f"bitselect({p.name})",
-                        lambda tape, m: tape.read(p.apply(m)))
+                        lambda tape, m: tape.read(p.fn(m)))
 
 
 def ref_witness_function(p, name: Optional[str] = None):
     def emit(tape, m):
-        n = p.invert(m)
+        n = p.inverse(m)
         return 0 if n is None else tape.read(n)
 
     return RealFunction(name or f"witness({p.name})", emit)
@@ -194,7 +195,7 @@ def ref_reference_inverter_surjection(w):
     p = ref_surjection_injection(w)
 
     def emit(tape, m):
-        idx = p.invert(m)
+        idx = p.inverse(m)
         if idx is None:
             return 0
         return tape.read(2 * idx)
@@ -345,9 +346,9 @@ def test_the_horizon_bound_matches(family, w):
     if family == "surj":
         p, q = surjection_injection(w), ref_surjection_injection(w)
         for m in order:
-            assert outcome(p.apply, m) == outcome(q.apply, m), m
+            assert outcome(p.fn, m) == outcome(q.fn, m), m
             for v in (2 * m, 2 * m + 1):
-                assert outcome(p.invert, v) == outcome(q.invert, v), v
+                assert outcome(p.inverse, v) == outcome(q.inverse, v), v
 
 
 def test_the_bound_cases_raise_where_expected():
@@ -366,7 +367,7 @@ def test_representation_matches_for_every_word_to_depth_8(family):
     for length in range(9):
         for i in range(2 ** length):
             sigma = format(i, f"0{length}b") if length else ""
-            assert got.map_with_reads(sigma) == want.map_with_reads(sigma), sigma
+            assert image_with_reads(got, sigma) == image_with_reads(want, sigma), sigma
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -32,6 +32,7 @@ from oneway.streams import (
     random_source,
     zeros,
 )
+from test_streams import prefix_of
 
 PREFIX = 64
 
@@ -219,11 +220,11 @@ def tmp(tmp_path_factory):
 def test_flat_sources_match_the_nested_reference(tmp, tree):
     new, ref = build(tree, NEW, tmp), build(tree, REF, tmp)
     assert new.spec == ref.spec
-    assert new.prefix(PREFIX) == ref.prefix(PREFIX)
+    assert prefix_of(new, PREFIX) == prefix_of(ref, PREFIX)
     if parseable(tree):
         parsed = parse_source(render(tree, tmp))
         assert parsed.spec == ref.spec
-        assert parsed.prefix(PREFIX) == ref.prefix(PREFIX)
+        assert prefix_of(parsed, PREFIX) == prefix_of(ref, PREFIX)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -242,10 +243,10 @@ def test_flip_stack_reads_its_base_once():
         stacked = flipped_at(stacked, p % 7)
     assert stacked.spec.count("flip:") == 5000
     # 5000 = 714·7 + 2: positions 0 and 1 are flipped an odd number of times
-    assert stacked.prefix(8) == "10" + base.prefix(8)[2:]
+    assert prefix_of(stacked, 8) == "10" + prefix_of(base, 8)[2:]
     calls.clear()
     stacked.bit(3)
     assert calls == [3]
     cancelled = flipped_at(flipped_at(base, 4), 4)
     assert cancelled.spec == "flip:4:flip:4:counted"
-    assert cancelled.prefix(8) == base.prefix(8)
+    assert prefix_of(cancelled, 8) == prefix_of(base, 8)
