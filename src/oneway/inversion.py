@@ -10,15 +10,14 @@ inverter could.
 No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
 splits a computation at the first open position it reads, so a leaf stands
 for every word that agrees with its read pattern.  The read answers 0 and
-that half goes on in place; the other half later redoes the read's bit
-with a 1 there, on the same tape rolled back to the read.  `_class_levels`
-grows such read classes one barrier position at a time, to the depth of
-the `Representation` it is given; unique-path inversion, `preimage_tree`
-and fiber counts read its levels, the last probing each surviving class
-with a nested tree that hands a split below the depth, with the rest of
-its search, to the class tree.  The randomized extraction collects halting
-patterns in (length, lex) order until they cover more than half of the
-conditioning cylinder.
+that half goes on in place; the other half later redoes the read's bit with
+a 1 there, on the search's one tape rolled back to the read.
+`_class_levels` grows such read classes one barrier position at a time, to
+its `Representation`'s depth; unique-path inversion, `preimage_tree` and
+fiber counts read its levels, the last probing each surviving class on its
+level tape with a nested tree that hands a split below the depth, with its
+search, to the class tree.  The randomized extraction collects halting
+patterns in (length, lex) order until they cover over half the cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -236,8 +235,7 @@ def reference_inverter_two_to_one(w: StagedEnumeration, *,
         f"refinv-two{1 if u is None else 2}({w.label})", rule, selecting_stage))
 
 
-def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
-                   validate: bool = True) -> ExtractionVerdict:
+def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int) -> ExtractionVerdict:
     """Decide membership of n from the inverter's behavior on the zero real.
 
     Let x = g(0^ω).  A set bit x(n) certifies non-membership outright: were
@@ -252,7 +250,7 @@ def extract_simple(g: InverterUnderTest, w: StagedEnumeration, n: int,
     return _extract(g, w, n, "simple", zeros(), n, simple_one_way(w),
                     range(n + 1) if top == n else [*range(n + 1), top],
                     lambda bit, use: (None, "positive witness bit") if bit else (use, None),
-                    validate, "inverter fails on the zero real: f(g(0^ω)) has 1")
+                    "inverter fails on the zero real: f(g(0^ω)) has 1")
 
 
 def _check_unary(g: InverterUnderTest, extractor: str) -> None:
@@ -268,23 +266,22 @@ _SPOT_CHECKS = tuple(mutate_beyond_use(zeros(), 0, rng)[0]
 
 def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: BitSource,
              q: int, f: RealFunction, positions: Iterable[int],
-             bound: Callable[[int, int], tuple[Optional[int], object]], validate: bool = True,
+             bound: Callable[[int, int], tuple[Optional[int], object]],
              failure: str = "inverter fails on the constructed input: f(g(y)) differs from y"
              ) -> ExtractionVerdict:
     """What the unary extractors share: g's bit q on the adversarial y, its
-    use spot-checked by six mutations beyond it and, with `validate`, the
-    audit of f(g(y)) at `positions`; bound(bit, use) then gives the stage
-    bound (None: a non-member outright) and the evidence.  The six
-    mutations flip use + offset for the fixed offset sets `_SPOT_CHECKS`,
-    the positions `mutate_beyond_use` draws from random.Random(0)."""
+    use spot-checked by six mutations beyond it and the audit of f(g(y)) at
+    `positions`; bound(bit, use) then gives the stage bound (None: a
+    non-member outright) and the evidence.  The six mutations flip use +
+    offset for the fixed offset sets `_SPOT_CHECKS`, the positions
+    `mutate_beyond_use` draws from random.Random(0)."""
     bit, use = evaluate_bit(g.g, y, q)
-    if validate:
-        for offsets in _SPOT_CHECKS:
-            got, _ = evaluate_bit(g.g, flipped_at(y, *(use + offset for offset in offsets)), q)
-            if got != bit:
-                raise UseSoundnessError(f"{g.g.name} bit {q} changed from {bit} to {got} "
-                                        f"after mutation beyond use {use}")
-        _audit(f, g, y, positions, failure)
+    for offsets in _SPOT_CHECKS:
+        got, _ = evaluate_bit(g.g, flipped_at(y, *(use + offset for offset in offsets)), q)
+        if got != bit:
+            raise UseSoundnessError(f"{g.g.name} bit {q} changed from {bit} to {got} "
+                                    f"after mutation beyond use {use}")
+    _audit(f, g, y, positions, failure)
     stage, evidence = bound(bit, use)
     member = stage is not None and w.member_at_stage(n, stage)
     return ExtractionVerdict(n, member, use, stage, via, evidence)
@@ -440,17 +437,19 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     """Fork tree of g's computation of one output bit over ⟦sigma⟧.
 
     Reads below |sigma| are answered by sigma; the first unassigned read at
-    or beyond |sigma| splits the cylinder in two.  Paths that diverge are
-    dropped (their candidate words never halt, so they are never collected).
+    or beyond |sigma| splits the cylinder in two, the 1 half rolling the one
+    tape back to it.  Diverging paths are dropped: their words never halt.
     """
 
-    prefix = tuple(map(int, sigma))
+    tape = OracleTape(zeros(), budget=run_budget)  # the root sets the source of the tree
 
-    def run(assign: dict[int, int], _resume: None,
+    def run(assign: dict[int, int], checkpoint: Optional[tuple],
             split: Callable[[int, Any], int]) -> Optional[int]:
-        # the 1 half of a split reruns from scratch on a fresh tape
-        source = _fork_source("dovetail-candidate", prefix, assign, lambda p: split(p, None))
-        tape = OracleTape(source, budget=run_budget)
+        if checkpoint is None:
+            tape.source = _fork_source("dovetail-candidate", tuple(map(int, sigma)), assign,
+                                       lambda p: split(p, tape.checkpoint()))
+        else:
+            tape.rollback(checkpoint)
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
@@ -466,7 +465,6 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
 
 def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
                        w: StagedEnumeration, n: int,
-                       validate: bool = True,
                        node_budget: int = 100000,
                        run_budget: int = DEFAULT_BUDGET) -> ExtractionVerdict:
     """Decide membership of n from a total inverter over the cylinder ⟦sigma⟧.
@@ -481,9 +479,10 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
     check_word(sigma)
     if not g.binary:
         raise ValueError("extract_randomized takes a binary inverter over y⊕r")
-    if validate:
-        _audit(f, g, interleaved(finite(sigma), zeros()), range(max(len(sigma), n) + 1),
-               f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs from y", run_budget)
+    if n < 0:  # before the audit and the search, which would name g's bit 2n
+        raise ValueError(f"element must be a natural, got {n}")
+    _audit(f, g, interleaved(finite(sigma), zeros()), range(max(len(sigma), n) + 1),
+           f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs from y", run_budget)
     leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget, run_budget)
     leaves.sort(key=lambda leaf: (leaf.length, leaf.pattern(sigma)))
     threshold = Fraction(1, 2 ** (len(sigma) + 1))
@@ -514,8 +513,7 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
 
 
 def extract_two_to_one(g: InverterUnderTest, w: StagedEnumeration, n: int,
-                       upsilon: Word = "", zeta: Word = "",
-                       validate: bool = True) -> ExtractionVerdict:
+                       upsilon: Word = "", zeta: Word = "") -> ExtractionVerdict:
     """Decide membership of n from an inverter of the k-keyed two-to-one map.
 
     Build the adversarial z that parks the marker on n (after the verbatim
@@ -542,7 +540,7 @@ def extract_two_to_one(g: InverterUnderTest, w: StagedEnumeration, n: int,
         return max(use, s), trace
 
     return _extract(g, w, n, "two1", interleaved(finite(upsilon), z), 2 * n, two_to_one_v1(w),
-                    range(2 * n + 2), bound, validate)
+                    range(2 * n + 2), bound)
 
 
 def extract_two_to_one_v2(g: InverterUnderTest, w: StagedEnumeration,
@@ -583,17 +581,17 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     `branches` counts at read resolution, so bits f has not read do not
     inflate a two-element fiber.  A surviving class is extendable when a
-    nested fork tree over the positions from `depth` on, going on in place
-    at each split and rolling one probe tape back for its second half,
-    finds a continuation passing every bit of `y_prefix`.  One that reads
-    an open position q below `depth` splits its class on q, and both halves
-    carry on with the search from that read, which no earlier run made:
-    they find the continuation a fresh search of each half would.  The
-    extendable classes' distinct patterns on the positions below `depth`
-    read by the passing bits of the least extendable word, times two per
-    other position below `depth`, give `branches`; a target through the
-    outputs publishing each selection made below `depth` pins this to the
-    true fiber.
+    nested fork tree over the positions from `depth` on finds a continuation
+    passing every bit of `y_prefix`, going on on the class's level tape,
+    barrier moved to `probe_len`, from the first image bit the class lacks,
+    and rolling it back for a split's second half.  One that reads an open
+    position q below `depth` splits its class on q, and both halves carry on
+    with the search from that read, which no earlier run made: they find the
+    continuation a fresh search of each half would.  The extendable classes'
+    distinct patterns on the positions below `depth` read by the passing
+    bits of the least extendable word, times two per other position below
+    `depth`, give `branches`; a target through the outputs publishing each
+    selection made below `depth` pins this to the true fiber.
 
     A continuation checks the output bits from 0 up.  A guess made during
     bit j joins the end of the queue of guessed positions to check when it
@@ -618,9 +616,9 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     n_out, target = len(y_prefix), tuple(map(int, y_prefix))
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(budget))
-    tape: OracleTape  # the probe tape of the class searched
+    tape: OracleTape  # the level tape of the class probed
 
-    def continuation(assign: dict[int, int], resume: Optional[tuple],
+    def continuation(assign: dict[int, int], resume: tuple,
                      split: Callable[[int, Any], int]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         The bits to check are `queue`, a tuple of output bits, then `tail`,
@@ -632,7 +630,7 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
         The queue is first in, first out, so the oldest guess is checked
         first and a wrong one fails before the guesses made after it run on
         to the end of the target."""
-        checkpoint, queue, tail = resume or (None, (), 0)
+        checkpoint, queue, tail = resume
         if checkpoint:
             tape.rollback(checkpoint)
 
@@ -658,12 +656,13 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                 return None
         return tape.positions_read()
 
-    def witness_reads(word_class: dict[int, int], resume: Optional[tuple],
+    def witness_reads(word_class: dict[int, int], resume: tuple,
                       _split: Callable[[int, Any], int]) -> Optional[tuple]:
         # halves of a split go on with its search, the first on its tape, the second on a branch
         nonlocal tape
-        pending, tapes = resume or (None, [OracleTape(zeros(), barrier=probe_len)])
+        pending, tapes = resume
         tape = tapes.pop()
+        tape.barrier = probe_len  # a class's level tape holds its image under the depth
         deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, pending)])
         try:
             return next((reads for _, reads in deep), None)
@@ -673,10 +672,11 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     *_, level = _class_levels(rep, finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
-    # a split class keeps its image and its probe search, so this tree reruns neither
+    # a class tape's image list goes (each rollback and branch would hash f for it); a split
+    # class keeps its image's reads and its probe search, so this tree reruns neither
+    roots = ((assign, ((None, (), len(image.state.pop(f))), [image])) for assign, image in level)
     extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
-                  for word_class, reads in _fork_tree(witness_reads, roots=(
-                      (assign, None) for assign, _ in level))]
+                  for word_class, reads in _fork_tree(witness_reads, roots=roots)]
     if not extendable:
         return FiberCount(0, surviving)
     inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]

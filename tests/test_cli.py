@@ -389,6 +389,8 @@ class TestSpecErrors:
               "--depth", "4"], f"bit count must be a natural at most {MAX_BITS}, got -1"),
             (["extract", "--mode", "simple", "--fn", "simple:collatz", "--n", "-1"],
              "output bit must be a natural, got -1"),
+            (["extract", "--mode", "randomized", "--fn", "surj:collatz", "--n", "-2"],
+             "element must be a natural, got -2"),
         ],
     )
     def test_negative_counts_are_domain_errors(self, capsys, argv, message):

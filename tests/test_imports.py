@@ -249,14 +249,6 @@ KEPT_KNOBS = {
     "extract_randomized(run_budget)": ("the step budget of every inverter run, audit included",
                                        "test_inversion.py::TestExtractRandomized::"
                                        "test_validation_divergence"),
-    "extract_randomized(validate)": ("skips the audit, to reach the measure argument with an "
-                                     "inverter that fails it",
-                                     "test_inversion.py::test_measure_never_crosses"),
-    "extract_simple(validate)": ("skips the audit, to show the verdict a broken inverter gives",
-                                 "test_inversion.py::test_zero_inversion_validation"),
-    "extract_two_to_one(validate)": ("skips the audit, to show the verdict a broken inverter "
-                                     "gives", "test_inversion.py::"
-                                     "test_validation_catches_non_inverter"),
     "fiber_branch_count(budget)": ("bounds the probe emitter runs, so a test can hold the "
                                    "probe to a few runs per target bit",
                                    "test_fork_differential.py::"

@@ -64,7 +64,8 @@ from oneway.streams import (
 )
 
 from test_acceptance import calibrated_len
-from test_marker_differential import fixed_limit_inverter
+from test_fork_differential import dovetail_fixtures, fiber_fixtures
+from test_marker_differential import fixed_limit_inverter, outcome
 
 
 def enum(pairs, horizon):
@@ -221,9 +222,6 @@ class TestExtractSimple:
         g = InverterUnderTest(RealFunction("allones", lambda tape, m: 1))
         with pytest.raises(ConsistencyError, match="fails on the zero real"):
             extract_simple(g, enum([(1, 2)], 100), 2)
-        # unaudited, its set bit wrongly certifies that 2 never enters
-        assert extract_simple(g, enum([(1, 2)], 100), 2, validate=False).line() == \
-            "n=2 member=false use=0 stagebound=-"
 
     def test_rejects_binary_inverter(self):
         toy = collatz_toy(16, 10**3)
@@ -267,7 +265,7 @@ class TestExtractRandomized:
 
     def test_negative_element(self):
         g, f, w = self.fixture()
-        with pytest.raises(ValueError, match="output bit must be a natural, got -2"):
+        with pytest.raises(ValueError, match="^element must be a natural, got -1$"):
             extract_randomized(g, f, "", w, -1)
 
     def test_member_crossing(self):
@@ -345,21 +343,23 @@ class TestExtractRandomized:
         g = InverterUnderTest(RealFunction("half", half), binary=True)
         with pytest.raises(MeasureThresholdError,
                            match="cover only 1/2 of ⟦ε⟧, never exceeding 1/2"):
-            extract_randomized(g, f, "", w, 1, validate=False)
+            extract_randomized(g, f, "", w, 1)
 
     def test_fork_tree_budget(self):
         _, f, w = self.fixture()
 
+        # inverts f on 0^ω, which the audit reads, and scans without end past a 1 at 0
         def deep(tape, m):
-            i = 0
-            while True:
-                tape.read(i)
-                i += 1
+            if tape.read(0):
+                i = 1
+                while True:
+                    tape.read(i)
+                    i += 1
+            return 0
 
         g = InverterUnderTest(RealFunction("deep", deep), binary=True)
         with pytest.raises(MeasureThresholdError, match="exceeded 50 nodes"):
-            extract_randomized(g, f, "", w, 1, validate=False,
-                               node_budget=50, run_budget=10**4)
+            extract_randomized(g, f, "", w, 1, node_budget=50, run_budget=10**4)
 
     def test_validation_against_wrong_function(self):
         g, _, w = self.fixture()
@@ -381,11 +381,12 @@ class TestExtractRandomized:
         w = enum(list(zip(stages, elements)), 64)
         g = reference_inverter_surjection(w)
         if draw(st.booleans()):
-            # reads up to the first 1 of y: leaves of many lengths
-            width = draw(st.integers(1, 12))
+            # reads y up to its first 1, then answers as g: leaves of many lengths
+            width, answer = draw(st.integers(1, 12)), g.g.emit
 
             def scan(tape, m):
-                return next((1 for i in range(0, 2 * width, 2) if tape.read(i)), 0)
+                any(tape.read(i) for i in range(0, 2 * width, 2))
+                return answer(tape, m)
 
             g = InverterUnderTest(RealFunction(f"scan{width}", scan), binary=True)
         return g, one_way_surjection(w), w, draw(st.text("01", max_size=10)), \
@@ -395,8 +396,7 @@ class TestExtractRandomized:
     @given(surjection_cases())
     def test_materialized_record_has_the_recorded_measure(self, case):
         g, f, w, sigma, n = case
-        validate = g.g.name.startswith("refinv")
-        record = extract_randomized(g, f, sigma, w, n, validate=validate).evidence
+        record = extract_randomized(g, f, sigma, w, n).evidence
         assume(record.words_collected <= 4096)
         words = record.materialize()  # a PrefixFreeSet rejects comparable words
         assert len(words) == record.words_collected
@@ -470,9 +470,6 @@ class TestExtractTwoToOne:
         g = InverterUnderTest(RealFunction("zero", lambda tape, m: 0))
         with pytest.raises(ConsistencyError, match="differs from y at bit 1"):
             extract_two_to_one(g, w, 5)
-        # unaudited, the verdict rests on candidate bit 2n and the marker alone
-        assert extract_two_to_one(g, w, 5, validate=False).line() == \
-            "n=5 member=true use=0 stagebound=5"
 
     def test_rejects_binary_inverter(self):
         _, w = self.fixture()
@@ -617,6 +614,23 @@ class TestFiberBranchCount:
         # an empty target runs no probed bit: the probe tree's node bound stops it
         with pytest.raises(DeskError, match="^fiber probe budget exhausted$"):
             fiber_branch_count(bit_select(identity_injection()), "", 4, budget=0)
+
+
+def test_each_search_opens_one_tape(monkeypatch):
+    # a fiber count's class levels and probes, and a dovetail fork tree, roll
+    # one tape back at every fork: any other tape they use is a branch of it
+    opened, init = [], OracleTape.__init__
+    monkeypatch.setattr(OracleTape, "__init__",
+                        lambda tape, *args, **kwargs: opened.append(tape) or
+                        init(tape, *args, **kwargs))
+    for name, (f, y, depth) in fiber_fixtures().items():
+        opened.clear()
+        fiber_branch_count(f, y, depth)
+        assert len(opened) == 1, name
+    for name, args in dovetail_fixtures().items():
+        opened.clear()
+        outcome(_dovetail_leaves, *args)
+        assert len(opened) == 1, name
 
 
 class TestInvertsAtFiniteStage:
