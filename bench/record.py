@@ -13,9 +13,11 @@ ten slowest tests are kept beside the runs, with the line count of each
 module of its ``src/oneway`` and their total.
 
 The file gets, per side, the median and quartiles of every end-to-end metric
-over the pairs, the median of every row, the per-layer metrics, whether
-every run was correct, and the operations attempted and failed over all its
-runs; per metric, the number of pairs the change won.  Runs
+over the pairs; the median of every row's time and sample count ``n``, and
+its ``share`` of the run, median_ms·n over that sum for all rows; the
+per-layer metrics, whether every run was correct, and the operations
+attempted and failed over all its runs; per metric, the number of pairs the
+change won.  Runs
 are stored under ``"<workload>@seed<K>"``; an existing ``--out`` file keeps
 its other entries, so several workloads and seeds build up one file.
 Standard library only; each checkout's perfbench imports its own ``src/``.
@@ -107,15 +109,17 @@ def spread(values: list[float]) -> dict:
 
 def summarise(runs: list[dict], traced: dict) -> dict:
     labels = sorted({label for run in runs for label in run["rows"]})
+    rows = {label: {key: statistics.median(r["rows"][label][key]
+                                           for r in runs if label in r["rows"])
+                    for key in ("median_ms", "raw_ms", "n")}
+            for label in labels}
+    total = sum(row["median_ms"] * row["n"] for row in rows.values())
+    for row in rows.values():
+        row["share"] = round(row["median_ms"] * row["n"] / total, 4) if total else 0.0
     return {
         "end_to_end": {name: spread([run["metrics"][name] for run in runs])
                        for name in runs[0]["metrics"]},
-        "rows": {label: {
-            "median_ms": statistics.median(r["rows"][label]["median_ms"]
-                                           for r in runs if label in r["rows"]),
-            "raw_ms": statistics.median(r["rows"][label]["raw_ms"]
-                                        for r in runs if label in r["rows"])}
-            for label in labels},
+        "rows": rows,
         "host_slowdown": [run["host_slowdown"] for run in runs],
         "per_layer": traced["metrics"],
         "correct": all(run["correct"] for run in runs + [traced]),

@@ -524,6 +524,8 @@ def extract_two_to_one(g: InverterUnderTest, w: StagedEnumeration, n: int,
     committed to.
     """
     _check_unary(g, "extract_two_to_one")
+    if n < 0:  # before z is built, whose builder would name its column instead
+        raise ValueError(f"element must be a natural, got {n}")
     check_word(upsilon)
     check_word(zeta)
     if zeta and n <= len(zeta):
@@ -555,6 +557,8 @@ def extract_two_to_one_v2(g: InverterUnderTest, w: StagedEnumeration,
     f(g(·)) fails at bit 2t on one of them.  So n ∈ W iff n ∈ W_max(use, s).
     """
     _check_unary(g, "extract_two_to_one_v2")
+    if n < 0:  # before z is built, as in extract_two_to_one
+        raise ValueError(f"element must be a natural, got {n}")
     z = z_builder_v2(u, n)
     s = stage_where_counter_reaches(w, u, z, n)
     return _extract(g, w, n, "two2", interleaved(zeros(), z), 2 * s, two_to_one_v2(w, u),

@@ -1,19 +1,20 @@
 """Infinite bit sources, oracle tapes with use accounting, and
 representations.
 
-A BitSource is a total deterministic map position → bit.  A read is
-checked once, at the outermost call: `BitSource.bit` checks a direct read,
-and `OracleTape.read` and `read_selection` make the same checks inline
-around the raw map.  Composite sources (flips, interleaves and column
-sources) call their children's raw bit functions, and a stack of flips
-collapses into one set of flipped positions over its base, so a read
-through it costs one set lookup.  An OracleTape wraps a source and records
-exactly how much of it a computation reads; the oracle-use of an
-evaluation is (max position read) + 1.  A RealFunction emits output bits
-one at a time through a tape, so use accounting and read barriers apply to
-every construction uniformly.  The one exception is `evaluate` of a
-`selection`, which copies input bit sel(m) to output bit m:
-`OracleTape.read_selection` reads its prefix in one loop.
+A BitSource is a total deterministic map position → bit.  A read is checked
+once, at the outermost call: `BitSource.bit` checks a direct read, and
+`OracleTape.read` and `read_selection` make the same checks inline around
+the raw map.  Composite sources (flips, interleaves and column sources) call
+their children's raw bit functions, and a stack of flips collapses into one
+set of flipped positions over its base, so a read through it is one set
+lookup.  Sources built here, over such sources only, carry a `prefix`
+kernel: their first P bits as bytes.  An OracleTape wraps a source and
+records exactly how much of it a computation reads; the oracle-use of an
+evaluation is (max position read) + 1.  A RealFunction emits output bits one
+at a time through a tape, so use accounting and read barriers apply to every
+construction uniformly.  The one exception is `evaluate` of a `selection`,
+which copies input bit sel(m) to output bit m: `OracleTape.read_selection`
+reads its prefix in one loop, 64..2n+2 by kernel.
 
 Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
 budget (one step per tape read, default 10^6), and budget exhaustion
@@ -39,7 +40,8 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import accumulate, count, takewhile
+from typing import Callable, ClassVar, Optional
 
 from .bitcore import Word, check_word, data_records, unpair
 from .errors import _NO_VALUE, DeskError, DivergenceError, HorizonError, SpecParseError, \
@@ -54,10 +56,12 @@ RANDOM_POSITIONS = 1 << 24  # random_source caches a byte per position below thi
 @dataclass(frozen=True)
 class BitSource:
     """A total map from positions to bits, with a printable descriptor:
-    `bit` is the checked read, `_bit` the raw map composite sources call."""
+    `bit` is the checked read, `_bit` the raw map composite sources call.
+    `prefix`, only on sources built here, maps P to bytes starting bits 0..P-1."""
 
     spec: str
     _bit: Callable[[int], int]
+    prefix: ClassVar[Optional[Callable[[int], bytes]]] = None  # a field of `_Built` only
 
     def bit(self, i: int) -> int:
         if i < 0:
@@ -72,12 +76,27 @@ class BitSource:
 
 
 @dataclass(frozen=True, repr=False)
+class _Built(BitSource):
+    prefix: Optional[Callable[[int], bytes]] = field(compare=False, kw_only=True)
+
+
+@dataclass(frozen=True, repr=False)
 class _Flipped(BitSource):
     """`base` with the bits at `flips` negated: a stack of flips is one set
-    over the first base that is not a flip."""
+    over the first base that is not a flip; its kernel flips the base's."""
 
     base: BitSource
     flips: frozenset[int]
+
+    @property
+    def prefix(self) -> Optional[Callable[[int], bytes]]:
+        return self._flipped_prefix if self.flips and self.base.prefix else self.base.prefix
+
+    def _flipped_prefix(self, P: int) -> bytearray:
+        out = bytearray(self.base.prefix(P)[:P])
+        for i in filter(P.__gt__, self.flips):
+            out[i] ^= 1
+        return out
 
 
 # a word's bytes translated by _BITS, indexed, are its bits; _DIGITS maps back
@@ -86,11 +105,11 @@ _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def zeros() -> BitSource:
-    return BitSource("zeros", lambda i: 0)
+    return _Built("zeros", lambda i: 0, prefix=bytes)
 
 
 def ones() -> BitSource:
-    return BitSource("ones", lambda i: 1)
+    return _Built("ones", lambda i: 1, prefix=lambda P: b"\1" * P)
 
 
 def periodic(word: Word) -> BitSource:
@@ -98,14 +117,15 @@ def periodic(word: Word) -> BitSource:
     if not word:
         raise ValueError("periodic source needs a nonempty word")
     bits, k = word.encode().translate(_BITS), len(word)
-    return BitSource(f"periodic:{word}", lambda i: bits[i % k])
+    return _Built(f"periodic:{word}", lambda i: bits[i % k], prefix=lambda P: bits * (P // k + 1))
 
 
 def finite(word: Word) -> BitSource:
     """`word` followed by zeros (an eventually-zero real)."""
     check_word(word)
     bits, k = word.encode().translate(_BITS), len(word)
-    return BitSource(f"finite:{word}", lambda i: bits[i] if i < k else 0)
+    return _Built(f"finite:{word}", lambda i: bits[i] if i < k else 0,
+                  prefix=lambda P: bits.ljust(P, b"\0"))
 
 
 def flipped_at(base: BitSource, *positions: int) -> BitSource:
@@ -132,10 +152,17 @@ def flipped_at(base: BitSource, *positions: int) -> BitSource:
 
 def interleaved(even: BitSource, odd: BitSource) -> BitSource:
     """The join: bit 2n from `even`, bit 2n+1 from `odd`."""
-    even_bit, odd_bit = even._bit, odd._bit
-    return BitSource(
+    even_bit, odd_bit, even_prefix, odd_prefix = even._bit, odd._bit, even.prefix, odd.prefix
+
+    def prefix(P: int) -> bytearray:
+        out, half = bytearray(P), (P + 1) // 2
+        out[0::2], out[1::2] = even_prefix(half)[:half], odd_prefix(P - half)[:P - half]
+        return out
+
+    return _Built(
         f"interleave({even.spec},{odd.spec})",
         lambda i: odd_bit(i >> 1) if i & 1 else even_bit(i >> 1),
+        prefix=prefix if even_prefix and odd_prefix else None,
     )
 
 
@@ -143,15 +170,24 @@ def column_source(assignments: dict[int, BitSource], default: BitSource) -> BitS
     """Bit at pair(c,i) comes from assignments[c] at i, or from `default` at
     the absolute position when column c is not assigned."""
     cols = {c: s._bit for c, s in assignments.items()}
-    default_bit = default._bit
+    default_bit, kernels = default._bit, {c: s.prefix for c, s in assignments.items()}
 
     def bit(m: int) -> int:
         c, i = unpair(m)
         src = cols.get(c)
         return src(i) if src is not None else default_bit(m)
 
+    def prefix(P: int) -> bytearray:  # column c sits at pair(c, i): T(c), then steps c+2, c+3, ...
+        out = bytearray(default.prefix(P)[:P])
+        for c, column_prefix in kernels.items():
+            spots = list(takewhile(P.__gt__, accumulate(count(c + 2), initial=c * (c + 1) // 2)))
+            for at, b in zip(spots, column_prefix(len(spots))):
+                out[at] = b
+        return out
+
     inner = ",".join(f"{c}:{s.spec}" for c, s in sorted(assignments.items()))
-    return BitSource(f"columns({inner};default={default.spec})", bit)
+    return _Built(f"columns({inner};default={default.spec})", bit,
+                  prefix=prefix if default.prefix and all(kernels.values()) else None)
 
 
 _TOP_BIT = bytes(b >> 7 for b in range(256))
@@ -176,7 +212,11 @@ def random_source(seed: int) -> BitSource:
             words = min(2 * words, 1 << 15)
         return cache[i]
 
-    return BitSource(f"random:{seed}", bit)
+    def prefix(P: int) -> bytearray:
+        bit(max(P, 1) - 1)  # grows the cache to P bits at least
+        return cache  # the cache itself, not a copy
+
+    return _Built(f"random:{seed}", bit, prefix=prefix)
 
 
 def columns_from_file(path: str) -> BitSource:
@@ -244,24 +284,29 @@ class OracleTape:
         no barrier, as n `emit` calls give them, in one loop: each bit makes
         the checks of `read` and `BitSource.bit` inline, in their order."""
         source, budget, reads, use = self.source, self._budget_limit, self._reads, self.use
-        raw, bits = source._bit, []
+        raw, bits, prefix, have = source._bit, [0] * n, b"", 0  # a None position gives 0
+        cap = 2 * n + 3 if n > 30 and source.prefix else 0  # 64..2n+2: one prefix, grown 2x
         try:
             for m in range(n):
                 i = sel(m)
                 if i is None:
-                    bits.append(0)
                     continue
                 if i < 0:
                     raise ValueError(f"tape position must be a natural, got {i}")
                 if budget <= 0:  # each bit's fresh budget pays for its one read
                     raise DivergenceError(m, "step budget exhausted")
-                b = raw(i)
-                if b.__class__ is not int or b not in (0, 1):
-                    raise ValueError(f"source {source.spec} produced non-bit {b!r} at {i}")
+                if i < 64 or i >= cap:  # below 64, raw reads cost less than a kernel call
+                    b = raw(i)
+                    if b.__class__ is not int or b not in (0, 1):
+                        raise ValueError(f"source {source.spec} produced non-bit {b!r} at {i}")
+                else:  # a kernel gives bits only
+                    if i >= have:
+                        prefix = source.prefix(have := min(cap, 2 * i + 2))
+                    b = prefix[i]
                 if i >= use:
                     use = i + 1
                 reads[i] = None
-                bits.append(b)
+                bits[m] = b
         finally:
             self.use = use
         return bits
@@ -381,9 +426,9 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
 
     One tape serves all n bits, so `use` covers the whole prefix
     computation; the step budget is per output bit.  A selection's bits come
-    from one `read_selection` loop, any other function's from n `emit`
-    calls.  An emitted value other than 0 or 1 (False and True count as
-    those) is a ValueError.
+    from one `read_selection` loop (positions 64..2n+2 from one prefix when x
+    has a kernel), any other function's from n `emit` calls.  An emitted
+    value other than 0 or 1 (False and True count as those) is a ValueError.
     """
     if not 0 <= n <= MAX_BITS:
         raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")

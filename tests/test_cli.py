@@ -391,9 +391,15 @@ class TestSpecErrors:
              "output bit must be a natural, got -1"),
             (["extract", "--mode", "randomized", "--fn", "surj:collatz", "--n", "-2"],
              "element must be a natural, got -2"),
+            (["extract", "--mode", "two1", "--fn", "two1:collatz", "--n", "-2"],
+             "element must be a natural, got -2"),
+            (["extract", "--mode", "two2", "--fn", "two2:collatz:32:100000:U", "--n", "-1"],
+             "element must be a natural, got -1"),
         ],
     )
-    def test_negative_counts_are_domain_errors(self, capsys, argv, message):
+    def test_negative_counts_are_domain_errors(self, capsys, tmp_path, argv, message):
+        (tmp_path / "U").write_text("horizon 100000\n0 1\n")
+        argv = [arg.replace(":U", f":{tmp_path / 'U'}") for arg in argv]
         assert err_line(capsys, argv) == (2, f"error: {message}")
 
     @pytest.mark.parametrize("depth", [-1, MAX_DEPTH + 1, 100000])

@@ -10,13 +10,15 @@ tape, every family must give the same bit or error, the same `use` and the
 same positions read; representations and fiber counts must agree too.
 
 `evaluate` reads a selection's prefix in one loop,
-`OracleTape.read_selection`; the tests at the end hold it to n `emit` calls
-on one tape, the per-bit path that every search still takes, with the same
-bits, use, positions read and errors.
+`OracleTape.read_selection`, which takes the positions from 64 to 2n+2 from
+one prefix of a source that carries a kernel; the tests at the end hold it
+to n `emit` calls on one tape, the per-bit path that every search still
+takes, with the same bits, use, positions read and errors.
 """
 
 import dataclasses
 import random
+import tracemalloc
 from typing import Optional
 
 import pytest
@@ -464,7 +466,10 @@ def drawn_source(draw):
     word = draw(st.text("01", max_size=24))
     seed = draw(st.integers(0, 10**6))
     kind = draw(st.sampled_from(["random", "periodic", "finite", "interleave", "flips",
-                                 "columns", "zeros", "ones", "zbuild1", "zbuild2"]))
+                                 "columns", "zeros", "ones", "zbuild1", "zbuild2",
+                                 "interleaved flips", "flipped columns",
+                                 "interleaved interleaves"]))
+    flips = st.lists(st.integers(0, 300), max_size=4)
     if kind == "random":
         return random_source(seed)
     if kind == "periodic":
@@ -479,11 +484,68 @@ def drawn_source(draw):
     if kind == "columns":
         c = draw(st.integers(0, 5))
         return column_source({c: finite(word), c + 2: ones()}, periodic("011"))
+    if kind == "interleaved flips":
+        return interleaved(flipped_at(random_source(seed), *draw(flips)),
+                           flipped_at(finite(word), *draw(flips)))
+    if kind == "flipped columns":
+        c = draw(st.integers(0, 5))
+        columns = column_source({c: finite(word), c + 1: random_source(seed)}, periodic("011"))
+        return flipped_at(columns, *draw(flips))
+    if kind == "interleaved interleaves":
+        return interleaved(interleaved(periodic(word or "1"), random_source(seed)),
+                           interleaved(ones(), flipped_at(finite(word), *draw(flips))))
     if kind == "zbuild1":
         return z_builder_v1(draw(st.integers(0, 8)), word)
     if kind == "zbuild2":
         return z_builder_v2(U2, draw(st.integers(0, 8)))
     return zeros() if kind == "zeros" else ones()
+
+
+def test_positions_from_64_come_from_the_prefix():
+    """Over a source with a prefix kernel, a selection reads positions from
+    64 to 2n+2 from one prefix, fetched again, at least twice as long (up to
+    2n+3 bits), past its end; positions below 64 or past 2n+2 go through
+    the raw bit map."""
+    raw_reads, asked = [], []
+
+    def counted(source):
+        raw, kernel = source._bit, source.prefix
+        return dataclasses.replace(source, _bit=lambda i: raw_reads.append(i) or raw(i),
+                                   prefix=lambda P: asked.append(P) or kernel(P))
+
+    for make in SELECTIONS.values():
+        f = make()
+        for x in (random_source(3), interleaved(finite("1101"), ones())):
+            raw_reads.clear(), asked.clear()
+            assert evaluated(f, counted(x), 300) == evaluated(f, x, 300)
+            tape = OracleTape(x)
+            outcome(tape.read_selection, f.sel, 300)
+            assert sorted(set(raw_reads)) == [i for i in tape.positions_read()
+                                              if i < 64 or i > 2 * 300 + 2]
+            assert bool(asked) == any(64 <= i <= 2 * 300 + 2 for i in tape.positions_read())
+            assert all(b >= min(2 * a, 603) for a, b in zip(asked, asked[1:]))
+
+
+@pytest.mark.parametrize("make", [zeros, lambda: periodic("0111")])
+def test_far_positions_are_read_bit_by_bit(make):
+    """Positions past 2n+2 are read raw, one at a time: the bits and use are
+    those of n `emit` calls, and no prefix of 10^9 bits is built."""
+    f, n = selection("far", lambda m: 10**9 + m), 512
+
+    def source():  # refuses to build a far prefix rather than take a gigabyte
+        kernel = make().prefix
+        return dataclasses.replace(make(), prefix=lambda P: kernel(P) if P <= 2 * n + 3 else
+                                   pytest.fail(f"a {P}-bit prefix"))
+
+    tracemalloc.start()
+    try:
+        got = evaluated(f, source(), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == evaluated(dataclasses.replace(f, sel=None), source(), n)
+    assert got[1] == 10**9 + n and peak < 10**6
+    assert one_pass(f, source(), n) == per_bit(f, source(), n)
 
 
 def test_every_selection_carries_its_map():

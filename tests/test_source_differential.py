@@ -10,6 +10,11 @@ and `finite` index tuples of ints.  The references below are the old
 combinators, kept as test-only copies.  For drawn nested sources, the new
 and the old source must give the same spec and the same prefix, and a spec
 the CLI parses must give that source back.
+
+Every source the library builds also carries a `prefix` kernel, from which
+`evaluate` reads most of a long selection's positions; its first P bytes
+must be the per-bit map's first P bits.  A source built elsewhere, and any
+composite over one, carries none.
 """
 
 import itertools
@@ -20,14 +25,18 @@ from hypothesis import given, settings, strategies as st
 
 from oneway.bitcore import check_word, pair, unpair
 from oneway.cli import parse_source
+from oneway.constructions import simple_one_way, z_builder_v1, z_builder_v2
+from oneway.enumeration import StagedStringEnumeration, collatz_toy
 from oneway.streams import (
     BitSource,
     column_source,
     columns_from_file,
     finite,
     flipped_at,
+    identity_function,
     interleaved,
     ones,
+    output_source,
     periodic,
     random_source,
     zeros,
@@ -250,3 +259,39 @@ def test_flip_stack_reads_its_base_once():
     cancelled = flipped_at(flipped_at(base, 4), 4)
     assert cancelled.spec == "flip:4:flip:4:counted"
     assert prefix_of(cancelled, 8) == prefix_of(base, 8)
+
+
+def kernel_prefix(source, length):
+    """The first `length` bytes of `source`'s prefix kernel, as a word."""
+    return bytes(source.prefix(length)[:length]).translate(bytes.maketrans(b"\0\1", b"01")).decode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(trees(depth=4), st.integers(0, 400))
+def test_prefix_kernels_match_the_per_bit_map(tmp, tree, length):
+    """Random, periodic, finite, zeros, ones, flip stacks, interleaves,
+    columns files and column sources, nested up to 4 deep, built directly
+    and parsed from their spec: each prefix of the kernel reads as `bit`."""
+    sources = [build(tree, NEW, tmp)]
+    if parseable(tree):
+        sources.append(parse_source(render(tree, tmp)))
+    for source in sources:
+        for n in (0, 1, length):
+            assert kernel_prefix(source, n) == prefix_of(source, n), (source.spec, n)
+
+
+def test_sources_built_elsewhere_carry_no_prefix():
+    u = StagedStringEnumeration.from_pairs([(3, "01")], horizon=100)
+    outside = [z_builder_v1(2, "01"), z_builder_v2(u, 2), BitSource("hand", lambda i: i & 1),
+               output_source(identity_function(), zeros()),
+               output_source(simple_one_way(collatz_toy(8, 100)), ones())]
+    composites = [lambda s: flipped_at(s, 3), lambda s: flipped_at(s),
+                  lambda s: interleaved(zeros(), s), lambda s: interleaved(s, ones()),
+                  lambda s: column_source({1: s}, zeros()),
+                  lambda s: column_source({1: ones()}, s),
+                  lambda s: flipped_at(interleaved(periodic("01"), flipped_at(s, 1)), 0)]
+    for source in outside:
+        assert source.prefix is None, source.spec
+        for wrap in composites:
+            assert wrap(source).prefix is None, wrap(source).spec
+    assert all(wrap(random_source(1)).prefix is not None for wrap in composites)
