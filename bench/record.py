@@ -14,7 +14,8 @@ module of its ``src/oneway`` and their total.
 
 The file gets, per side, the median and quartiles of every end-to-end metric
 over the pairs; the median of every row's time and sample count ``n``, and
-its ``share`` of the run, median_ms·n over that sum for all rows; the
+its ``share`` of the run, median_ms·n over that sum for all rows (on the
+change side also its ``ratio``, its median over the parent's); the
 per-layer metrics, whether every run was correct, and the operations
 attempted and failed over all its runs; per metric, the number of pairs the
 change won.  Runs
@@ -128,6 +129,15 @@ def summarise(runs: list[dict], traced: dict) -> dict:
     }
 
 
+def add_row_ratios(entry: dict) -> None:
+    """Beside each change row's share, its ``ratio``: its median over the
+    parent's, below 1 where the change is faster; rows one side lacks get none."""
+    parent = entry["parent"]["rows"]
+    for label, row in entry["change"]["rows"].items():
+        if parent.get(label, {}).get("median_ms"):
+            row["ratio"] = round(row["median_ms"] / parent[label]["median_ms"], 4)
+
+
 def record(args) -> dict:
     checkouts = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     for path in checkouts.values():
@@ -158,6 +168,7 @@ def record(args) -> dict:
              "pairs": args.pairs, "wall_s": round(time.time() - started, 1),
              "change_wins": wins}
     entry.update({side: summarise(runs[side], traced[side]) for side in SIDES})
+    add_row_ratios(entry)
     for side in SIDES:
         entry[side]["tier1"] = run_tier1(checkouts[side])
         entry[side]["src_lines"] = source_lines(checkouts[side])

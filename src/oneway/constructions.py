@@ -4,8 +4,8 @@ maps, each parameterized by staged enumerations.
 
 Most of them copy one chosen input bit: `streams.selection(name, sel)` is
 that emitter, and the simple map, bit selections, witness maps, the
-surjection and the partial injection's even half only supply `sel`, which
-`evaluate` reads in one pass for all but the partial injection.  Both
+surjection and the partial injection's even half only supply `sel`; all but
+the last also supply it as data, a `Gather` that `evaluate` slices by.  Both
 two-to-one maps and the k-keyed map's reference inverter are
 `_marker_map(name, rule, index)`, which differ only in their permission rule
 and in the index i whose input bit 2i an even bit copies.
@@ -33,7 +33,7 @@ earlier bit that succeeded on that tape has run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .bitcore import Word, check_word, pair, unpair
@@ -45,7 +45,7 @@ from .enumeration import (
     column_hit,
 )
 from .errors import _NO_VALUE, DivergenceError, HorizonError, InjectivityError
-from .streams import BitSource, OracleTape, RealFunction, column_source, finite, selection
+from .streams import BitSource, Gather, OracleTape, RealFunction, column_source, finite, selection
 
 
 @dataclass(frozen=True)
@@ -296,11 +296,13 @@ def marker_run_v2(w: StagedEnumeration, u: StagedStringEnumeration,
 class Injection:
     """A position map claimed injective, with its inverse, which returns
     None for values outside the range; `check_injective` tests the claim
-    over a stated range.  A tape read refuses a negative value of `fn`."""
+    over a stated range; `gather` is its bit selection's map as data.  A
+    tape read refuses a negative value of `fn`."""
 
     name: str
     fn: Callable[[int], int]
     inverse: Callable[[int], Optional[int]]
+    gather: Optional[Gather] = field(default=None, compare=False)
 
     def check_injective(self, limit: int) -> None:
         """Raise InjectivityError if two arguments below `limit` share a value."""
@@ -313,17 +315,17 @@ class Injection:
 
 
 def identity_injection() -> Injection:
-    return Injection("identity", lambda n: n, lambda m: m)
+    return Injection("identity", lambda n: n, lambda m: m, Gather((0, 1, 0, 1)))
 
 
 def double_injection() -> Injection:
     return Injection("double", lambda n: 2 * n,
-                     lambda m: m // 2 if m % 2 == 0 else None)
+                     lambda m: m // 2 if m % 2 == 0 else None, Gather((0, 1, 0, 2)))
 
 
 def shift_injection() -> Injection:
     return Injection("shift", lambda n: n + 1,
-                     lambda m: m - 1 if m >= 1 else None)
+                     lambda m: m - 1 if m >= 1 else None, Gather((0, 1, 1, 1)))
 
 
 def surjection_injection(w: StagedEnumeration) -> Injection:
@@ -348,23 +350,27 @@ def surjection_injection(w: StagedEnumeration) -> Injection:
         m = v // 2
         return m if w.entrant(m) is None else None
 
-    return Injection(f"surj-p({w.label})", fn, inverse)
+    # the run 2m+1, but an entry ⟨n,s⟩ reads 2n: valid where `entrant` needs only the table
+    return Injection(f"surj-p({w.label})", fn, inverse, Gather(
+        (0, 1, 1, 2), {m: 2 * n for m, n in entries.items()}, w._unpair_from))
 
 
 def bit_select(p: Injection, name: Optional[str] = None) -> RealFunction:
     """Output bit n = input bit p(n)."""
-    return selection(name or f"bitselect({p.name})", p.fn)
+    return selection(name or f"bitselect({p.name})", p.fn, p.gather)
 
 
 def witness_function(p: Injection) -> RealFunction:
     """The canonical preimage under bitSelect(p) as a function on reals:
     output bit m is input bit n where p(n) = m, and 0 off the range of p."""
-    return selection(f"witness({p.name})", p.inverse)
+    g = p.gather  # a plain run out[o::os] ← in[i::is] inverts to out[i::is] ← in[o::os]
+    return selection(f"witness({p.name})", p.inverse,
+                     Gather(g.run[2:] + g.run[:2]) if g and g == Gather(g.run) else None)
 
 
 def simple_one_way(w: StagedEnumeration) -> RealFunction:
     """Output bit ⟨n,s⟩ = input bit n when n enters w at stage s, else 0."""
-    return selection(f"simple({w.label})", w.entrant)
+    return selection(f"simple({w.label})", w.entrant, Gather(None, w._entries, w._unpair_from))
 
 
 def one_way_surjection(w: StagedEnumeration) -> RealFunction:

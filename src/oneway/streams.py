@@ -3,18 +3,18 @@ representations.
 
 A BitSource is a total deterministic map position → bit.  A read is checked
 once, at the outermost call: `BitSource.bit` checks a direct read, and
-`OracleTape.read` and `read_selection` make the same checks inline around
-the raw map.  Composite sources (flips, interleaves and column sources) call
-their children's raw bit functions, and a stack of flips collapses into one
-set of flipped positions over its base, so a read through it is one set
-lookup.  Sources built here, over such sources only, carry a `prefix`
-kernel: their first P bits as bytes.  An OracleTape wraps a source and
-records exactly how much of it a computation reads; the oracle-use of an
-evaluation is (max position read) + 1.  A RealFunction emits output bits one
-at a time through a tape, so use accounting and read barriers apply to every
-construction uniformly.  The one exception is `evaluate` of a `selection`,
-which copies input bit sel(m) to output bit m: `OracleTape.read_selection`
-reads its prefix in one loop, 64..2n+2 by kernel.
+`OracleTape.read` makes the same checks inline around the raw map.
+Composite sources (flips, interleaves and column sources) call their
+children's raw bit functions, and a stack of flips collapses into one set of
+flipped positions over its base, so a read through it is one set lookup.
+Sources built here, over such sources only, carry a `prefix` kernel: their
+first P bits as bytes.  An OracleTape wraps a source and records exactly how
+much of it a computation reads; the oracle-use of an evaluation is (max
+position read) + 1.  A RealFunction emits output bits one at a time through
+a tape, so use accounting and read barriers apply to every construction
+uniformly.  The one exception: `evaluate` of a built-in `selection` (bit m
+copies input bit sel(m)) over a kernel slices its bits from one prefix by
+its map as data, a `Gather`, where that map holds; the rest emit bit by bit.
 
 Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
 budget (one step per tape read, default 10^6), and budget exhaustion
@@ -41,7 +41,7 @@ import copy
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, count, takewhile
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Mapping, NamedTuple, Optional
 
 from .bitcore import Word, check_word, data_records, unpair
 from .errors import _NO_VALUE, DeskError, DivergenceError, HorizonError, SpecParseError, \
@@ -196,24 +196,27 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 def random_source(seed: int) -> BitSource:
     """Bit i is the i-th draw of random.Random(seed).getrandbits(1): the top
     bit of the i-th 32-bit word, which getrandbits(32·n) packs little-endian.
-    Batches double from 64 to 32K words; the cache holds a byte per bit, so
-    positions from RANDOM_POSITIONS on raise DeskError before it grows."""
+    Reads draw batches doubling from 64 to 32K words, `prefix(P)` only the
+    words it lacks; positions from RANDOM_POSITIONS on raise DeskError first."""
     rng = random.Random(seed)
     cache = bytearray()
     words = 64
 
+    def draw(i: int, k: int) -> None:  # k more words, for a read at position i
+        if i >= RANDOM_POSITIONS:
+            raise DeskError(f"random source position {i} past the {RANDOM_POSITIONS}-bit bound")
+        cache.extend(rng.getrandbits(32 * k).to_bytes(4 * k, "little")[3::4].translate(_TOP_BIT))
+
     def bit(i: int) -> int:
         nonlocal words
         while len(cache) <= i:
-            if i >= RANDOM_POSITIONS:
-                raise DeskError(f"random source position {i} past the {RANDOM_POSITIONS}-bit bound")
-            batch = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-            cache.extend(batch[3::4].translate(_TOP_BIT))
+            draw(i, words)
             words = min(2 * words, 1 << 15)
         return cache[i]
 
     def prefix(P: int) -> bytearray:
-        bit(max(P, 1) - 1)  # grows the cache to P bits at least
+        while len(cache) < P:
+            draw(P - 1, min(P - len(cache), 1 << 15))
         return cache  # the cache itself, not a copy
 
     return _Built(f"random:{seed}", bit, prefix=prefix)
@@ -278,38 +281,6 @@ class OracleTape:
             self.use = i + 1
         self._reads[i] = None
         return b
-
-    def read_selection(self, sel: Callable[[int], Optional[int]], n: int) -> list[int]:
-        """Output bits 0..n-1 of `selection(name, sel)` on this fresh tape with
-        no barrier, as n `emit` calls give them, in one loop: each bit makes
-        the checks of `read` and `BitSource.bit` inline, in their order."""
-        source, budget, reads, use = self.source, self._budget_limit, self._reads, self.use
-        raw, bits, prefix, have = source._bit, [0] * n, b"", 0  # a None position gives 0
-        cap = 2 * n + 3 if n > 30 and source.prefix else 0  # 64..2n+2: one prefix, grown 2x
-        try:
-            for m in range(n):
-                i = sel(m)
-                if i is None:
-                    continue
-                if i < 0:
-                    raise ValueError(f"tape position must be a natural, got {i}")
-                if budget <= 0:  # each bit's fresh budget pays for its one read
-                    raise DivergenceError(m, "step budget exhausted")
-                if i < 64 or i >= cap:  # below 64, raw reads cost less than a kernel call
-                    b = raw(i)
-                    if b.__class__ is not int or b not in (0, 1):
-                        raise ValueError(f"source {source.spec} produced non-bit {b!r} at {i}")
-                else:  # a kernel gives bits only
-                    if i >= have:
-                        prefix = source.prefix(have := min(cap, 2 * i + 2))
-                    b = prefix[i]
-                if i >= use:
-                    use = i + 1
-                reads[i] = None
-                bits[m] = b
-        finally:
-            self.use = use
-        return bits
 
     def emit(self, f: RealFunction, m: int) -> int:
         """Output bit m of f, under a fresh step budget; running out of steps
@@ -392,6 +363,33 @@ class OracleTape:
         return tuple(sorted(self._reads))
 
 
+class Gather(NamedTuple):
+    """A selection's map as data, for n ≤ `bound` bits: bit o + k·os copies
+    input bit i + k·is (`run` (o, os, i, is), or None), bit m of `table`
+    ({m: position}) copies its position instead, any other is 0."""
+
+    run: Optional[tuple[int, int, int, int]]
+    table: Mapping[int, int] = {}  # never mutated
+    bound: int = MAX_BITS
+
+    def take(self, prefix: Callable[[int], bytes], n: int) -> tuple[bytearray, int]:
+        """Output bits 0..n-1 from one `prefix` of `use` bits, and that use: the
+        run's bits below n, less the tail that table entries replace (not add
+        to), then the table's bits below n."""
+        table = self.table
+        o, os, i, step = self.run or (n, 1, 0, 1)  # no run: none of bits 0..n-1 on it
+        k = len(range(o, n, os))
+        while k and o + (k - 1) * os in table:
+            k -= 1
+        below = [m for m in table if m < n]
+        use = max([i + (k - 1) * step if k else -1, *map(table.__getitem__, below)]) + 1
+        bits, got = bytearray(n), prefix(use)
+        bits[o:o + k * os:os] = got[i:i + k * step:step]
+        for m in below:
+            bits[m] = got[table[m]]
+        return bits, use
+
+
 @dataclass(frozen=True)
 class RealFunction:
     """A function on Cantor space presented as a bit emitter.
@@ -399,13 +397,13 @@ class RealFunction:
     `emit(tape, m)` produces output bit m, reading the input only through
     the tape.  Determinism and use-soundness (output depends only on the
     prefix actually read) are the contract; useSoundnessCheck spot-checks
-    the latter.  `sel`, set only by `selection`, is the emitter's own
-    position map, which `evaluate` reads in one pass.
+    the latter.  `gather`, set only by `selection` and only on the built-in
+    ones, is the emitter's position map as data.
     """
 
     name: str
     emit: Callable[[OracleTape, int], int]
-    sel: Optional[Callable[[int], Optional[int]]] = field(default=None, compare=False)
+    gather: Optional[Gather] = field(default=None, compare=False)
 
     def __repr__(self) -> str:
         return f"RealFunction({self.name})"
@@ -425,16 +423,18 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     """First n output bits of f on x, plus the exact oracle-use.
 
     One tape serves all n bits, so `use` covers the whole prefix
-    computation; the step budget is per output bit.  A selection's bits come
-    from one `read_selection` loop (positions 64..2n+2 from one prefix when x
-    has a kernel), any other function's from n `emit` calls.  An emitted
-    value other than 0 or 1 (False and True count as those) is a ValueError.
+    computation; the step budget is per output bit.  A built-in selection's
+    bits come from its `gather` when it applies (x has a kernel, budget > 0,
+    n ≤ bound); any other function's, and theirs otherwise, from n `emit` calls.
+    An emitted value other than 0 or 1 (False and True count as those) is a ValueError.
     """
     if not 0 <= n <= MAX_BITS:
         raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")
-    tape = OracleTape(x, budget=budget)
-    emit = tape.emit
-    bits = [emit(f, m) for m in range(n)] if f.sel is None else tape.read_selection(f.sel, n)
+    tape, g = OracleTape(x, budget=budget), f.gather
+    if g and x.prefix and budget > 0 and n <= g.bound:
+        bits, tape.use = g.take(x.prefix, n)
+    else:
+        bits = [tape.emit(f, m) for m in range(n)]
     try:
         raw = bytes(bits)
     except (TypeError, ValueError):
@@ -451,19 +451,20 @@ def evaluate_bit(f: RealFunction, x: BitSource, m: int,
     return tape.emit(f, m), tape.use
 
 
-def selection(name: str, sel: Callable[[int], Optional[int]]) -> RealFunction:
-    """Output bit m is input bit sel(m), or 0 where sel(m) is None; `sel`
-    rides on the function, for `evaluate`'s one pass."""
+def selection(name: str, sel: Callable[[int], Optional[int]],
+              gather: Optional[Gather] = None) -> RealFunction:
+    """Output bit m is input bit sel(m), or 0 where sel(m) is None; `gather`,
+    that map as data, rides on the function for `evaluate`."""
 
     def emit(tape: OracleTape, m: int) -> int:
         i = sel(m)
         return 0 if i is None else tape.read(i)
 
-    return RealFunction(name, emit, sel)
+    return RealFunction(name, emit, gather)
 
 
 def identity_function() -> RealFunction:
-    return selection("identity", lambda m: m)
+    return selection("identity", lambda m: m, Gather((0, 1, 0, 1)))
 
 
 def output_source(f: RealFunction, x: BitSource,

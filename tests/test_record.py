@@ -1,5 +1,5 @@
-"""What `bench/record.py` keeps: each row's share of a run, and the line
-counts beside each side's tier-1 result."""
+"""What `bench/record.py` keeps: each row's share of a run and its ratio to
+the parent, and the line counts beside each side's tier-1 result."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +33,17 @@ def test_rows_keep_their_count_and_share_of_the_run():
     # a: median 2.0 ms over 30 samples; b: 4.0 ms over 10, from the runs that have it
     assert rows == {"a": {"median_ms": 2.0, "raw_ms": 4.0, "n": 30, "share": 0.6},
                     "b": {"median_ms": 4.0, "raw_ms": 8.0, "n": 10, "share": 0.4}}
+
+
+def test_change_rows_carry_their_ratio_to_the_parent():
+    entry = {"parent": {"rows": {"a": {"median_ms": 4.0, "share": 0.5},
+                                 "b": {"median_ms": 2.0, "share": 0.5},
+                                 "gone": {"median_ms": 1.0, "share": 0.0}}},
+             "change": {"rows": {"a": {"median_ms": 1.0, "share": 0.2},
+                                 "b": {"median_ms": 3.0, "share": 0.8},
+                                 "new": {"median_ms": 1.0, "share": 0.0}}}}
+    record.add_row_ratios(entry)
+    assert entry["change"]["rows"] == {"a": {"median_ms": 1.0, "share": 0.2, "ratio": 0.25},
+                                       "b": {"median_ms": 3.0, "share": 0.8, "ratio": 1.5},
+                                       "new": {"median_ms": 1.0, "share": 0.0}}
+    assert "ratio" not in entry["parent"]["rows"]["a"]

@@ -9,11 +9,12 @@ references below are those bodies, kept as test-only copies.  Per bit on one
 tape, every family must give the same bit or error, the same `use` and the
 same positions read; representations and fiber counts must agree too.
 
-`evaluate` reads a selection's prefix in one loop,
-`OracleTape.read_selection`, which takes the positions from 64 to 2n+2 from
-one prefix of a source that carries a kernel; the tests at the end hold it
-to n `emit` calls on one tape, the per-bit path that every search still
-takes, with the same bits, use, positions read and errors.
+`evaluate` of a built-in selection over a source with a kernel, within its
+table bound and under a budget above 0, gathers its bits from one prefix by
+the selection's position map as data (`Gather`); any other selection it
+emits bit by bit.  The tests at the end hold the gather and `evaluate` to n
+`emit` calls on one tape, the per-bit path that every search still takes,
+with the same bits, use, positions read and errors.
 """
 
 import dataclasses
@@ -62,6 +63,7 @@ from oneway.streams import (
     identity_function,
     interleaved,
     ones,
+    output_source,
     periodic,
     random_source,
     selection,
@@ -410,6 +412,8 @@ def test_longer_evaluation_extends_the_shorter(family, word, seed, n):
 
 # ------------------------------------------------ one pass against per bit
 
+TOY16 = collatz_toy(16, 1000)  # 1 enters at stage 0: output bit ⟨1,0⟩ = 1 reads 2, not 3
+
 # every map the library builds with `selection`, each built fresh per call
 SELECTIONS = {
     "identity": identity_function,
@@ -420,6 +424,11 @@ SELECTIONS = {
     "surj": lambda: one_way_surjection(TOY),
     "simple:short": lambda: simple_one_way(SHORT),
     "surj:short": lambda: one_way_surjection(SHORT),
+    "surj:16": lambda: one_way_surjection(TOY16),
+    # no run inverts the surjection's map: it has a table, or over an empty
+    # enumeration a bound, so its witness reads bit by bit
+    "witness:surj-p:empty": lambda: witness_function(surjection_injection(
+        StagedEnumeration({}, 12))),
     "refinv-simple": lambda: reference_inverter_simple(TOY).g,
     "refinv-surj": lambda: reference_inverter_surjection(TOY).g,
 }
@@ -430,19 +439,9 @@ def failure(exc):
     return type(exc), str(exc), getattr(exc, "bit_index", None)
 
 
-def one_pass(f, x, n, budget=10**6):
-    """`read_selection` on a fresh tape: the bits or the failure, then the
-    use, `positions_read()` and the positions in first-read order."""
-    tape = OracleTape(x, budget=budget)
-    try:
-        got = tape.read_selection(f.sel, n)
-    except Exception as exc:  # the error is the outcome
-        got = failure(exc)
-    return got, tape.use, tape.positions_read(), tuple(tape._reads)
-
-
 def per_bit(f, x, n, budget=10**6):
-    """n `emit` calls on one fresh tape, reported as `one_pass` reports."""
+    """n `emit` calls on one fresh tape: the bits or the failure, then the
+    use, `positions_read()` and the positions in first-read order."""
     tape = OracleTape(x, budget=budget)
     got = []
     try:
@@ -459,6 +458,27 @@ def evaluated(f, x, n, budget=10**6):
         return tuple(evaluate(f, x, n, budget))
     except Exception as exc:  # the error is the outcome
         return failure(exc)
+
+
+def gathers(f, x, n, budget=10**6):
+    """Whether `evaluate` takes f's bits by its gather rather than a loop."""
+    return bool(f.gather and x.prefix and budget > 0 and n <= f.gather.bound)
+
+
+def gathered(f, x, n):
+    """The gather's bits and use, and the positions its data maps bits
+    0..n-1 to as `per_bit` reports them: sorted, then in first-read order."""
+    bits, use = f.gather.take(x.prefix, n)
+    (o, os, i, step), table = f.gather.run or (n, 1, 0, 1), f.gather.table
+    positions = [table[m] if m in table else i + (m - o) // os * step
+                 for m in range(n) if m in table or (m >= o and (m - o) % os == 0)]
+    return list(bits), use, tuple(sorted(set(positions))), tuple(dict.fromkeys(positions))
+
+
+def as_evaluated(run):
+    """A `per_bit` run as `evaluated` reports it."""
+    got, use = run[:2]
+    return got if isinstance(got, tuple) else ("".join(map(str, got)), use)
 
 
 def drawn_source(draw):
@@ -501,11 +521,10 @@ def drawn_source(draw):
     return zeros() if kind == "zeros" else ones()
 
 
-def test_positions_from_64_come_from_the_prefix():
-    """Over a source with a prefix kernel, a selection reads positions from
-    64 to 2n+2 from one prefix, fetched again, at least twice as long (up to
-    2n+3 bits), past its end; positions below 64 or past 2n+2 go through
-    the raw bit map."""
+def test_the_gather_asks_its_kernel_once_and_reads_nothing_raw():
+    """Where `evaluate` gathers, it asks the source's kernel once, for P =
+    use, and makes no raw read; where it does not (a selection without a
+    gather, budget 0, n past the table bound), it asks no kernel."""
     raw_reads, asked = [], []
 
     def counted(source):
@@ -516,20 +535,20 @@ def test_positions_from_64_come_from_the_prefix():
     for make in SELECTIONS.values():
         f = make()
         for x in (random_source(3), interleaved(finite("1101"), ones())):
-            raw_reads.clear(), asked.clear()
-            assert evaluated(f, counted(x), 300) == evaluated(f, x, 300)
-            tape = OracleTape(x)
-            outcome(tape.read_selection, f.sel, 300)
-            assert sorted(set(raw_reads)) == [i for i in tape.positions_read()
-                                              if i < 64 or i > 2 * 300 + 2]
-            assert bool(asked) == any(64 <= i <= 2 * 300 + 2 for i in tape.positions_read())
-            assert all(b >= min(2 * a, 603) for a, b in zip(asked, asked[1:]))
+            for n, budget in ((0, 1), (1, 1), (2, 1), (300, 1), (300, 0), (700, 1)):
+                raw_reads.clear(), asked.clear()
+                got = evaluated(f, counted(x), n, budget)
+                assert got == evaluated(f, x, n, budget) == as_evaluated(per_bit(f, x, n, budget))
+                if gathers(f, x, n, budget):
+                    assert (raw_reads, asked) == ([], [got[1]]), (f.name, n)
+                else:
+                    assert asked == [] and len(set(raw_reads)) == len(per_bit(f, x, n, budget)[3])
 
 
 @pytest.mark.parametrize("make", [zeros, lambda: periodic("0111")])
 def test_far_positions_are_read_bit_by_bit(make):
-    """Positions past 2n+2 are read raw, one at a time: the bits and use are
-    those of n `emit` calls, and no prefix of 10^9 bits is built."""
+    """A selection without a gather reads far positions raw, one at a time:
+    the bits and use are those of n `emit` calls, and no prefix is built."""
     f, n = selection("far", lambda m: 10**9 + m), 512
 
     def source():  # refuses to build a far prefix rather than take a gigabyte
@@ -543,26 +562,61 @@ def test_far_positions_are_read_bit_by_bit(make):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == evaluated(dataclasses.replace(f, sel=None), source(), n)
+    assert got == as_evaluated(per_bit(f, source(), n))
     assert got[1] == 10**9 + n and peak < 10**6
-    assert one_pass(f, source(), n) == per_bit(f, source(), n)
 
 
 def test_every_selection_carries_its_map():
+    """The built-in selections, and not the reference inverters or the
+    surjection map's witness, carry their map as data; no other map does."""
     for label, make in SELECTIONS.items():
-        assert make().sel is not None, label
+        assert (make().gather is None) == label.startswith(("refinv", "witness:surj")), label
+    assert witness_function(surjection_injection(TOY)).gather is None
     for label in ("inj", "two1", "two2"):
-        assert FAMILIES[label]()[0].sel is None, label
+        assert FAMILIES[label]()[0].gather is None, label
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.sampled_from(sorted(SELECTIONS)), st.data(), st.integers(0, 700))
 def test_one_pass_matches_emit_per_bit(family, data, n):
-    """Same bits or error, use, positions read and first-read order; and
-    `evaluate` gives what it gives with the selection's `sel` dropped."""
+    """The gather where `evaluate` takes it, and `evaluate`, give n `emit`
+    calls' bits or error, use, positions read and first-read order."""
     f, x = SELECTIONS[family](), drawn_source(data.draw)
-    assert one_pass(f, x, n) == per_bit(f, x, n)
-    assert evaluated(f, x, n) == evaluated(dataclasses.replace(f, sel=None), x, n)
+    want = per_bit(f, x, n)
+    if gathers(f, x, n):
+        assert gathered(f, x, n) == want
+    assert evaluated(f, x, n) == as_evaluated(want)
+
+
+# (selection, source, bits, budget): each at an edge of where the gather runs
+GATHER_EDGES = {
+    "a table entry replaces the last run position": ("surj:16", ones, 2, 1),
+    "no bit": ("surj", lambda: random_source(2), 0, 1),
+    "one bit": ("witness:shift", lambda: random_source(2), 1, 1),
+    "simple's first entry only": ("simple:short", ones, pair(1, 2) + 1, 1),
+    "the last bit within the bound": ("surj:short", ones, pair(0, 13), 1),
+    "past the table bound": ("surj:short", ones, pair(0, 13) + 1, 1),
+    "budget 0": ("bitselect:double", ones, 9, 0),
+    "budget 0 reading nothing": ("simple:short", ones, 8, 0),
+    "no kernel": ("bitselect:shift", lambda: z_builder_v1(2, "0110"), 300, 1),
+    "an output source": ("witness:double",
+                         lambda: output_source(bit_select(shift_injection()), ones()), 300, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATHER_EDGES))
+def test_the_gather_edges_match_emit_per_bit(case):
+    label, source, n, budget = GATHER_EDGES[case]
+    f = SELECTIONS[label]()
+    want = per_bit(f, source(), n, budget)
+    assert gathers(f, source(), n, budget) == (case in (
+        "a table entry replaces the last run position", "no bit", "one bit",
+        "simple's first entry only", "the last bit within the bound"))
+    if gathers(f, source(), n, budget):
+        assert gathered(f, source(), n) == want
+    assert evaluated(f, source(), n, budget) == as_evaluated(want)
+    if case == "a table entry replaces the last run position":
+        assert want == ([1, 1], 3, (1, 2), (1, 2))
 
 
 # (selection, source, bits): each fails at a bit that names its cause
@@ -593,12 +647,9 @@ FAILED = {
 
 @pytest.mark.parametrize("case", sorted(FAILURES))
 def test_one_pass_fails_as_emit_per_bit(case):
-    """The same type, text and bit index from the same bit, with the same
-    use and reads before it; `evaluate` raises it whichever path it takes."""
+    """`evaluate` raises what n `emit` calls raise: the same type, text and
+    bit index."""
     make, source, n = FAILURES[case]
     f, budget = make(), 0 if case == "budget 0" else 10**6
-    got = one_pass(f, source(), n, budget)
-    assert got[0] == FAILED[case]
-    assert got == per_bit(f, source(), n, budget)
-    assert evaluated(f, source(), n, budget) == FAILED[case] == \
-        evaluated(dataclasses.replace(f, sel=None), source(), n, budget)
+    assert per_bit(f, source(), n, budget)[0] == FAILED[case]
+    assert evaluated(f, source(), n, budget) == FAILED[case]

@@ -140,6 +140,26 @@ class TestSources:
         assert prefix_of(src, 64) == prefix_of(random_source(3), 64)
         assert src.bit(RANDOM_POSITIONS - 1) in (0, 1)
 
+    def test_random_prefix_draws_only_the_words_it_lacks(self):
+        """prefix(P) grows the cache to exactly P bits, whatever reads grew it
+        before, and gives a fresh source's per-bit bits."""
+        src, fresh = random_source(5), random_source(5)
+        assert len(src.prefix(100)) == 100
+        src.bit(5000)  # a read grows the cache in doubling batches, past 5000
+        assert 5000 < len(src.prefix(0)) < 70000
+        assert len(src.prefix(70000)) == 70000
+        assert src.prefix(70000) == bytes(fresh.bit(i) for i in range(70000))
+
+    def test_random_prefix_refuses_far_positions_as_a_read_does(self):
+        message = f"random source position {RANDOM_POSITIONS} past the {RANDOM_POSITIONS}-bit bound"
+        with pytest.raises(DeskError) as read:
+            random_source(3).bit(RANDOM_POSITIONS)
+        src = random_source(3)
+        with pytest.raises(DeskError) as prefix:
+            src.prefix(RANDOM_POSITIONS + 1)
+        assert str(read.value) == str(prefix.value) == message
+        assert len(src.prefix(0)) == 0  # refused before any draw
+
     def test_column_source_and_column_of(self):
         # column 1 carries ones, default is the all-zeros backdrop
         w = column_source({1: ones()}, zeros())
