@@ -33,6 +33,14 @@ def check_word(word: str) -> str:
     return word
 
 
+def check_natural(value: int, what: str, at_most: Optional[int] = None) -> int:
+    """Refuse a negative `value`, or one past `at_most`, naming it as `what`; return it."""
+    if value < 0 or at_most is not None and value > at_most:
+        bound = "" if at_most is None else f" at most {at_most}"
+        raise ValueError(f"{what} must be a natural{bound}, got {value}")
+    return value
+
+
 def pair(n: int, s: int) -> int:
     """Cantor pairing ⟨n,s⟩ = (n+s)(n+s+1)/2 + s.
 

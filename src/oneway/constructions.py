@@ -167,7 +167,7 @@ class Marker:
         self.k = self.d = self.kept = 0
         self.rows: list[tuple[int, int, int, Optional[str]]] = []
 
-    def __copy__(self) -> "Marker":
+    def copy(self) -> "Marker":
         twin = Marker()
         twin.k, twin.d, twin.kept, twin.rows = self.k, self.d, self.kept, list(self.rows)
         return twin

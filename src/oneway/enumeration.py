@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterable, Mapping, Optional
 
-from .bitcore import Word, check_word, comparable, data_records, pair, unpair
+from .bitcore import Word, check_natural, check_word, comparable, data_records, pair, unpair
 from .errors import HorizonError, SpecParseError
 
 
@@ -31,8 +31,7 @@ class StagedEnumeration:
     """A finite schedule stage → element, injective both ways."""
 
     def __init__(self, schedule: Mapping[int, int], horizon: int, label: str = "enum"):
-        if horizon < 0:
-            raise ValueError("horizon must be a natural")
+        check_natural(horizon, "horizon")
         by_stage: dict[int, int] = {}
         by_element: dict[int, int] = {}
         for s, n in sorted(schedule.items()):
@@ -137,9 +136,7 @@ def collatz_toy(max_element: int, max_stage: int) -> StagedEnumeration:
     max_element is at most MAX_COLLATZ_ELEMENT, checked before any work;
     max_stage sizes no allocation.
     """
-    if not 0 <= max_element <= MAX_COLLATZ_ELEMENT:
-        raise ValueError(
-            f"max element must be a natural at most {MAX_COLLATZ_ELEMENT}, got {max_element}")
+    check_natural(max_element, "max element", MAX_COLLATZ_ELEMENT)
     lengths = _collatz_lengths(range(1, max_element))
     # a stable sort of ascending n: ties keep the smaller n first
     ranked = sorted(range(1, max_element), key=lengths.__getitem__)
@@ -162,8 +159,7 @@ class StagedStringEnumeration:
     """
 
     def __init__(self, schedule: Mapping[int, Word], horizon: int, label: str = "strenum"):
-        if horizon < 0:
-            raise ValueError("horizon must be a natural")
+        check_natural(horizon, "horizon")
         ordered: list[tuple[int, Word]] = []
         for s, word in sorted(schedule.items()):
             check_word(word)
@@ -236,8 +232,7 @@ class DecidedSet:
     """Total membership predicate on naturals up to a horizon."""
 
     def __init__(self, members: Iterable[int], horizon: int, label: str = "decided"):
-        if horizon < 0:
-            raise ValueError("horizon must be a natural")
+        check_natural(horizon, "horizon")
         self._members = frozenset(members)
         for n in self._members:
             if n < 0:

@@ -76,11 +76,12 @@ class PrefixFreeError(DeskError):
 
 
 class _ReadBeyondBarrier(Exception):
-    """Internal: an oracle read crossed the read barrier of a finite prefix."""
+    """Internal: an oracle read at position args[0] crossed the read barrier."""
 
-    def __init__(self, position: int):
-        self.position = position
-        super().__init__(f"read at position {position} crossed the barrier")
+    position = property(lambda self: self.args[0])
+
+    def __str__(self) -> str:
+        return f"read at position {self.args[0]} crossed the barrier"
 
 
 class _BudgetExhausted(Exception):

@@ -11,13 +11,14 @@ No search here lists oracle words: one fork-on-read engine, `_fork_tree`,
 splits a computation at the first open position it reads, so a leaf stands
 for every word that agrees with its read pattern.  The read answers 0 and
 that half goes on in place; the other half later redoes the read's bit with
-a 1 there, on the search's one tape rolled back to the read.
-`_class_levels` grows such read classes one barrier position at a time, to
-its `Representation`'s depth; unique-path inversion, `preimage_tree` and
-fiber counts read its levels, the last probing each surviving class on its
-level tape with a nested tree that hands a split below the depth, with its
-search, to the class tree.  The randomized extraction collects halting
-patterns in (length, lex) order until they cover over half the cylinder.
+a 1 there, on the search's one tape rolled back to the read.  Every node
+reads through its search's one fork source.  `_class_levels` grows such read
+classes one barrier position at a time, to its `Representation`'s depth;
+unique-path inversion, `preimage_tree` and fiber counts read its levels, the
+last probing each surviving class on its level tape with a nested tree that
+hands a split below the depth, with its search, to the class tree.  The
+randomized extraction collects halting patterns in (length, lex) order until
+they cover over half the cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -37,6 +38,7 @@ from .bitcore import (
     PartialAssignment,
     PrefixFreeSet,
     Word,
+    check_natural,
     check_word,
     pair,
 )
@@ -108,29 +110,31 @@ def _class_levels(rep: Representation,
     where a bit reads an open position: the 0 half goes on in place, the 1
     half later rolls the tape back to the split and redoes the bit.  A
     surviving half takes a branch of the tape to the next level while a
-    half is still pending on it."""
+    half is still pending on it.  All classes read through one fork source."""
     pending = 0  # halves of the current tree waiting on its tape
+    node = _Node()
+
+    def guess(p: int) -> int:
+        nonlocal pending
+        pending += 1
+        return node.split(p, (node.tape, node.tape.checkpoint()))
+
+    source = _fork_source("preimage-class", (), node, guess)
 
     def grow(assign: dict[int, int], resume: tuple,
              split: Callable[[int, Any], int]) -> Optional[OracleTape]:
         nonlocal pending
         tape, checkpoint = resume
-
-        def guess(p: int) -> int:
-            nonlocal pending
-            bit = split(p, (tape, tape.checkpoint()))
-            pending += 1
-            return bit
-
+        node.assign, node.split, node.tape = assign, split, tape
         if checkpoint is None:
-            tape.source, tape.barrier = _fork_source("preimage-class", (), assign, guess), barrier
+            tape.barrier = barrier
         else:
             tape.rollback(checkpoint)
             pending -= 1
         image = barrier_image(rep.f, tape, rep.out_cap, y)
-        return None if image is None else tape.branch(tape.source) if pending else tape
+        return None if image is None else tape.branch(source) if pending else tape
 
-    level = [({}, OracleTape(zeros(), budget=rep.budget))]
+    level = [({}, OracleTape(source, budget=rep.budget))]  # class tapes: it or branches
     for barrier in range(rep.depth + 1):
         level = list(_fork_tree(grow, roots=((assign, (tape, None)) for assign, tape in level)))
         yield level
@@ -151,10 +155,8 @@ def unique_path_invert(rep: Representation, y: BitSource, n: int,
     is not in the range at that depth; no consensus by rep.depth (or more
     than `survivor_cap` words surviving) means the fiber is not provably a
     singleton at desk scale."""
-    if not 0 <= n <= MAX_BITS:  # evaluate's limit: each class level holds n-bit heads
-        raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")
-    if survivor_cap < 0:
-        raise ValueError(f"survivor cap must be a natural, got {survivor_cap}")
+    check_natural(n, "bit count", MAX_BITS)  # evaluate's limit: each class level holds n-bit heads
+    check_natural(survivor_cap, "survivor cap")
     for depth, level in enumerate(_class_levels(rep, y)):
         if not level:
             raise NotInRangeError(f"target not in range at depth {depth}")
@@ -291,9 +293,8 @@ class _Fork(Exception):
     """The handover of a search at an open read below its `owned_from`."""
 
     def __init__(self, position: int, resume: Any):
-        self.position = position
-        self.resume = resume  # what the run needs to redo the read
-        super().__init__(str(position))
+        super().__init__(position)
+        self.position, self.resume = position, resume  # resume: what redoes the read
 
 
 def _fork_tree(run: Callable[[dict[int, int], Any, Callable[[int, Any], int]], object],
@@ -302,10 +303,11 @@ def _fork_tree(run: Callable[[dict[int, int], Any, Callable[[int, Any], int]], o
                ) -> Iterator[tuple[dict[int, int], Any]]:
     """The leaves of the fork-on-read trees of `run`, lazily, depth first.
 
-    `run(assignment, resume, split)` reads through a `_fork_source` that
-    calls split(p, resume) at the first read of a position p the assignment
-    leaves open, with the resume the run builds there: what the other half
-    needs to redo the read (a tape and the checkpoint to roll it back to).
+    `run(assignment, resume, split)` reads through its search's one
+    `_fork_source`, pointed at the run's node on entry; a first read of a
+    position p the assignment leaves open calls split(p, resume), with the
+    resume the search builds there: what the other half needs to redo the
+    read (a tape and the checkpoint to roll it back to).
     The node splits on p, 0 before 1.  Child 0 goes on in place: split
     counts it as a node, pushes child 1 with the resume, sets p to 0 in the
     assignment, and the read returns 0, so a split costs one rerun, child
@@ -364,15 +366,20 @@ def _fork_tree(run: Callable[[dict[int, int], Any, Callable[[int, Any], int]], o
                 yield dict(assign), result
 
 
-def _fork_source(spec: str, prefix: tuple[int, ...], assign: dict[int, int],
-                 split: Callable[[int], int]) -> BitSource:
-    """The bits of `prefix`, then the assignment; a read anywhere else is split(i)."""
+class _Node:
+    """The running node of a search, as its one fork source reads it: a run sets
+    `assign` and `split` on entry, its search the rest (a tape; a probe's `at`)."""
+
+
+def _fork_source(spec: str, prefix: tuple[int, ...], node: _Node,
+                 guess: Callable[[int], int]) -> BitSource:
+    """The bits of `prefix`, then the running node's assignment; a read
+    anywhere else is guess(i).  A search builds one, not one per node."""
+    k = len(prefix)
 
     def bit_at(i: int) -> int:
-        if i < len(prefix):
-            return prefix[i]
-        b = assign.get(i)
-        return split(i) if b is None else b
+        b = prefix[i] if i < k else node.assign.get(i)
+        return guess(i) if b is None else b
 
     return BitSource(spec, bit_at)
 
@@ -422,7 +429,7 @@ class DovetailRecord:
 
     def materialize(self, cap: int = 4096) -> PrefixFreeSet:
         """The literal W_t, when it fits under `cap` words."""
-        if self.words_collected > cap:
+        if self.words_collected > check_natural(cap, "word cap"):
             raise ValueError(f"W_t holds {self.words_collected} words, over cap {cap}")
         base = PartialAssignment.of_word(self.sigma)
         # lazily, one length class at a time: classes past the crossing stay unexpanded
@@ -440,15 +447,14 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     or beyond |sigma| splits the cylinder in two, the 1 half rolling the one
     tape back to it.  Diverging paths are dropped: their words never halt.
     """
-
-    tape = OracleTape(zeros(), budget=run_budget)  # the root sets the source of the tree
+    node = _Node()
+    tape = OracleTape(_fork_source("dovetail-candidate", tuple(map(int, sigma)), node,
+                                   lambda p: node.split(p, tape.checkpoint())), budget=run_budget)
 
     def run(assign: dict[int, int], checkpoint: Optional[tuple],
             split: Callable[[int, Any], int]) -> Optional[int]:
-        if checkpoint is None:
-            tape.source = _fork_source("dovetail-candidate", tuple(map(int, sigma)), assign,
-                                       lambda p: split(p, tape.checkpoint()))
-        else:
+        node.assign, node.split = assign, split
+        if checkpoint is not None:
             tape.rollback(checkpoint)
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
@@ -479,8 +485,8 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
     check_word(sigma)
     if not g.binary:
         raise ValueError("extract_randomized takes a binary inverter over y⊕r")
-    if n < 0:  # before the audit and the search, which would name g's bit 2n
-        raise ValueError(f"element must be a natural, got {n}")
+    check_natural(n, "element")  # before the audit and the search, which would name g's bit 2n
+    check_natural(node_budget, "node budget")  # the run budget: the audit's tape, before any run
     _audit(f, g, interleaved(finite(sigma), zeros()), range(max(len(sigma), n) + 1),
            f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs from y", run_budget)
     leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget, run_budget)
@@ -524,8 +530,7 @@ def extract_two_to_one(g: InverterUnderTest, w: StagedEnumeration, n: int,
     committed to.
     """
     _check_unary(g, "extract_two_to_one")
-    if n < 0:  # before z is built, whose builder would name its column instead
-        raise ValueError(f"element must be a natural, got {n}")
+    check_natural(n, "element")  # before z is built, whose builder would name its column instead
     check_word(upsilon)
     check_word(zeta)
     if zeta and n <= len(zeta):
@@ -557,8 +562,7 @@ def extract_two_to_one_v2(g: InverterUnderTest, w: StagedEnumeration,
     f(g(·)) fails at bit 2t on one of them.  So n ∈ W iff n ∈ W_max(use, s).
     """
     _check_unary(g, "extract_two_to_one_v2")
-    if n < 0:  # before z is built, as in extract_two_to_one
-        raise ValueError(f"element must be a natural, got {n}")
+    check_natural(n, "element")  # before z is built, as in extract_two_to_one
     z = z_builder_v2(u, n)
     s = stage_where_counter_reaches(w, u, z, n)
     return _extract(g, w, n, "two2", interleaved(zeros(), z), 2 * s, two_to_one_v2(w, u),
@@ -609,43 +613,36 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     pairings consulted near `depth`), runs out of steps or diverges passes
     without reads; its step budget pays only for marker stages and guard
     positions new to its tape.  A probed bit needing enumeration stages
-    past the horizon raises HorizonError (the image check
-    truncates there).  More than `budget` probe emitter runs raise DeskError.
+    past the horizon raises HorizonError (the image check truncates there).
+    More than `budget` probe emitter runs raise DeskError.
     """
     check_word(y_prefix)
     rep = Representation(f, depth, len(y_prefix))  # checks depth before any work
     if probe_len is None:
         probe_len = max(2 * pair(depth + 2, depth + 2) + 4, 2 * len(y_prefix) + 2)
-    probe_len = max(probe_len, depth)
+    probe_len = max(check_natural(probe_len, "probe length"), depth)
     n_out, target = len(y_prefix), tuple(map(int, y_prefix))
     exhausted = DeskError("fiber probe budget exhausted")
-    runs = iter(range(budget))
-    tape: OracleTape  # the level tape of the class probed
+    runs = iter(range(check_natural(budget, "probe budget")))
+    probe = _Node()  # tape: the probed class's level tape; at: the running bit, queue, tail
+
+    def guess(p: int) -> int:
+        j, queue, tail = probe.at
+        probe.at = j, (queue := (*queue, p) if depth <= p < n_out else queue), tail
+        return probe.split(p, (probe.tape.checkpoint(), (j, *queue), tail))
+
+    source = _fork_source("fiber-probe", (), probe, guess)
 
     def continuation(assign: dict[int, int], resume: tuple,
                      split: Callable[[int, Any], int]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
-        The bits to check are `queue`, a tuple of output bits, then `tail`,
-        tail+1, …, n_out-1.  An open read of position p during bit j splits
-        the guess: the 0 half goes on in place, with p at the end of its
-        queue if p is an output bit past `depth`; the 1 half gets a
-        checkpoint, j, that queue and the tail, rolls back and checks j, the
-        queue, then the tail, which skips the guesses the queue checked.
-        The queue is first in, first out, so the oldest guess is checked
-        first and a wrong one fails before the guesses made after it run on
-        to the end of the target."""
+        It checks the output bits `queue`, then `tail` to n_out-1, skipping
+        guesses; at an open read during bit j, `guess` queues the position
+        and hands the 1 half the checkpoint, j, that queue and the tail."""
         checkpoint, queue, tail = resume
+        probe.assign, probe.split, tape = assign, split, probe.tape
         if checkpoint:
             tape.rollback(checkpoint)
-
-        def guess(p: int) -> int:
-            nonlocal queue
-            after = (*queue, p) if depth <= p < n_out else queue
-            bit = split(p, (tape.checkpoint(), (j, *after), tail))
-            queue = after
-            return bit
-
-        tape.source = _fork_source("fiber-probe", (), assign, guess)
         while queue or tail < n_out:
             if queue:
                 j, queue = queue[0], queue[1:]
@@ -655,7 +652,9 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                     continue
             if next(runs, None) is None:
                 raise exhausted
+            probe.at = j, queue, tail
             b = tape.try_emit(f, j)
+            queue = probe.at[1]  # with the guesses bit j made
             if b is not None and b != target[j]:
                 return None
         return tape.positions_read()
@@ -663,31 +662,34 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     def witness_reads(word_class: dict[int, int], resume: tuple,
                       _split: Callable[[int, Any], int]) -> Optional[tuple]:
         # halves of a split go on with its search, the first on its tape, the second on a branch
-        nonlocal tape
         pending, tapes = resume
-        tape = tapes.pop()
-        tape.barrier = probe_len  # a class's level tape holds its image under the depth
+        tape = probe.tape = tapes.pop()
+        tape.source, tape.barrier = source, probe_len  # the level tape holds the class's image
         deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, pending)])
         try:
             return next((reads for _, reads in deep), None)
         except _Fork as fork:
-            fork.resume = fork.resume, [tape.branch(tape.source), tape]
+            fork.resume = fork.resume, [tape.branch(source), tape]
             raise
 
     *_, level = _class_levels(rep, finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
-    # a class tape's image list goes (each rollback and branch would hash f for it); a split
+    # a class tape's image list goes (each rollback and branch would carry it); a split
     # class keeps its image's reads and its probe search, so this tree reruns neither
     roots = ((assign, ((None, (), len(image.state.pop(f))), [image])) for assign, image in level)
-    extendable = [(tuple(word_class.get(p, 0) for p in range(depth)), word_class, reads)
-                  for word_class, reads in _fork_tree(witness_reads, roots=roots)]
+    extendable = list(_fork_tree(witness_reads, roots=roots))
     if not extendable:
         return FiberCount(0, surviving)
-    inside = [p for p in min(extendable, key=lambda e: e[0])[2] if p < depth]
-    patterns = {pattern for _, word_class, _ in extendable
+    inside = [p for p in min(extendable, key=lambda e: _word_order(e[0], depth))[1] if p < depth]
+    patterns = {pattern for word_class, _ in extendable
                 for pattern in itertools.product(*((word_class[p],) if p in word_class else (0, 1)
                                                    for p in inside))}
     return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
+
+
+def _word_order(assign: dict[int, int], depth: int) -> list[int]:
+    """Sorts classes as their least depth-bit words (0 where open) do: by their 1s, negated."""
+    return sorted((-p for p, b in assign.items() if b and p < depth), reverse=True)
 
 
 @dataclass(frozen=True)

@@ -37,13 +37,12 @@ sources, `evaluate`'s output and `Representation`'s maps.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, count, takewhile
+from itertools import accumulate, count, islice, takewhile
 from typing import Callable, ClassVar, Mapping, NamedTuple, Optional
 
-from .bitcore import Word, check_word, data_records, unpair
+from .bitcore import Word, check_natural, check_word, data_records, unpair
 from .errors import _NO_VALUE, DeskError, DivergenceError, HorizonError, SpecParseError, \
     _BudgetExhausted, _ReadBeyondBarrier
 
@@ -256,8 +255,7 @@ class OracleTape:
         self.source = source
         self.barrier = barrier
         self.use = 0
-        self._budget_limit = budget
-        self._budget_left = budget
+        self._budget_limit = self._budget_left = check_natural(budget, "step budget")
         self._reads: dict[int, None] = {}  # distinct positions, first-read order
         self._open: Optional[tuple[int, int]] = None  # (bit, read count) try_emit left
         # per-map state kept across output bits (markers, guard progress)
@@ -321,20 +319,22 @@ class OracleTape:
         return b
 
     def branch(self, source: BitSource) -> "OracleTape":
-        """A copy, per-map state included, over a source that agrees on every read."""
+        """A copy over a source that agrees on every read, with copies of the
+        per-map state: an int as it is, a list or a `Marker` by its `copy`."""
         twin = object.__new__(type(self))
         twin.__dict__ = {**self.__dict__, "source": source, "_reads": dict(self._reads),
-                         "state": {key: copy.copy(value) for key, value in self.state.items()}}
+                         "state": {key: value if value.__class__ is int else value.copy()
+                                   for key, value in self.state.items()}}
         return twin
 
     def checkpoint(self) -> tuple:
-        """What `rollback` needs: the open bit's reads (no later run drops an
-        earlier bit's) and per-map state, by key: an int, a list that only
-        grows (held as its length) or an object with checkpoint/restore
-        (`Marker`).  It holds no object of the tape, so it also rolls back a
-        branch taken from the tape after it."""
+        """What `rollback` needs: the open bit's reads (none before its first,
+        as at a split; no later run drops an earlier bit's) and per-map state,
+        by key: an int, a list that only grows (held as its length) or a
+        `Marker` (its checkpoint).  It holds no object of the tape, so it
+        also rolls back a branch taken from the tape after it."""
         reads, mark = self._reads, self._open[1] if self._open else len(self._reads)
-        tail = dict.fromkeys([i for i, _ in zip(reversed(reads), range(len(reads) - mark))][::-1])
+        tail = tuple(islice(reversed(reads), len(reads) - mark)) if len(reads) > mark else ()
         state = [(key, len(value) if value.__class__ is list else
                   value if value.__class__ is int else value.checkpoint())
                  for key, value in self.state.items()]
@@ -347,7 +347,7 @@ class OracleTape:
         reads, state = self._reads, self.state
         while len(reads) > mark:
             reads.popitem()
-        reads.update(tail)
+        reads.update(dict.fromkeys(reversed(tail)))  # the tail is held newest first
         while len(state) > len(saved):
             state.popitem()  # keys are never deleted, so the newest come last
         for key, kept in saved:
@@ -390,7 +390,7 @@ class Gather(NamedTuple):
         return bits, use
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealFunction:
     """A function on Cantor space presented as a bit emitter.
 
@@ -398,7 +398,7 @@ class RealFunction:
     the tape.  Determinism and use-soundness (output depends only on the
     prefix actually read) are the contract; useSoundnessCheck spot-checks
     the latter.  `gather`, set only by `selection` and only on the built-in
-    ones, is the emitter's position map as data.
+    ones, is the emitter's position map as data.  It compares by identity.
     """
 
     name: str
@@ -428,8 +428,7 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     n ≤ bound); any other function's, and theirs otherwise, from n `emit` calls.
     An emitted value other than 0 or 1 (False and True count as those) is a ValueError.
     """
-    if not 0 <= n <= MAX_BITS:
-        raise ValueError(f"bit count must be a natural at most {MAX_BITS}, got {n}")
+    check_natural(n, "bit count", MAX_BITS)
     tape, g = OracleTape(x, budget=budget), f.gather
     if g and x.prefix and budget > 0 and n <= g.bound:
         bits, tape.use = g.take(x.prefix, n)
@@ -511,20 +510,15 @@ class Representation:
     divergence, horizon overrun) truncates; monotone by construction.
     Images stop at `out_cap` bits, by default max(2·depth + 8, 48).  The
     depth is at most MAX_DEPTH and the cap at most MAX_BITS, checked here
-    for every search.
+    for every search, as the step budget is.
     """
 
     def __init__(self, f: RealFunction, depth: int, out_cap: Optional[int] = None,
                  budget: int = DEFAULT_BUDGET):
-        if not 0 <= depth <= MAX_DEPTH:
-            raise ValueError(f"depth must be a natural at most {MAX_DEPTH}, got {depth}")
+        self.f, self.depth = f, check_natural(depth, "depth", MAX_DEPTH)
         out_cap = max(2 * depth + 8, 48) if out_cap is None else out_cap
-        if not 0 <= out_cap <= MAX_BITS:  # evaluate's limit: an image holds out_cap bits
-            raise ValueError(f"out_cap must be a natural at most {MAX_BITS}, got {out_cap}")
-        self.f = f
-        self.depth = depth
-        self.out_cap = out_cap
-        self.budget = budget
+        self.out_cap = check_natural(out_cap, "out_cap", MAX_BITS)  # evaluate's limit, per image
+        self.budget = check_natural(budget, "step budget")
 
     def map_word(self, sigma: Word) -> Word:
         check_word(sigma)

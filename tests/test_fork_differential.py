@@ -83,7 +83,8 @@ from oneway.enumeration import DecidedSet, StagedEnumeration, StagedStringEnumer
 from oneway.errors import DeskError, DivergenceError, HorizonError, MeasureThresholdError, \
     _BudgetExhausted, _ReadBeyondBarrier
 from oneway.inversion import DovetailLeaf, FiberCount, Representation, _class_levels, \
-    _dovetail_leaves, _pattern, fiber_branch_count, reference_inverter_surjection
+    _dovetail_leaves, _pattern, fiber_branch_count, reference_inverter_surjection, \
+    unique_path_invert
 from oneway.streams import (
     DEFAULT_BUDGET,
     BitSource,
@@ -865,6 +866,85 @@ def test_fiber_count_branches_a_tape_at_most_once_per_surviving_class(monkeypatc
     assert 0 < copies.count("fiber-probe") == resumed / 2 == len(copies) - made
     levels = _class_levels(Representation(f, depth, len(y)), finite(y))
     assert 0 < made <= sum(len(level) for level in levels)
+
+
+def fork_sources(search, fn, *args):
+    """engine_work(search, fn, *args) with the specs of the fork sources the
+    search built, in order."""
+    specs, build = [], inversion._fork_source
+
+    def counted(spec, *rest):
+        specs.append(spec)
+        return build(spec, *rest)
+
+    with mock.patch.object(inversion, "_fork_source", counted):
+        return engine_work(search, fn, *args), specs
+
+
+def test_a_search_builds_one_fork_source():
+    # a node sets what the source reads on entry, so a search of many nodes
+    # and trees builds one source per engine it runs, not one per node
+    from test_preimage_differential import invert_tree_fixtures  # it imports this module
+    rep, y, bits = invert_tree_fixtures()["witness:double"]  # depth 40
+    (word, trees, _, _), specs = fork_sources(
+        lambda f, y: unique_path_invert(Representation(f, rep.depth, rep.out_cap), y, bits),
+        rep.f, y)
+    assert len(word) == bits and specs == ["preimage-class"]
+    assert sum(tree["nodes"] for tree in trees) > 40
+    name = "c07 two1 stuck d16"
+    f, y, depth = fiber_fixtures()[name]
+    (got, trees, _, _), specs = fork_sources(fiber_branch_count, f, y, depth)
+    assert got == FiberCount(*PINNED[name]) and sorted(specs) == ["fiber-probe", "preimage-class"]
+    assert sum(tree["run"] == "continuation" for tree in trees) > 1  # probe trees
+    for name, (g, *args) in dovetail_fixtures().items():
+        (_, trees, _, _), specs = fork_sources(_dovetail_leaves, g, *args)
+        assert specs == ["dovetail-candidate"] and len(trees) == 1, name
+
+
+def tuple_order(assign, depth):
+    """The key fiber counts sorted classes by before: the least depth-bit
+    word of the class, 0 where open, as a depth-long tuple."""
+    return tuple(assign.get(p, 0) for p in range(depth))
+
+
+def assert_orders_agree(classes, depth):
+    """Every pair of classes compares alike under the library's key and the
+    tuple key, ties included."""
+    def sign(a, b):
+        return (a > b) - (a < b)
+
+    lib = [inversion._word_order(c, depth) for c in classes]
+    ref = [tuple_order(c, depth) for c in classes]
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        assert sign(lib[i], lib[j]) == sign(ref[i], ref[j]), (classes[i], classes[j])
+
+
+def test_least_word_order_matches_the_tuple_key_on_pinned_fixtures():
+    # the extendable classes of each fixture, as the count's `min` keys them
+    order, seen = inversion._word_order, collections.defaultdict(list)
+
+    def recording(assign, depth):
+        seen[name, depth].append(dict(assign))
+        return order(assign, depth)
+
+    with mock.patch.object(inversion, "_word_order", recording):
+        for name, (f, y, depth) in fiber_fixtures().items():
+            assert fiber_branch_count(f, y, depth) == FiberCount(*PINNED[name]), name
+    for (name, depth), classes in seen.items():
+        assert_orders_agree(classes, depth)
+        assert min(classes, key=lambda c: order(c, depth)) is \
+            min(classes, key=lambda c: tuple_order(c, depth)), name
+    assert sum(len(classes) > 1 for classes in seen.values()) > 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 12).flatmap(lambda depth: st.tuples(st.just(depth), st.lists(
+    st.dictionaries(st.integers(0, depth + 3), st.integers(0, 1), max_size=depth + 4),
+    max_size=12))))
+def test_least_word_order_matches_the_tuple_key_on_drawn_classes(case):
+    # positions past the depth are drawn too: neither key may look at them
+    depth, classes = case
+    assert_orders_agree(classes, depth)
 
 
 # -------------------------------------------------------- property: fibers

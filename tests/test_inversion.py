@@ -633,6 +633,76 @@ def test_each_search_opens_one_tape(monkeypatch):
         assert len(opened) == 1, name
 
 
+class TestNegativeArguments:
+    """A negative step budget, node budget, probe budget, probe length or
+    word cap is a ValueError naming its value, raised before any emitter
+    runs; a budget of 0 keeps its meaning."""
+
+    @staticmethod
+    def watched(f):
+        """f, and the list of the output bits its emitter is asked for."""
+        asked = []
+
+        def emit(tape, m):
+            asked.append(m)
+            return f.emit(tape, m)
+
+        return RealFunction(f.name, emit), asked
+
+    def test_tape_step_budget(self):
+        f, asked = self.watched(bit_select(identity_injection()))
+        with pytest.raises(ValueError, match="^step budget must be a natural, got -1$"):
+            OracleTape(zeros(), budget=-1)
+        with pytest.raises(ValueError, match="^step budget must be a natural, got -2$"):
+            evaluate(f, zeros(), 4, budget=-2)
+        g = InverterUnderTest(f)
+        with pytest.raises(ValueError, match="^step budget must be a natural, got -3$"):
+            inverts_at_finite_stage(f, g, zeros(), 4, budget=-3)
+        assert asked == []
+        with pytest.raises(DivergenceError, match="step budget exhausted"):
+            OracleTape(zeros(), budget=0).emit(f, 0)  # the first read is over budget
+
+    def test_representation_step_budget(self):
+        # it used to search on and report `no 2-bit consensus by depth 4`
+        f, asked = self.watched(bit_select(double_injection()))
+        with pytest.raises(ValueError, match="^step budget must be a natural, got -1$"):
+            unique_path_invert(Representation(f, 4, budget=-1), finite("0101"), 2)
+        assert asked == []
+
+    def test_fiber_probe_budget_and_length(self):
+        # a negative budget used to read as exhausted, a negative length was clamped
+        f, asked = self.watched(bit_select(identity_injection()))
+        with pytest.raises(ValueError, match="^probe budget must be a natural, got -1$"):
+            fiber_branch_count(f, "10110", 4, budget=-1)
+        with pytest.raises(ValueError, match="^probe length must be a natural, got -5$"):
+            fiber_branch_count(f, "10110", 4, probe_len=-5)
+        assert asked == []
+        with pytest.raises(DeskError, match="^fiber probe budget exhausted$"):
+            fiber_branch_count(f, "10110", 4, budget=0)  # bit 4 needs a probe run
+        assert fiber_branch_count(f, "10110", 4, probe_len=0) == FiberCount(1, 1)
+
+    def test_randomized_extraction_budgets(self):
+        g, f, w = TestExtractRandomized().fixture()
+        watched, asked = self.watched(g.g)
+        g = InverterUnderTest(watched, binary=True)
+        # a negative node budget used to report `dovetail fork tree exceeded -1 nodes`
+        with pytest.raises(ValueError, match="^node budget must be a natural, got -1$"):
+            extract_randomized(g, f, "", w, 2, node_budget=-1)
+        with pytest.raises(ValueError, match="^step budget must be a natural, got -1$"):
+            extract_randomized(g, f, "", w, 2, run_budget=-1)
+        assert asked == []
+        with pytest.raises(MeasureThresholdError, match="exceeded 0 nodes"):
+            extract_randomized(g, f, "", w, 2, node_budget=0)
+
+    def test_materialize_word_cap(self):
+        g, f, w = TestExtractRandomized().fixture()
+        record = extract_randomized(g, f, "", w, 2).evidence
+        with pytest.raises(ValueError, match="^word cap must be a natural, got -1$"):
+            record.materialize(cap=-1)
+        with pytest.raises(ValueError, match="16385 words, over cap 0$"):
+            record.materialize(cap=0)
+
+
 class TestInvertsAtFiniteStage:
     def test_consistent(self):
         w = enum([(1, 2)], 100)

@@ -336,8 +336,11 @@ class TestOracleTape:
         from oneway.errors import _ReadBeyondBarrier
         tape = OracleTape(ones(), barrier=2)
         assert tape.read(1) == 1
-        with pytest.raises(_ReadBeyondBarrier):
+        with pytest.raises(_ReadBeyondBarrier) as hit:
             tape.read(2)
+        # the hit carries its position; its message is formatted when shown
+        assert hit.value.position == 2 and hit.value.args == (2,)
+        assert str(hit.value) == "read at position 2 crossed the barrier"
 
 
 class TestEvaluate:
