@@ -390,7 +390,7 @@ def partial_injection(w: StagedEnumeration, d: DecidedSet) -> RealFunction:
     output bits make O(n) reads and an odd bit's step budget pays only for
     positions no earlier bit on that tape checked.  The count moves only
     after a whole scan passes, so a bit that stops mid-scan (divergence,
-    barrier, horizon, a search's handover) leaves it as it was.
+    barrier, horizon, a split that goes on in place) leaves it as it was.
     """
     for n in sorted(w.limit_members()):
         if n > d.horizon or not d.contains(n):
@@ -424,8 +424,8 @@ def _marker_map(name: str, rule: Callable[[OracleTape], PermissionFn],
     None; `index` runs the map's marker on the tape as far as bit 2s needs.
     A bit that succeeds keeps the stages it ran; one that fails with an
     `errors._NO_VALUE` failure drops them, as `try_emit` makes the tape
-    forget its reads; any other exception, such as a search handing over
-    its split, leaves them open for a rerun."""
+    forget its reads; a bit still running, as at a read that splits a
+    search, leaves them open for a rerun."""
     key = object()
 
     def emit(tape: OracleTape, m: int) -> int:

@@ -15,8 +15,8 @@ a 1 there, on the search's one tape rolled back to the read.  Every node
 reads through its search's one fork source.  `_class_levels` grows such read
 classes one barrier position at a time, to its `Representation`'s depth;
 unique-path inversion, `preimage_tree` and fiber counts read its levels, the
-last probing each surviving class on its level tape with a nested tree that
-hands a split below the depth, with its search, to the class tree.  The
+last probing the surviving classes, on their level tapes, as the roots of
+one more tree, in which a read below the depth splits the class itself.  The
 randomized extraction collects halting patterns in (length, lex) order until
 they cover over half the cylinder.
 
@@ -108,7 +108,7 @@ def _class_levels(rep: Representation,
     under rep is a prefix of y, as (assignment, tape holding the image).  A
     class reruns on its own tape with the barrier at d+1 and splits only
     where a bit reads an open position: the 0 half goes on in place, the 1
-    half later rolls the tape back to the split and redoes the bit.  A
+    half later reruns the bit on the tape rolled back to the split.  A
     surviving half takes a branch of the tape to the next level while a
     half is still pending on it.  All classes read through one fork source."""
     pending = 0  # halves of the current tree waiting on its tape
@@ -117,26 +117,25 @@ def _class_levels(rep: Representation,
     def guess(p: int) -> int:
         nonlocal pending
         pending += 1
-        return node.split(p, (node.tape, node.tape.checkpoint()))
+        return node.split(p, True)
 
     source = _fork_source("preimage-class", (), node, guess)
 
-    def grow(assign: dict[int, int], resume: tuple,
+    def grow(assign: dict[int, int], tape: OracleTape, rerun: bool,
              split: Callable[[int, Any], int]) -> Optional[OracleTape]:
         nonlocal pending
-        tape, checkpoint = resume
-        node.assign, node.split, node.tape = assign, split, tape
-        if checkpoint is None:
-            tape.barrier = barrier
-        else:
-            tape.rollback(checkpoint)
+        node.assign, node.split = assign, split
+        if rerun:
             pending -= 1
+        else:
+            tape.barrier = barrier
         image = barrier_image(rep.f, tape, rep.out_cap, y)
         return None if image is None else tape.branch(source) if pending else tape
 
     level = [({}, OracleTape(source, budget=rep.budget))]  # class tapes: it or branches
     for barrier in range(rep.depth + 1):
-        level = list(_fork_tree(grow, roots=((assign, (tape, None)) for assign, tape in level)))
+        level = list(_fork_tree(grow, [(assign, tape, [(0, {}, (None, False))])
+                                       for assign, tape in reversed(level)]))
         yield level
 
 
@@ -289,86 +288,80 @@ def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: Bi
     return ExtractionVerdict(n, member, use, stage, via, evidence)
 
 
-class _Fork(Exception):
-    """The handover of a search at an open read below its `owned_from`."""
-
-    def __init__(self, position: int, resume: Any):
-        super().__init__(position)
-        self.position, self.resume = position, resume  # resume: what redoes the read
-
-
-def _fork_tree(run: Callable[[dict[int, int], Any, Callable[[int, Any], int]], object],
-               node_budget: float = float("inf"), exhausted: Optional[DeskError] = None,
-               owned_from: int = 0, roots: Optional[Iterable] = None
+def _fork_tree(run: Callable[[dict[int, int], OracleTape, Any, Callable[[int, Any], int]],
+                        object],
+               roots: list, node_budget: float = float("inf"),
+               exhausted: Optional[DeskError] = None, owned_from: int = 0
                ) -> Iterator[tuple[dict[int, int], Any]]:
     """The leaves of the fork-on-read trees of `run`, lazily, depth first.
 
-    `run(assignment, resume, split)` reads through its search's one
-    `_fork_source`, pointed at the run's node on entry; a first read of a
-    position p the assignment leaves open calls split(p, resume), with the
-    resume the search builds there: what the other half needs to redo the
-    read (a tape and the checkpoint to roll it back to).
+    `roots` is a stack of (assignment, tape, pending nodes), the last popped
+    first; a node is (its size past the root, its guess, its resume) and a
+    fresh root has the one node (0, {}, (None, continuation)).  The tree
+    owns the tapes: it takes the checkpoint at each split and rolls the
+    root's tape back to it before the split's other half runs, so a resume
+    is (checkpoint, the run's own continuation).
+    `run(assignment, tape, continuation, split)` reads through its search's
+    one `_fork_source`, pointed at the run's node on entry; a first read of
+    a position p the assignment leaves open calls split(p, continuation),
+    with what the other half needs to redo the read's bit.
     The node splits on p, 0 before 1.  Child 0 goes on in place: split
-    counts it as a node, pushes child 1 with the resume, sets p to 0 in the
-    assignment, and the read returns 0, so a split costs one rerun, child
-    1's.  Child 0's bit keeps the step budget it started with and pays for
-    all of its reads once, as an unforked run does; child 1's rerun gets a
-    fresh budget on a tape that keeps the marker stages committed before
-    the read, and pays only for the reads after them.  The trees grow from
-    `roots`, (assignment, resume) pairs in order (default: the empty
-    assignment without a checkpoint).  A tree's one assignment dict grows
-    and shrinks in place; leaves with a result other than None are yielded
-    as (a copy of it, result).  Past `node_budget` nodes the tree raises
+    counts it as a node, pushes child 1, sets p to 0 in the assignment, and
+    the read returns 0, so a split costs one rerun, child 1's.  Child 0's
+    bit keeps the step budget it started with and pays for all of its reads
+    once, as an unforked run does; child 1's rerun gets a fresh budget on a
+    tape that keeps the marker stages committed before the read, and pays
+    only for the reads after them.  A root's one assignment dict grows and
+    shrinks in place; leaves with a result other than None are yielded as
+    (a copy of it, result).  Past `node_budget` nodes the tree raises
     `exhausted`.
 
-    An open read below `owned_from`, in a tree of one root, hands over: split
-    raises `_Fork(p)`, which leaves with the rest of the search as its
-    resume, the list of pending nodes, last the node that read p, whose
-    guess holds every guess on its path.  A root with such a resume, a half
-    of the old root split there, carries on from it.  A run that lets a
-    nested tree's `_Fork` out splits its node on p, both children taking the
-    fork's resume.
+    A split on p below `owned_from` splits the root itself.  Its 1 half is
+    pushed onto `roots`: the root with p = 1, a branch of the tape, and the
+    pending nodes followed by the node that read p with its whole path.
+    Its 0 half goes on in place with p moved in front of that path, so the
+    root grows by one and the pending nodes keep their sizes.
     """
     nodes = 0
 
-    def split(p: int, resume: Any) -> int:  # the tree's root, assignment and stack are the loop's
-        nonlocal nodes
+    def split(p: int, continuation: Any) -> int:  # the root, assignment and stack are the loop's
+        nonlocal nodes, base
         if p < owned_from:
-            raise _Fork(p, resume)
-        stack.append((len(assign) - base, {p: 1}, resume))
+            path = [assign.popitem() for _ in range(len(assign) - base)][::-1]
+            roots.append(({**assign, p: 1}, tape.branch(tape.source),
+                          [*stack, (0, dict(path), (None, continuation))]))
+            assign[p] = 0
+            assign.update(path)
+            base += 1
+        else:
+            stack.append((len(assign) - base, {p: 1}, (tape.checkpoint(), continuation)))
+            assign[p] = 0
         nodes += 1
         if nodes > node_budget:
             raise exhausted
-        assign[p] = 0
         return 0
 
-    for root, resume in [({}, None)] if roots is None else roots:
-        base, assign = len(root), dict(root)  # stack: (parent's size past root, guess, resume)
-        stack = [*resume] if resume.__class__ is list else [(0, {}, resume)]
+    while roots:
+        root, tape, stack = roots.pop()
+        base, assign = len(root), dict(root)
         while stack:
-            size, guess, resume = stack.pop()
+            size, guess, (checkpoint, continuation) = stack.pop()
             while len(assign) > base + size:
                 assign.popitem()  # the positions a finished subtree assigned
             assign.update(guess)
+            if checkpoint is not None:
+                tape.rollback(checkpoint)
             nodes += 1
             if nodes > node_budget:
                 raise exhausted
-            try:
-                result = run(assign, resume, split)
-            except _Fork as fork:
-                size, p, resume = len(assign) - base, fork.position, fork.resume
-                if p < owned_from:
-                    fork.resume = [*stack, (0, dict([*assign.items()][base:]), resume)]
-                    raise
-                stack += (size, {p: 1}, resume), (size, {p: 0}, resume)
-                continue
+            result = run(assign, tape, continuation, split)
             if result is not None:
                 yield dict(assign), result
 
 
 class _Node:
     """The running node of a search, as its one fork source reads it: a run sets
-    `assign` and `split` on entry, its search the rest (a tape; a probe's `at`)."""
+    `assign` and `split` on entry, a probe also `at`."""
 
 
 def _fork_source(spec: str, prefix: tuple[int, ...], node: _Node,
@@ -449,20 +442,19 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     """
     node = _Node()
     tape = OracleTape(_fork_source("dovetail-candidate", tuple(map(int, sigma)), node,
-                                   lambda p: node.split(p, tape.checkpoint())), budget=run_budget)
+                                   lambda p: node.split(p, None)), budget=run_budget)
 
-    def run(assign: dict[int, int], checkpoint: Optional[tuple],
+    def run(assign: dict[int, int], tape: OracleTape, _continuation: None,
             split: Callable[[int, Any], int]) -> Optional[int]:
         node.assign, node.split = assign, split
-        if checkpoint is not None:
-            tape.rollback(checkpoint)
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
         f"dovetail fork tree exceeded {node_budget} nodes; "
         f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
     leaves: list[DovetailLeaf] = []
-    for assign, use in _fork_tree(run, node_budget, exhausted):
+    for assign, use in _fork_tree(run, [({}, tape, [(0, {}, (None, None))])],
+                                  node_budget, exhausted):
         length = max(use, len(sigma))
         leaves.append(DovetailLeaf(_pattern(assign), use, length,
                                    2 ** (length - len(sigma) - len(assign))))
@@ -588,18 +580,20 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     2^(open positions) for each class on the last level of `_class_levels`.
 
     `branches` counts at read resolution, so bits f has not read do not
-    inflate a two-element fiber.  A surviving class is extendable when a
-    nested fork tree over the positions from `depth` on finds a continuation
-    passing every bit of `y_prefix`, going on on the class's level tape,
-    barrier moved to `probe_len`, from the first image bit the class lacks,
-    and rolling it back for a split's second half.  One that reads an open
-    position q below `depth` splits its class on q, and both halves carry on
-    with the search from that read, which no earlier run made: they find the
-    continuation a fresh search of each half would.  The extendable classes'
-    distinct patterns on the positions below `depth` read by the passing
-    bits of the least extendable word, times two per other position below
-    `depth`, give `branches`; a target through the outputs publishing each
-    selection made below `depth` pins this to the true fiber.
+    inflate a two-element fiber.  A surviving class is extendable when the
+    probe, one fork tree whose roots are the classes, finds a continuation
+    passing every bit of `y_prefix` in its root: it goes on on the class's
+    level tape, barrier moved to `probe_len`, from the first image bit the
+    class lacks, and each root's first passing leaf ends its search.  A read
+    of an open position q below `depth` splits the class on q: its 0 half
+    goes on in place and its 1 half, a new root on a branch of the tape,
+    carries on with the search from that read, which no earlier run made, so
+    both find the continuation a fresh search of each half would.  The
+    extendable classes' distinct patterns on the positions below `depth`
+    read by the passing bits of the least extendable word, times two per
+    other position below `depth`, give `branches`; a target through the
+    outputs publishing each selection made below `depth` pins this to the
+    true fiber.
 
     A continuation checks the output bits from 0 up.  A guess made during
     bit j joins the end of the queue of guessed positions to check when it
@@ -624,25 +618,23 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
     n_out, target = len(y_prefix), tuple(map(int, y_prefix))
     exhausted = DeskError("fiber probe budget exhausted")
     runs = iter(range(check_natural(budget, "probe budget")))
-    probe = _Node()  # tape: the probed class's level tape; at: the running bit, queue, tail
+    probe = _Node()  # at: the running bit, queue, tail
 
     def guess(p: int) -> int:
         j, queue, tail = probe.at
         probe.at = j, (queue := (*queue, p) if depth <= p < n_out else queue), tail
-        return probe.split(p, (probe.tape.checkpoint(), (j, *queue), tail))
+        return probe.split(p, ((j, *queue), tail))
 
     source = _fork_source("fiber-probe", (), probe, guess)
 
-    def continuation(assign: dict[int, int], resume: tuple,
+    def continuation(assign: dict[int, int], tape: OracleTape, resume: tuple,
                      split: Callable[[int, Any], int]) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         It checks the output bits `queue`, then `tail` to n_out-1, skipping
         guesses; at an open read during bit j, `guess` queues the position
-        and hands the 1 half the checkpoint, j, that queue and the tail."""
-        checkpoint, queue, tail = resume
-        probe.assign, probe.split, tape = assign, split, probe.tape
-        if checkpoint:
-            tape.rollback(checkpoint)
+        and hands the 1 half j, that queue and the tail."""
+        queue, tail = resume
+        probe.assign, probe.split = assign, split
         while queue or tail < n_out:
             if queue:
                 j, queue = queue[0], queue[1:]
@@ -659,25 +651,16 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
                 return None
         return tape.positions_read()
 
-    def witness_reads(word_class: dict[int, int], resume: tuple,
-                      _split: Callable[[int, Any], int]) -> Optional[tuple]:
-        # halves of a split go on with its search, the first on its tape, the second on a branch
-        pending, tapes = resume
-        tape = probe.tape = tapes.pop()
-        tape.source, tape.barrier = source, probe_len  # the level tape holds the class's image
-        deep = _fork_tree(continuation, budget, exhausted, depth, roots=[(word_class, pending)])
-        try:
-            return next((reads for _, reads in deep), None)
-        except _Fork as fork:
-            fork.resume = fork.resume, [tape.branch(source), tape]
-            raise
-
     *_, level = _class_levels(rep, finite(y_prefix))
     surviving = sum(2 ** (depth - len(assign)) for assign, _ in level)
-    # a class tape's image list goes (each rollback and branch would carry it); a split
-    # class keeps its image's reads and its probe search, so this tree reruns neither
-    roots = ((assign, ((None, (), len(image.state.pop(f))), [image])) for assign, image in level)
-    extendable = list(_fork_tree(witness_reads, roots=roots))
+    roots = []
+    for assign, tape in reversed(level):
+        # the image list goes (each rollback and branch would carry it); the probe starts past it
+        tape.source, tape.barrier = source, probe_len
+        roots.append((assign, tape, [(0, {}, (None, ((), len(tape.state.pop(f)))))]))
+    extendable = []
+    while roots:  # the first passing leaf of a root: its class is extendable
+        extendable += itertools.islice(_fork_tree(continuation, roots, budget, exhausted, depth), 1)
     if not extendable:
         return FiberCount(0, surviving)
     inside = [p for p in min(extendable, key=lambda e: _word_order(e[0], depth))[1] if p < depth]

@@ -297,10 +297,11 @@ class OracleTape:
         check of m and fresh budget, and takes budget exhaustion as any
         other divergence.  A failed bit's reads are forgotten, also
         before a HorizonError propagates, so positions_read() covers exactly
-        the bits emitted; use stays monotone.  Any other exception, such as a
-        search handing over its split, passes through untouched and leaves
-        bit m open: rerun after a rollback or on a branch, a failing bit m
-        also forgets the reads made before it."""
+        the bits emitted; use stays monotone.  Any other exception passes
+        through untouched and leaves bit m open, as does a bit still
+        running, say at a read that splits a search: rerun after a rollback
+        or on a branch, a failing bit m also forgets the reads made before
+        it."""
         mark = self._open[1] if self._open and self._open[0] == m else len(self._reads)
         self._open = (m, mark)
         if m < 0:

@@ -15,18 +15,24 @@ test-only copies:
   `ref_class_levels`, `ref_engine_fiber_branch_count` and
   `ref_engine_dovetail_leaves` are the library's three searches on it;
 * `restart_fiber_branch_count` is the library's fiber count before a class
-  split below the depth handed its probe search to the two halves: each half
-  grows a fresh probe tree from output bit 0, replaying every run the split
-  search made before it read the split position.  It runs on the
-  exception-based engine.
+  split below the depth carried its probe search on: each half grows a
+  fresh probe tree from output bit 0, replaying every run the split search
+  made before it read the split position.  It runs on the exception-based
+  engine.
 
-The library now runs every one of these searches on one fork tree.  Fiber
-counts and dovetail leaves must agree exactly; against the restart, so must
-the witness reads of every extendable class, in order, and the library may
-make no more probe runs.  Against the exception-based engine, every fork
-tree of the class levels, the fiber counts and the dovetail leaves must
-have the same nodes, splits and leaves in the same order, and the library
-may make no more emitter runs.
+The library now runs every one of these searches on one fork tree, in
+which a probe's read below the depth splits its class like any other read.
+Fiber counts and dovetail leaves must agree exactly.  Against the
+exception-based engine, every fork tree of the class levels and of the
+dovetail leaves must have the same nodes, splits and leaves in the same
+order.  A fiber count must give the same count, the same class-level trees,
+the same extendable (class below the depth, witness reads) pairs in order
+and the same number of class splits as the exception-based engine and the
+restart, and the same probe splits as the former.  The library may make no
+more emitter runs than the exception-based engine and no more probe runs
+than the restart.  `FIBER_WORK` and `DOVETAIL_WORK` pin the library's work
+on every fixture from before a class split went on in place; no fixture may
+take more.
 
 The two fiber probes check output bits in different orders.  After a fork
 the reference checks the forking bit, then the guessed position, then every
@@ -45,11 +51,13 @@ the reference and the library once on every fixture, the 1,200-position
 scanner included, and checks them and PINNED against each other.  The
 restart and the exception-based engine cost about what the library does,
 so the default run compares them with the library on every fixture; the
-full check does so too.  It also prints, on each fixture, the splits and
-the emitter runs of the library and of the exception-based engine and the
-probe runs of the library and the restart, and on the two2 hit fixture at
-depths 8 to 32 and the two1 stuck and climb fixtures at depths 8 to 20 the
-library's probe runs per target bit.
+full check does so too, and checks the pinned work on every fixture (the
+default run leaves out the depth-20 and second and third seed rows).  It
+also prints, on each fixture, the class splits, the probe splits and the
+emitter runs of the library and of the exception-based engine and the
+probe runs of the library, the restart and the pinned table, and on the
+two2 hit fixture at depths 8 to 32 and the two1 stuck and climb fixtures
+at depths 8 to 20 the library's probe runs per target bit.
 """
 
 import collections
@@ -469,60 +477,89 @@ def levels(engine):
     return search
 
 
-def engine_work(search, fn, *args):
-    """search(fn, *args) with the work it did: (its outcome, per fork tree in
-    the order grown its run's name, nodes, splits and leaves, emitter runs
-    by tape source, trees that resumed a split search).  A library node is
-    a run or a split that went on in place; a reference node is a run."""
-    trees, runs, resumed = [], collections.Counter(), 0
+def emitter_runs(search, fn, *args):
+    """search(fn, *args) with its emitter runs: (its outcome, runs by tape source)."""
+    runs = collections.Counter()
 
     def emit(tape, m):
         runs[tape.source.spec] += 1
         return fn.emit(tape, m)
 
+    return outcome(search, RealFunction(fn.name, emit), *args), runs
+
+
+def engine_work(search, fn, *args):
+    """search(fn, *args) with the work it did: (its outcome, per fork tree in
+    the order grown its run's name, nodes, splits at or past `owned_from`,
+    class splits below it and leaves, emitter runs by tape source).  A
+    library node is a run or a split that went on in place; a reference
+    node is a run, and a reference class split is a fork that leaves its
+    tree."""
+    trees = []
     library, reference = inversion._fork_tree, ref_fork_tree
 
-    def recording(tree, run, node_budget=float("inf"), exhausted=None, owned_from=0, roots=None):
-        nonlocal resumed
-        roots = None if roots is None else list(roots)
-        resumed += any(resume.__class__ is list for _, resume in roots or ())
-        record = {"run": run.__name__, "nodes": 0, "splits": 0, "leaves": []}
-        trees.append(record)
-
-        def counted(assign, resume, *split):
-            record["nodes"] += 1
-
-            def in_place(p, resume):
-                record["splits"] += p >= owned_from
-                bit = split[0](p, resume)
-                record["nodes"] += 1
-                return bit
-
-            try:
-                return run(assign, resume, *(in_place,)[:len(split)])
-            except (inversion._Fork, RefFork) as fork:
-                record["splits"] += fork.position >= owned_from
-                raise
-
-        for assign, result in tree(counted, node_budget, exhausted, owned_from, roots):
-            record["leaves"].append(
+    def recorded(run, grown):
+        tree = {"run": run.__name__, "nodes": 0, "splits": 0, "class splits": 0, "leaves": []}
+        trees.append(tree)
+        for assign, result in grown(tree):
+            tree["leaves"].append(
                 (assign, (result.positions_read(), result.use) if isinstance(result, OracleTape)
                  else result))
             yield assign, result
 
-    with mock.patch.object(inversion, "_fork_tree", functools.partial(recording, library)), \
-            mock.patch.dict(globals(), ref_fork_tree=functools.partial(recording, reference)):
-        got = outcome(search, RealFunction(fn.name, emit), *args)
-    return got, trees, runs, resumed
+    def split_kind(p, owned_from):
+        return "splits" if p >= owned_from else "class splits"
+
+    def library_tree(run, roots, node_budget=float("inf"), exhausted=None, owned_from=0):
+        def grown(tree):
+            def counted(assign, tape, continuation, split):
+                tree["nodes"] += 1
+
+                def in_place(p, continuation):
+                    tree[split_kind(p, owned_from)] += 1
+                    bit = split(p, continuation)
+                    tree["nodes"] += 1
+                    return bit
+
+                return run(assign, tape, continuation, in_place)
+
+            return library(counted, roots, node_budget, exhausted, owned_from)
+
+        return recorded(run, grown)
+
+    def reference_tree(run, node_budget=float("inf"), exhausted=None, owned_from=0, roots=None):
+        def grown(tree):
+            def counted(assign, resume):
+                tree["nodes"] += 1
+                try:
+                    return run(assign, resume)
+                except RefFork as fork:
+                    tree[split_kind(fork.position, owned_from)] += 1
+                    raise
+
+            return reference(counted, node_budget, exhausted, owned_from, roots)
+
+        return recorded(run, grown)
+
+    with mock.patch.object(inversion, "_fork_tree", library_tree), \
+            mock.patch.dict(globals(), ref_fork_tree=reference_tree):
+        got, runs = emitter_runs(search, fn, *args)
+    return got, trees, runs
 
 
-def probe_search(count, f, y, depth, probe_len=None):
-    """count(f, y, depth, probe_len), a fiber count, with what its probe
-    search did: (the count, the extendable (class, witness reads) pairs in
-    order, probe emitter runs, probe trees that resumed a split search)."""
-    got, trees, runs, resumed = engine_work(count, f, y, depth, probe_len)
-    leaves = [leaf for tree in trees if tree["run"] == "witness_reads" for leaf in tree["leaves"]]
-    return got, leaves, runs["fiber-probe"], resumed
+def fiber_work(count, f, y, depth, probe_len=None):
+    """count(f, y, depth, probe_len), a fiber count, with what it did: (the
+    count, its class-level trees, the extendable (class below the depth,
+    witness reads) pairs in order, class splits, probe splits, emitter runs
+    by tape source).  Every engine's probe trees yield the first passing
+    leaf of a class, so the pairs are their leaves."""
+    got, trees, runs = engine_work(count, f, y, depth, probe_len)
+    probes = [tree for tree in trees if tree["run"] == "continuation"]
+    pairs = [({p: b for p, b in assign.items() if p < depth}, reads)
+             for tree in probes for assign, reads in tree["leaves"]]
+    return (got, [tree for tree in trees if tree["run"] == "grow"], pairs,
+            sum(tree["class splits"] for tree in probes), sum(tree["splits"] for tree in probes),
+            runs)
 
 
 # ------------------------------------------------------------ fiber fixtures
@@ -722,6 +759,163 @@ def test_library_matches_pinned_reference_counts():
             assert fiber_branch_count(f, y, depth) == FiberCount(*PINNED[name]), name
 
 
+# the library's work before a class split below the depth went on in place
+# in the probe's one tree: (probe emitter runs, all emitter runs) on every
+# fiber fixture, and emitter runs on every dovetail fixture.  No fixture may
+# take more.
+FIBER_WORK = {
+    'identity 1011 d4': (0, 12),
+    'identity-fn 1011 d4': (0, 12),
+    'double 11 d4': (0, 7),
+    'far 0 d2': (2, 5),
+    'two1 stuck y30 d8': (111, 137),
+    'two1 climb y68 d8': (168, 184),
+    'two2 stuck y94 d16': (161, 206),
+    'two1 marker-differential d8': (152, 168),
+    'c07 two1 stuck d8': (111, 137),
+    'c07 two1 stuck d16': (404, 457),
+    'c07 two1 climb d8': (168, 184),
+    'c07 two1 climb d16': (641, 680),
+    'c07 two2 hit d16': (615, 676),
+    'c07 two2 empty d16': (161, 206),
+    'c07 random 0 d8': (255, 271),
+    'c07 random 0 d12': (335, 366),
+    'c07 random 0 d16': (749, 788),
+    'c07 random 1 d8': (192, 208),
+    'c07 random 1 d12': (267, 298),
+    'c07 random 1 d16': (745, 784),
+    'c07 random 2 d8': (196, 212),
+    'c07 random 2 d12': (422, 453),
+    'c07 random 2 d16': (681, 720),
+    'c07 random 3 d8': (87, 113),
+    'c07 random 3 d12': (443, 484),
+    'c07 random 3 d16': (609, 662),
+    'c07 two2 seeded 0 d8': (335, 356),
+    'c07 two2 seeded 1 d8': (332, 353),
+    'perf two1 stuck d8 x101': (112, 138),
+    'perf two1 stuck d12 x101': (408, 449),
+    'perf two1 stuck d16 x101': (410, 463),
+    'perf two1 stuck d20 x101': (1295, 1369),
+    'perf two1 climb d8 x101': (168, 184),
+    'perf two1 climb d12 x101': (387, 418),
+    'perf two1 climb d16 x101': (637, 676),
+    'perf two1 climb d20 x101': (967, 1025),
+    'perf two2 hit d16 x101': (612, 673),
+    'perf two2 nohit d16 x101': (161, 206),
+    'perf double d16 x101': (11, 44),
+    'perf double d18 x101': (12, 49),
+    'perf double d20 x101': (13, 54),
+    'perf two1 stuck d8 x202': (114, 140),
+    'perf two1 stuck d12 x202': (411, 452),
+    'perf two1 stuck d16 x202': (408, 461),
+    'perf two1 stuck d20 x202': (1301, 1375),
+    'perf two1 climb d8 x202': (165, 181),
+    'perf two1 climb d12 x202': (385, 416),
+    'perf two1 climb d16 x202': (640, 679),
+    'perf two1 climb d20 x202': (969, 1027),
+    'perf two2 hit d16 x202': (613, 674),
+    'perf two2 nohit d16 x202': (161, 206),
+    'perf double d16 x202': (13, 46),
+    'perf double d18 x202': (14, 51),
+    'perf double d20 x202': (15, 56),
+    'perf two1 stuck d8 x303': (111, 137),
+    'perf two1 stuck d12 x303': (411, 452),
+    'perf two1 stuck d16 x303': (405, 458),
+    'perf two1 stuck d20 x303': (1302, 1376),
+    'perf two1 climb d8 x303': (168, 184),
+    'perf two1 climb d12 x303': (390, 421),
+    'perf two1 climb d16 x303': (642, 681),
+    'perf two1 climb d20 x303': (971, 1029),
+    'perf two2 hit d16 x303': (631, 692),
+    'perf two2 nohit d16 x303': (161, 206),
+    'perf double d16 x303': (13, 46),
+    'perf double d18 x303': (14, 51),
+    'perf double d20 x303': (16, 57),
+    'bare two1 stuck d8': (43, 69),
+    'bare two1 stuck d12': (174, 215),
+    'bare two1 stuck d16': (729, 782),
+    'bare two1 climb d8': (109, 125),
+    'bare two1 climb d12': (347, 378),
+    'bare two1 climb d16': (1602, 1641),
+    'simple d6': (0, 23),
+    'simple d10': (0, 38),
+    'surj d6': (25, 38),
+    'surj d10': (37, 58),
+    'witness-shift d6': (27, 47),
+    'witness-shift d10': (47, 79),
+}
+
+DOVETAIL_WORK = {
+    'surj w12 sigma= n=2': 2,
+    'surj w12 sigma= n=3': 1,
+    'surj w12 sigma=1 n=2': 2,
+    'surj w00 n=0': 2,
+    'half n=1': 2,
+    'deep budget 50': 1,
+    'collatz32 n=0': 1,
+    'collatz32 n=1': 2,
+    'collatz32 n=2': 2,
+    'collatz32 n=3': 2,
+    'collatz32 n=4': 2,
+    'collatz32 n=5': 2,
+    'collatz32 n=6': 2,
+    'collatz32 n=7': 2,
+    'collatz32 n=8': 2,
+    'collatz32 n=9': 2,
+    'collatz32 n=10': 2,
+    'collatz32 n=11': 2,
+    'collatz32 n=12': 2,
+    'collatz32 n=13': 2,
+    'collatz32 n=14': 2,
+    'collatz32 n=15': 2,
+    'collatz32 n=16': 2,
+    'collatz32 n=17': 2,
+    'collatz32 n=18': 2,
+    'collatz32 n=19': 2,
+    'collatz32 n=20': 2,
+    'collatz32 n=21': 2,
+    'collatz32 n=22': 2,
+    'collatz32 n=23': 2,
+    'collatz32 n=24': 2,
+    'collatz32 n=25': 2,
+    'collatz32 n=26': 2,
+    'collatz32 n=27': 2,
+    'collatz32 n=28': 2,
+    'collatz32 n=29': 2,
+    'collatz32 n=30': 2,
+    'collatz32 n=31': 2,
+    'sweep 0': 1,
+    'sweep 1': 2,
+    'sweep 2': 1,
+    'sweep 3': 1,
+    'sweep 4': 1,
+    'sweep 5': 1,
+    'scanner 300': 301,
+}
+
+
+def assert_within_pinned_work(names):
+    """The library's work on the fiber fixtures `names` and on every dovetail
+    fixture, against the pinned table."""
+    for name in names:
+        f, y, depth = fiber_fixtures()[name]
+        _, runs = emitter_runs(fiber_branch_count, f, y, depth)
+        probe, total = FIBER_WORK[name]
+        assert runs["fiber-probe"] <= probe and sum(runs.values()) <= total, name
+    for name, (g, *args) in dovetail_fixtures().items():
+        _, runs = emitter_runs(_dovetail_leaves, g, *args)
+        assert sum(runs.values()) <= DOVETAIL_WORK[name], name
+
+
+def test_pinned_work_covers_every_fixture():
+    assert sorted(FIBER_WORK) == sorted(fiber_fixtures())
+    assert sorted(DOVETAIL_WORK) == sorted(dovetail_fixtures())
+
+
+def test_library_work_stays_within_the_pinned_table():
+    assert_within_pinned_work(name for name in fiber_fixtures() if not run_once(name))
+
+
 def test_library_matches_live_reference_to_depth_8():
     for name, (f, y, depth) in fiber_fixtures().items():
         if depth <= 8:
@@ -790,7 +984,6 @@ def assert_engines_agree(searches, fn, *args):
     at least as many emitter runs in the reference.  Returns both works."""
     lib, ref = (engine_work(search, fn, *args) for search in searches)
     assert lib[:2] == ref[:2]
-    assert lib[3] == ref[3]
     assert sum(lib[2].values()) <= sum(ref[2].values())
     return lib, ref
 
@@ -807,13 +1000,37 @@ def test_engines_agree_on_class_levels():
     assert reruns > 0
 
 
+def fibers_agree(count, f, y, depth, probe_len=None):
+    """The library's fiber count and `count`'s on one fixture: the same
+    count, class-level trees, extendable (class below the depth, witness
+    reads) pairs in order and class splits.  Returns both works."""
+    lib, ref = (fiber_work(c, f, y, depth, probe_len) for c in (fiber_branch_count, count))
+    assert lib[:4] == ref[:4]
+    return lib, ref
+
+
+def assert_engines_agree_on_fiber(f, y, depth, probe_len=None):
+    """fibers_agree with the exception-based engine, which also makes the
+    same probe splits and at least as many emitter runs."""
+    lib, ref = fibers_agree(ref_engine_fiber_branch_count, f, y, depth, probe_len)
+    assert lib[4] == ref[4]
+    assert sum(lib[5].values()) <= sum(ref[5].values())
+    return lib, ref
+
+
+def assert_resuming_matches_restart(f, y, depth, probe_len=None):
+    """fibers_agree with the restart, which makes at least as many probe runs."""
+    lib, restart = fibers_agree(restart_fiber_branch_count, f, y, depth, probe_len)
+    assert lib[5]["fiber-probe"] <= restart[5]["fiber-probe"]
+    return lib, restart
+
+
 def test_engines_agree_on_pinned_fibers():
     fewer = 0
     for name, (f, y, depth) in fiber_fixtures().items():
-        lib, ref = assert_engines_agree((ENGINES["library"][0], ENGINES["reference"][0]),
-                                        f, y, depth)
+        lib, ref = assert_engines_agree_on_fiber(f, y, depth)
         assert lib[0] == FiberCount(*PINNED[name]), name
-        fewer += lib[2]["fiber-probe"] < ref[2]["fiber-probe"]
+        fewer += lib[5]["fiber-probe"] < ref[5]["fiber-probe"]
     assert fewer > 0
 
 
@@ -822,18 +1039,14 @@ def test_engines_agree_on_dovetail_leaves():
         assert_engines_agree((ENGINES["library"][1], ENGINES["reference"][1]), g, *args)
 
 
-def assert_resuming_matches_restart(f, y, depth, probe_len=None):
-    lib = probe_search(fiber_branch_count, f, y, depth, probe_len)
-    ref = probe_search(restart_fiber_branch_count, f, y, depth, probe_len)
-    assert lib[:2] == ref[:2]
-    assert lib[2] <= ref[2]
-    return lib
-
-
 def test_resumed_probe_search_matches_restart_on_every_fixture():
-    resumed = sum(assert_resuming_matches_restart(f, y, depth)[3]
-                  for f, y, depth in fiber_fixtures().values())
-    assert resumed > 0
+    # the restart reruns every probe run a split class made before its split
+    class_splits = fewer = 0
+    for f, y, depth in fiber_fixtures().values():
+        lib, restart = assert_resuming_matches_restart(f, y, depth)
+        class_splits += lib[3]
+        fewer += lib[5]["fiber-probe"] < restart[5]["fiber-probe"]
+    assert class_splits > 0 and fewer > 0
 
 
 def test_bit_failing_after_a_fork_leaves_no_witness_reads():
@@ -854,16 +1067,16 @@ def test_fiber_count_branches_a_tape_at_most_once_per_surviving_class(monkeypatc
     # the searches roll one tape back at every fork; only a class that
     # survives a forked level tree takes a copy, so thousands of forks here
     # make no more copies than there are classes.  A probe tape is copied
-    # once per class split below the depth, for the second half.
+    # once per class split below the depth, for its 1 half.
     f, y, depth = fiber_fixtures()["c07 two2 hit d16"]
     branch, copies = OracleTape.branch, []
     monkeypatch.setattr(OracleTape, "branch",
                         lambda tape, source: copies.append(tape.source.spec) or
                         branch(tape, source))
-    got, _, _, resumed = probe_search(fiber_branch_count, f, y, depth)
+    got, _, _, class_splits, _, _ = fiber_work(fiber_branch_count, f, y, depth)
     assert got == FiberCount(*PINNED["c07 two2 hit d16"])
     made = copies.count("preimage-class")
-    assert 0 < copies.count("fiber-probe") == resumed / 2 == len(copies) - made
+    assert 0 < copies.count("fiber-probe") == class_splits == len(copies) - made
     levels = _class_levels(Representation(f, depth, len(y)), finite(y))
     assert 0 < made <= sum(len(level) for level in levels)
 
@@ -886,18 +1099,18 @@ def test_a_search_builds_one_fork_source():
     # and trees builds one source per engine it runs, not one per node
     from test_preimage_differential import invert_tree_fixtures  # it imports this module
     rep, y, bits = invert_tree_fixtures()["witness:double"]  # depth 40
-    (word, trees, _, _), specs = fork_sources(
+    (word, trees, _), specs = fork_sources(
         lambda f, y: unique_path_invert(Representation(f, rep.depth, rep.out_cap), y, bits),
         rep.f, y)
     assert len(word) == bits and specs == ["preimage-class"]
     assert sum(tree["nodes"] for tree in trees) > 40
     name = "c07 two1 stuck d16"
     f, y, depth = fiber_fixtures()[name]
-    (got, trees, _, _), specs = fork_sources(fiber_branch_count, f, y, depth)
+    (got, trees, _), specs = fork_sources(fiber_branch_count, f, y, depth)
     assert got == FiberCount(*PINNED[name]) and sorted(specs) == ["fiber-probe", "preimage-class"]
-    assert sum(tree["run"] == "continuation" for tree in trees) > 1  # probe trees
+    assert sum(tree["nodes"] for tree in trees if tree["run"] == "continuation") > 40  # probes
     for name, (g, *args) in dovetail_fixtures().items():
-        (_, trees, _, _), specs = fork_sources(_dovetail_leaves, g, *args)
+        (_, trees, _), specs = fork_sources(_dovetail_leaves, g, *args)
         assert specs == ["dovetail-candidate"] and len(trees) == 1, name
 
 
@@ -1016,7 +1229,7 @@ def test_resumed_probe_search_matches_restart(case):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(fiber_cases())
 def test_engines_agree_on_drawn_fibers(case):
-    assert_engines_agree((ENGINES["library"][0], ENGINES["reference"][0]), *case)
+    assert_engines_agree_on_fiber(*case)
 
 
 # ------------------------------------------- property: rollback is a branch
@@ -1189,27 +1402,27 @@ def two1(z, depth):
 
 def main() -> int:
     """Rerun the reference, the restart and the exception-based engine on
-    every fixture; print the reference's counts and, for the library and
-    the exception-based engine, the splits and emitter runs.  Then the
-    library's probe runs on the two2 hit and two1 fixtures as their targets
-    grow."""
+    every fixture, and check the library against them, PINNED and the
+    pinned work; print the reference's counts and, for the library and the
+    exception-based engine, the class splits, probe splits and emitter
+    runs.  Then the library's probe runs on the two2 hit and two1 fixtures
+    as their targets grow."""
     bad = 0
-    print("fixture: (branches, surviving), splits, emitter runs library/reference engine, "
-          "probe runs library/restart")
+    print("fixture: (branches, surviving), class splits, probe splits, "
+          "emitter runs library/reference engine, probe runs library/restart/pinned")
     for name, (f, y, depth) in fiber_fixtures().items():
         want = ref_fiber_branch_count(f, y, depth)
-        lib, ref = (engine_work(ENGINES[engine][0], f, y, depth) for engine in ENGINES)
-        got, leaves, runs, _ = probe_search(fiber_branch_count, f, y, depth)
-        restart = probe_search(restart_fiber_branch_count, f, y, depth)
-        work = [(sum(tree["splits"] for tree in trees), sum(counts.values()))
-                for _, trees, counts, _ in (lib, ref)]
-        ok = got == want and PINNED.get(name) == (want.branches, want.surviving) and \
-            restart[:2] == (got, leaves) and runs <= restart[2] and lib[:2] == ref[:2] and \
-            work[0][0] == work[1][0] and work[0][1] <= work[1][1]
+        lib, ref, restart = (fiber_work(count, f, y, depth) for count in (
+            fiber_branch_count, ref_engine_fiber_branch_count, restart_fiber_branch_count))
+        runs = [sum(work[5].values()) for work in (lib, ref)]
+        probe_runs = [work[5]["fiber-probe"] for work in (lib, restart)]
+        ok = lib[0] == want and PINNED.get(name) == (want.branches, want.surviving) and \
+            lib[:4] == ref[:4] == restart[:4] and lib[4] == ref[4] and runs[0] <= runs[1] and \
+            probe_runs[0] <= probe_runs[1]
         bad += not ok
         print(f"{'ok ' if ok else 'BAD'} {name!r}: ({want.branches}, {want.surviving}),"
-              f"  # {work[0][0]} splits, {work[0][1]}/{work[1][1]} runs,"
-              f" {runs}/{restart[2]} probe runs")
+              f"  # {lib[3]} class splits, {lib[4]} probe splits, {runs[0]}/{runs[1]} runs,"
+              f" {probe_runs[0]}/{probe_runs[1]}/{FIBER_WORK[name][0]} probe runs")
     for label, fixture, depths in (("two2 hit", two2_hit, (8, 16, 24, 32)),
                                    ("two1 stuck", functools.partial(two1, zeros()),
                                     (8, 12, 16, 20)),
@@ -1218,8 +1431,13 @@ def main() -> int:
         print(f"{label}: depth, target bits, probe runs, runs per target bit")
         for depth in depths:
             f, y = fixture(depth)
-            _, _, runs, _ = probe_search(fiber_branch_count, f, y, depth)
+            runs = emitter_runs(fiber_branch_count, f, y, depth)[1]["fiber-probe"]
             print(f"  {depth:>2} {len(y):>6} {runs:>7} {runs / len(y):>6.2f}")
+    try:
+        assert_within_pinned_work(fiber_fixtures())
+    except AssertionError as exc:
+        bad += 1
+        print(f"BAD pinned work: {exc}")
     args = (_scanner(1200), "", 0, 100000, DEFAULT_BUDGET)
     lib, ref = (engine_work(ENGINES[engine][1], *args) for engine in ENGINES)
     ok = lib[0] == ref_dovetail_leaves(*args) and lib[:2] == ref[:2]
