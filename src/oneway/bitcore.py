@@ -189,7 +189,7 @@ def data_records(path: str, what: str, usage: str, fields: tuple[Callable[[str],
     SpecParseError("cannot read <what><path>: ..."); the first bad line in
     file order raises SpecParseError("<path>:<line>: expected <usage>") for a
     wrong field count, "<path>:<line>: <message>" for a parser's ValueError,
-    or a bad horizon directive or value."""
+    or a bad horizon directive or value (a negative one among them)."""
     try:
         with open(path) as fh:
             lines = list(enumerate(fh, 1))
@@ -211,7 +211,7 @@ def data_records(path: str, what: str, usage: str, fields: tuple[Callable[[str],
             raise SpecParseError(f"{path}:{lineno}: bad horizon directive")
         else:
             try:
-                horizon = int(parts[1])
+                horizon = check_natural(int(parts[1]), "horizon")
             except ValueError as exc:
                 raise SpecParseError(f"{path}:{lineno}: bad horizon value") from exc
     return horizon, records

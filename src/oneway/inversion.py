@@ -12,13 +12,15 @@ splits a computation at the first open position it reads, so a leaf stands
 for every word that agrees with its read pattern.  The read answers 0 and
 that half goes on in place; the other half later redoes the read's bit with
 a 1 there, on the search's one tape rolled back to the read.  Every node
-reads through its search's one fork source.  `_class_levels` grows such read
-classes one barrier position at a time, to its `Representation`'s depth;
-unique-path inversion, `preimage_tree` and fiber counts read its levels, the
-last probing the surviving classes, on their level tapes, as the roots of
-one more tree, in which a read below the depth splits the class itself.  The
-randomized extraction collects halting patterns in (length, lex) order until
-they cover over half the cylinder.
+reads through its search's one fork source, which reads the search's one
+`_Node`: the tree alone sets its split and, per root, its assignment and
+waiting halves.  `_class_levels` grows such read classes one barrier
+position at a time, to its `Representation`'s depth; unique-path inversion,
+`preimage_tree` and fiber counts read its levels, the last probing the
+surviving classes, on their level tapes, as the roots of one more tree, in
+which a read below the depth splits the class itself.  The randomized
+extraction collects halting patterns in (length, lex) order until they cover
+over half the cylinder.
 
 Inside the engine a bit is the int 0 or 1 and an assignment is a dict
 position → bit.  Words and `PartialAssignment`s are built only at the API
@@ -56,7 +58,6 @@ from .errors import (
     UseSoundnessError,
 )
 from .streams import (
-    DEFAULT_BUDGET,
     MAX_BITS,
     BitSource,
     OracleTape,
@@ -106,36 +107,25 @@ def _class_levels(rep: Representation,
                   y: BitSource) -> Iterator[list[tuple[dict[int, int], OracleTape]]]:
     """Level d = 0..rep.depth: the read classes of the length-d words whose image
     under rep is a prefix of y, as (assignment, tape holding the image).  A
-    class reruns on its own tape with the barrier at d+1 and splits only
-    where a bit reads an open position: the 0 half goes on in place, the 1
-    half later reruns the bit on the tape rolled back to the split.  A
-    surviving half takes a branch of the tape to the next level while a
-    half is still pending on it.  All classes read through one fork source."""
-    pending = 0  # halves of the current tree waiting on its tape
+    class reruns on its own tape, its barrier moved to d+1 before the
+    level's tree runs, and splits only where a bit reads an open position:
+    the 0 half goes on in place, the 1 half later reruns the bit on the tape
+    rolled back to the split.  A surviving half takes a branch of the tape
+    to the next level while the tree's node still holds a half pending on
+    its root.  All classes read through one fork source."""
     node = _Node()
+    source = _fork_source("preimage-class", (), node)
 
-    def guess(p: int) -> int:
-        nonlocal pending
-        pending += 1
-        return node.split(p, True)
-
-    source = _fork_source("preimage-class", (), node, guess)
-
-    def grow(assign: dict[int, int], tape: OracleTape, rerun: bool,
-             split: Callable[[int, Any], int]) -> Optional[OracleTape]:
-        nonlocal pending
-        node.assign, node.split = assign, split
-        if rerun:
-            pending -= 1
-        else:
-            tape.barrier = barrier
+    def grow(tape: OracleTape, _continuation: None) -> Optional[OracleTape]:
         image = barrier_image(rep.f, tape, rep.out_cap, y)
-        return None if image is None else tape.branch(source) if pending else tape
+        return None if image is None else tape.branch(source) if node.pending else tape
 
-    level = [({}, OracleTape(source, budget=rep.budget))]  # class tapes: it or branches
+    level = [({}, OracleTape(source))]  # class tapes: it or branches
     for barrier in range(rep.depth + 1):
-        level = list(_fork_tree(grow, [(assign, tape, [(0, {}, (None, False))])
-                                       for assign, tape in reversed(level)]))
+        for _, tape in level:
+            tape.barrier = barrier
+        level = list(_fork_tree(grow, node, [(assign, tape, [(0, {}, (None, None))])
+                                             for assign, tape in reversed(level)]))
         yield level
 
 
@@ -288,8 +278,7 @@ def _extract(g: InverterUnderTest, w: StagedEnumeration, n: int, via: str, y: Bi
     return ExtractionVerdict(n, member, use, stage, via, evidence)
 
 
-def _fork_tree(run: Callable[[dict[int, int], OracleTape, Any, Callable[[int, Any], int]],
-                        object],
+def _fork_tree(run: Callable[[OracleTape, Any], object], node: _Node,
                roots: list, node_budget: float = float("inf"),
                exhausted: Optional[DeskError] = None, owned_from: int = 0
                ) -> Iterator[tuple[dict[int, int], Any]]:
@@ -300,11 +289,13 @@ def _fork_tree(run: Callable[[dict[int, int], OracleTape, Any, Callable[[int, An
     fresh root has the one node (0, {}, (None, continuation)).  The tree
     owns the tapes: it takes the checkpoint at each split and rolls the
     root's tape back to it before the split's other half runs, so a resume
-    is (checkpoint, the run's own continuation).
-    `run(assignment, tape, continuation, split)` reads through its search's
-    one `_fork_source`, pointed at the run's node on entry; a first read of
-    a position p the assignment leaves open calls split(p, continuation),
-    with what the other half needs to redo the read's bit.
+    is (checkpoint, the run's own continuation).  It also sets the search's
+    `node`: `split` once, and as it pops each root, `assign` and `pending`,
+    the root's stack of waiting halves.
+    `run(tape, continuation)` reads through its search's one `_fork_source`,
+    which reads `node`; a first read of a position p the assignment leaves
+    open calls node.split(p, continuation), with what the other half needs
+    to redo the read's bit.
     The node splits on p, 0 before 1.  Child 0 goes on in place: split
     counts it as a node, pushes child 1, sets p to 0 in the assignment, and
     the read returns 0, so a split costs one rerun, child 1's.  Child 0's
@@ -341,9 +332,11 @@ def _fork_tree(run: Callable[[dict[int, int], OracleTape, Any, Callable[[int, An
             raise exhausted
         return 0
 
+    node.split = split
     while roots:
         root, tape, stack = roots.pop()
         base, assign = len(root), dict(root)
+        node.assign, node.pending = assign, stack
         while stack:
             size, guess, (checkpoint, continuation) = stack.pop()
             while len(assign) > base + size:
@@ -354,21 +347,23 @@ def _fork_tree(run: Callable[[dict[int, int], OracleTape, Any, Callable[[int, An
             nodes += 1
             if nodes > node_budget:
                 raise exhausted
-            result = run(assign, tape, continuation, split)
+            result = run(tape, continuation)
             if result is not None:
                 yield dict(assign), result
 
 
 class _Node:
-    """The running node of a search, as its one fork source reads it: a run sets
-    `assign` and `split` on entry, a probe also `at`."""
+    """The running node of a search, as its one fork source reads it:
+    `_fork_tree` sets `split`, `assign` and `pending`; a probe also sets `at`."""
 
 
 def _fork_source(spec: str, prefix: tuple[int, ...], node: _Node,
-                 guess: Callable[[int], int]) -> BitSource:
+                 guess: Optional[Callable[[int], int]] = None) -> BitSource:
     """The bits of `prefix`, then the running node's assignment; a read
-    anywhere else is guess(i).  A search builds one, not one per node."""
+    anywhere else is guess(i), by default the node's plain split.  A search
+    builds one, not one per node."""
     k = len(prefix)
+    guess = guess or (lambda i: node.split(i, None))
 
     def bit_at(i: int) -> int:
         b = prefix[i] if i < k else node.assign.get(i)
@@ -433,7 +428,7 @@ class DovetailRecord:
 
 
 def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
-                     node_budget: int, run_budget: int) -> list[DovetailLeaf]:
+                     node_budget: int) -> list[DovetailLeaf]:
     """Fork tree of g's computation of one output bit over ⟦sigma⟧.
 
     Reads below |sigma| are answered by sigma; the first unassigned read at
@@ -441,19 +436,16 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
     tape back to it.  Diverging paths are dropped: their words never halt.
     """
     node = _Node()
-    tape = OracleTape(_fork_source("dovetail-candidate", tuple(map(int, sigma)), node,
-                                   lambda p: node.split(p, None)), budget=run_budget)
+    tape = OracleTape(_fork_source("dovetail-candidate", tuple(map(int, sigma)), node))
 
-    def run(assign: dict[int, int], tape: OracleTape, _continuation: None,
-            split: Callable[[int, Any], int]) -> Optional[int]:
-        node.assign, node.split = assign, split
+    def run(tape: OracleTape, _continuation: None) -> Optional[int]:
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
         f"dovetail fork tree exceeded {node_budget} nodes; "
         f"inverter reads do not settle over ⟦{sigma or 'ε'}⟧")
     leaves: list[DovetailLeaf] = []
-    for assign, use in _fork_tree(run, [({}, tape, [(0, {}, (None, None))])],
+    for assign, use in _fork_tree(run, node, [({}, tape, [(0, {}, (None, None))])],
                                   node_budget, exhausted):
         length = max(use, len(sigma))
         leaves.append(DovetailLeaf(_pattern(assign), use, length,
@@ -463,8 +455,7 @@ def _dovetail_leaves(g: RealFunction, sigma: Word, bit_index: int,
 
 def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
                        w: StagedEnumeration, n: int,
-                       node_budget: int = 100000,
-                       run_budget: int = DEFAULT_BUDGET) -> ExtractionVerdict:
+                       node_budget: int = 100000) -> ExtractionVerdict:
     """Decide membership of n from a total inverter over the cylinder ⟦sigma⟧.
 
     Dovetail the inverter's bit 2n over all words compatible with sigma in
@@ -478,10 +469,10 @@ def extract_randomized(g: InverterUnderTest, f: RealFunction, sigma: Word,
     if not g.binary:
         raise ValueError("extract_randomized takes a binary inverter over y⊕r")
     check_natural(n, "element")  # before the audit and the search, which would name g's bit 2n
-    check_natural(node_budget, "node budget")  # the run budget: the audit's tape, before any run
+    check_natural(node_budget, "node budget")  # before the audit runs g
     _audit(f, g, interleaved(finite(sigma), zeros()), range(max(len(sigma), n) + 1),
-           f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs from y", run_budget)
-    leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget, run_budget)
+           f"inverter fails over ⟦{sigma or 'ε'}⟧: f(g(y,r)) differs from y")
+    leaves = _dovetail_leaves(g.g, sigma, 2 * n, node_budget)
     leaves.sort(key=lambda leaf: (leaf.length, leaf.pattern(sigma)))
     threshold = Fraction(1, 2 ** (len(sigma) + 1))
     collected, words_collected, crossing = Fraction(0), 0, None
@@ -627,20 +618,18 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
 
     source = _fork_source("fiber-probe", (), probe, guess)
 
-    def continuation(assign: dict[int, int], tape: OracleTape, resume: tuple,
-                     split: Callable[[int, Any], int]) -> Optional[tuple[int, ...]]:
+    def continuation(tape: OracleTape, resume: tuple) -> Optional[tuple[int, ...]]:
         """Positions the passing bits read under one guess; None on a mismatch.
         It checks the output bits `queue`, then `tail` to n_out-1, skipping
         guesses; at an open read during bit j, `guess` queues the position
         and hands the 1 half j, that queue and the tail."""
         queue, tail = resume
-        probe.assign, probe.split = assign, split
         while queue or tail < n_out:
             if queue:
                 j, queue = queue[0], queue[1:]
             else:
                 j, tail = tail, tail + 1
-                if j >= depth and j in assign:  # a guess: the queue checked it
+                if j >= depth and j in probe.assign:  # a guess: the queue checked it
                     continue
             if next(runs, None) is None:
                 raise exhausted
@@ -660,7 +649,8 @@ def fiber_branch_count(f: RealFunction, y_prefix: Word, depth: int,
         roots.append((assign, tape, [(0, {}, (None, ((), len(tape.state.pop(f)))))]))
     extendable = []
     while roots:  # the first passing leaf of a root: its class is extendable
-        extendable += itertools.islice(_fork_tree(continuation, roots, budget, exhausted, depth), 1)
+        extendable += itertools.islice(
+            _fork_tree(continuation, probe, roots, budget, exhausted, depth), 1)
     if not extendable:
         return FiberCount(0, surviving)
     inside = [p for p in min(extendable, key=lambda e: _word_order(e[0], depth))[1] if p < depth]
@@ -687,9 +677,8 @@ class FiniteStageOutcome:
 
 
 def inverts_at_finite_stage(f: RealFunction, g: InverterUnderTest,
-                            y: BitSource, n: int,
-                            budget: int = DEFAULT_BUDGET) -> FiniteStageOutcome:
-    """Does f(g(y)) agree with y on the first n bits, within budget?
+                            y: BitSource, n: int) -> FiniteStageOutcome:
+    """Does f(g(y)) agree with y on the first n bits, within the step budget?
 
     A binary inverter reads a joined input y⊕r, so for it `y` is that join
     and f(g(y⊕r)) is compared with its even half, the y it inverts.  A
@@ -697,16 +686,16 @@ def inverts_at_finite_stage(f: RealFunction, g: InverterUnderTest,
     Consistent runs may still hide failures past n; refutation is final and
     monotone in n (the same first disagreement refutes every deeper check).
     """
-    return _agreement(f, g, y, range(n), budget)
+    return _agreement(f, g, y, range(n))
 
 
 def _agreement(f: RealFunction, g: InverterUnderTest, y: BitSource,
-               positions: Iterable[int], budget: int) -> FiniteStageOutcome:
+               positions: Iterable[int]) -> FiniteStageOutcome:
     """f(g(y)) against y at `positions` in order, up to the first bit that
     differs or has no value (a divergence of g or of f).  f runs on one tape
     over x = g(y), which keeps its bits: f may read one twice."""
-    x = output_source(g.g, y, budget=budget)
-    tape = OracleTape(x, budget=budget)
+    x = output_source(g.g, y)
+    tape = OracleTape(x)
     stride = 2 if g.binary else 1
     for m in positions:
         try:
@@ -721,11 +710,11 @@ def _agreement(f: RealFunction, g: InverterUnderTest, y: BitSource,
 
 
 def _audit(f: RealFunction, g: InverterUnderTest, y: BitSource, positions: Iterable[int],
-           failure: str, budget: int = DEFAULT_BUDGET) -> None:
+           failure: str) -> None:
     """An extractor's premise that g inverts f at y, checked at `positions`:
     `failure` and the bit where f(g(y)) differs from y is a ConsistencyError,
     a bit without a value a DivergenceError."""
-    outcome = _agreement(f, g, y, positions, budget)
+    outcome = _agreement(f, g, y, positions)
     if outcome.state == "refuted":
         raise ConsistencyError(f"{failure} at bit {outcome.index}")
     if outcome.state == "diverged":

@@ -17,7 +17,8 @@ copies input bit sel(m)) over a kernel slices its bits from one prefix by
 its map as data, a `Gather`, where that map holds; the rest emit bit by bit.
 
 Partiality is desk-scale: `OracleTape.emit` gives each output bit a step
-budget (one step per tape read, default 10^6), and budget exhaustion
+budget (one step per tape read).  The tape is the one place it is set, and
+every tape the library opens keeps the default 10^6.  Budget exhaustion
 surfaces as a divergence error, never nontermination.  Work an emitter keeps
 on the tape across bits is paid for once, by the bit that does it: an even
 bit 2s of a two-to-one map pays only for the marker stages no earlier bit
@@ -419,19 +420,18 @@ class EvalResult:
         return iter((self.output, self.use))
 
 
-def evaluate(f: RealFunction, x: BitSource, n: int,
-             budget: int = DEFAULT_BUDGET) -> EvalResult:
+def evaluate(f: RealFunction, x: BitSource, n: int) -> EvalResult:
     """First n output bits of f on x, plus the exact oracle-use.
 
     One tape serves all n bits, so `use` covers the whole prefix
-    computation; the step budget is per output bit.  A built-in selection's
-    bits come from its `gather` when it applies (x has a kernel, budget > 0,
+    computation; the tape's step budget is per output bit.  A built-in
+    selection's bits come from its `gather` when it applies (x has a kernel,
     n ≤ bound); any other function's, and theirs otherwise, from n `emit` calls.
     An emitted value other than 0 or 1 (False and True count as those) is a ValueError.
     """
     check_natural(n, "bit count", MAX_BITS)
-    tape, g = OracleTape(x, budget=budget), f.gather
-    if g and x.prefix and budget > 0 and n <= g.bound:
+    tape, g = OracleTape(x), f.gather
+    if g and x.prefix and n <= g.bound:
         bits, tape.use = g.take(x.prefix, n)
     else:
         bits = [tape.emit(f, m) for m in range(n)]
@@ -444,10 +444,9 @@ def evaluate(f: RealFunction, x: BitSource, n: int,
     return EvalResult(raw.translate(_DIGITS).decode(), tape.use)
 
 
-def evaluate_bit(f: RealFunction, x: BitSource, m: int,
-                 budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+def evaluate_bit(f: RealFunction, x: BitSource, m: int) -> tuple[int, int]:
     """Output bit m on a fresh tape: (bit, oracle-use of that bit alone)."""
-    tape = OracleTape(x, budget=budget)
+    tape = OracleTape(x)
     return tape.emit(f, m), tape.use
 
 
@@ -467,10 +466,9 @@ def identity_function() -> RealFunction:
     return selection("identity", lambda m: m, Gather((0, 1, 0, 1)))
 
 
-def output_source(f: RealFunction, x: BitSource,
-                  budget: int = DEFAULT_BUDGET) -> BitSource:
+def output_source(f: RealFunction, x: BitSource) -> BitSource:
     """f(x) as a lazy memoized BitSource (divergence surfaces on access)."""
-    tape = OracleTape(x, budget=budget)
+    tape = OracleTape(x)
     cache: dict[int, int] = {}
 
     def bit(i: int) -> int:
@@ -511,21 +509,19 @@ class Representation:
     divergence, horizon overrun) truncates; monotone by construction.
     Images stop at `out_cap` bits, by default max(2·depth + 8, 48).  The
     depth is at most MAX_DEPTH and the cap at most MAX_BITS, checked here
-    for every search, as the step budget is.
+    for every search.  Each bit runs under the tape's default step budget.
     """
 
-    def __init__(self, f: RealFunction, depth: int, out_cap: Optional[int] = None,
-                 budget: int = DEFAULT_BUDGET):
+    def __init__(self, f: RealFunction, depth: int, out_cap: Optional[int] = None):
         self.f, self.depth = f, check_natural(depth, "depth", MAX_DEPTH)
         out_cap = max(2 * depth + 8, 48) if out_cap is None else out_cap
         self.out_cap = check_natural(out_cap, "out_cap", MAX_BITS)  # evaluate's limit, per image
-        self.budget = check_natural(budget, "step budget")
 
     def map_word(self, sigma: Word) -> Word:
         check_word(sigma)
         if len(sigma) > self.depth:
             raise ValueError(f"word of length {len(sigma)} exceeds depth {self.depth}")
-        tape = OracleTape(finite(sigma), barrier=len(sigma), budget=self.budget)
+        tape = OracleTape(finite(sigma), barrier=len(sigma))
         return "".join(map(str, barrier_image(self.f, tape, self.out_cap)))
 
 

@@ -253,6 +253,7 @@ def test_data_records(tmp_path):
         ("horizon 5 6\n", "r.txt:1: bad horizon directive"),
         ("horizon 1\n1 0\nhorizon 1\n", "r.txt:3: bad horizon directive"),
         ("horizon x\n", "r.txt:1: bad horizon value"),
+        ("horizon -5\n", "r.txt:1: bad horizon value$"),
     ]:
         p.write_text(text)
         with pytest.raises(SpecParseError, match=message):

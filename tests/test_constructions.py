@@ -34,6 +34,7 @@ from oneway.enumeration import (
 )
 from oneway.errors import DivergenceError, HorizonError, InjectivityError
 from oneway.streams import (
+    EvalResult,
     OracleTape,
     Representation,
     column_source,
@@ -52,6 +53,11 @@ from test_streams import prefix_of
 
 def empty_enum(horizon):
     return StagedEnumeration.from_pairs([], horizon=horizon)
+
+
+def emitted(tape, f, n):
+    """Output bits 0..n-1 of f, one `emit` each on `tape`, as `evaluate` reports them."""
+    return EvalResult("".join(str(tape.emit(f, m)) for m in range(n)), tape.use)
 
 
 class TestMarkerV1:
@@ -304,10 +310,10 @@ class TestTwoToOne:
         u = StagedStringEnumeration.from_pairs([(0, "1")], horizon=200)
         x_and_z = interleaved(periodic("01"), ones())
         for f in (two_to_one_v1(empty_enum(200)), two_to_one_v2(empty_enum(200), u)):
-            assert evaluate(f, x_and_z, 256, budget=2) == evaluate(f, x_and_z, 256)
+            assert emitted(OracleTape(x_and_z, budget=2), f, 256) == evaluate(f, x_and_z, 256)
             # a fresh tape runs all s+1 stages for bit 2s
             with pytest.raises(DivergenceError):
-                evaluate_bit(f, x_and_z, 20, budget=2)
+                OracleTape(x_and_z, budget=2).emit(f, 20)
 
     def test_failed_bit_leaves_no_stage_the_tape_forgot(self):
         # bit 4 runs stage 1, which reads position 9, then fails under the
@@ -338,9 +344,9 @@ class TestTwoToOne:
         f = partial_injection(StagedEnumeration.from_pairs([(1, 2)], horizon=64),
                               DecidedSet({2, 5}, horizon=64))
         x = finite("001001")
-        assert evaluate(f, x, 4 * B + 8, budget=B) == evaluate(f, x, 4 * B + 8)
+        assert emitted(OracleTape(x, budget=B), f, 4 * B + 8) == evaluate(f, x, 4 * B + 8)
         with pytest.raises(DivergenceError) as exc:
-            evaluate_bit(f, x, 2 * B + 1, budget=B)
+            OracleTape(x, budget=B).emit(f, 2 * B + 1)
         assert (exc.value.bit_index, exc.value.reason) == (2 * B + 1, "step budget exhausted")
 
 

@@ -248,6 +248,7 @@ class TestFiles:
             ("horizon\n", "bad horizon directive"),
             ("horizon 5\nhorizon 6\n", "bad horizon directive"),
             ("horizon x\n", "bad horizon value"),
+            ("horizon -5\n", "bad.txt:1: bad horizon value$"),
             ("3 x\nhorizon\n", "bad.txt:1: expected integers"),  # the first bad line
             ("3 7\n4 7\n", "element 7 repeated"),
         ]

@@ -94,7 +94,6 @@ from oneway.inversion import DovetailLeaf, FiberCount, Representation, _class_le
     _dovetail_leaves, _pattern, fiber_branch_count, reference_inverter_surjection, \
     unique_path_invert
 from oneway.streams import (
-    DEFAULT_BUDGET,
     BitSource,
     OracleTape,
     RealFunction,
@@ -215,7 +214,7 @@ def ref_probe_extension(f, word, y_prefix, probe_len, budget):
             idx = 0
 
 
-def ref_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
+def ref_dovetail_leaves(g, sigma, bit_index, node_budget):
     leaves = []
     stack = [{}]
     nodes = 0
@@ -234,7 +233,7 @@ def ref_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
                 return int(assign[i])
             raise _RefFork(i)
 
-        tape = OracleTape(BitSource("dovetail-candidate", bit_at), budget=run_budget)
+        tape = OracleTape(BitSource("dovetail-candidate", bit_at))
         try:
             g.emit(tape, bit_index)
         except _RefFork as fork:
@@ -316,7 +315,7 @@ def ref_class_levels(rep, y):
             raise
         return None if image is None else tape if checkpoint is None else tape.branch(tape.source)
 
-    level = [({}, OracleTape(zeros(), budget=rep.budget))]
+    level = [({}, OracleTape(zeros()))]
     for barrier in range(rep.depth + 1):
         level = list(ref_fork_tree(grow, roots=((assign, (tape, None)) for assign, tape in level)))
         yield level
@@ -392,11 +391,11 @@ def _patterns(extendable, depth, surviving):
     return FiberCount(len(patterns) * 2 ** (depth - len(inside)), surviving)
 
 
-def ref_engine_dovetail_leaves(g, sigma, bit_index, node_budget, run_budget):
+def ref_engine_dovetail_leaves(g, sigma, bit_index, node_budget):
     prefix = tuple(map(int, sigma))
 
     def run(assign, _resume):
-        tape = OracleTape(ref_fork_source("dovetail-candidate", prefix, assign), budget=run_budget)
+        tape = OracleTape(ref_fork_source("dovetail-candidate", prefix, assign))
         return None if tape.try_emit(g, bit_index) is None else tape.use
 
     exhausted = MeasureThresholdError(
@@ -492,9 +491,9 @@ def engine_work(search, fn, *args):
     """search(fn, *args) with the work it did: (its outcome, per fork tree in
     the order grown its run's name, nodes, splits at or past `owned_from`,
     class splits below it and leaves, emitter runs by tape source).  A
-    library node is a run or a split that went on in place; a reference
-    node is a run, and a reference class split is a fork that leaves its
-    tree."""
+    library node is a run or a split that went on in place, counted through
+    the `split` the tree sets on its search's node; a reference node is a
+    run, and a reference class split is a fork that leaves its tree."""
     trees = []
     library, reference = inversion._fork_tree, ref_fork_tree
 
@@ -510,10 +509,11 @@ def engine_work(search, fn, *args):
     def split_kind(p, owned_from):
         return "splits" if p >= owned_from else "class splits"
 
-    def library_tree(run, roots, node_budget=float("inf"), exhausted=None, owned_from=0):
+    def library_tree(run, node, roots, node_budget=float("inf"), exhausted=None, owned_from=0):
         def grown(tree):
-            def counted(assign, tape, continuation, split):
+            def counted(tape, continuation):
                 tree["nodes"] += 1
+                split = node.split
 
                 def in_place(p, continuation):
                     tree[split_kind(p, owned_from)] += 1
@@ -521,9 +521,13 @@ def engine_work(search, fn, *args):
                     tree["nodes"] += 1
                     return bit
 
-                return run(assign, tape, continuation, in_place)
+                node.split = in_place
+                try:
+                    return run(tape, continuation)
+                finally:
+                    node.split = split
 
-            return library(counted, roots, node_budget, exhausted, owned_from)
+            return library(counted, node, roots, node_budget, exhausted, owned_from)
 
         return recorded(run, grown)
 
@@ -1363,28 +1367,28 @@ def _deep(tape, m):
 
 @functools.cache
 def dovetail_fixtures():
-    """id -> (g, sigma, bit_index, node_budget, run_budget): the randomized
+    """id -> (g, sigma, bit_index, node_budget): the randomized
     extractions of the test suite, criterion 04, the demo and the
     reduction-sweep workload."""
     fx = {}
     g = reference_inverter_surjection(_enum([(1, 2)], 20)).g
     for sigma, n in (("", 2), ("", 3), ("1", 2)):
-        fx[f"surj w12 sigma={sigma} n={n}"] = (g, sigma, 2 * n, 100000, DEFAULT_BUDGET)
+        fx[f"surj w12 sigma={sigma} n={n}"] = (g, sigma, 2 * n, 100000)
     fx["surj w00 n=0"] = (reference_inverter_surjection(_enum([(0, 0)], 20)).g,
-                          "", 0, 100000, DEFAULT_BUDGET)
-    fx["half n=1"] = (RealFunction("half", _half), "", 2, 100000, DEFAULT_BUDGET)
-    fx["deep budget 50"] = (RealFunction("deep", _deep), "", 2, 50, 10**4)
+                          "", 0, 100000)
+    fx["half n=1"] = (RealFunction("half", _half), "", 2, 100000)
+    fx["deep budget 50"] = (RealFunction("deep", _deep), "", 2, 50)
     g = reference_inverter_surjection(collatz_toy(32, 10**5)).g
     for n in range(32):
-        fx[f"collatz32 n={n}"] = (g, "", 2 * n, 100000, DEFAULT_BUDGET)
+        fx[f"collatz32 n={n}"] = (g, "", 2 * n, 100000)
     for trial in range(6):
         rng = random.Random(3100 + trial)
         w = seeded_enumeration(rng, elements=32, stages=100, draws=8, horizon=10**5)
         sigma = "".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
         n = rng.randrange(32)
         fx[f"sweep {trial}"] = (reference_inverter_surjection(w).g, sigma, 2 * n,
-                                100000, DEFAULT_BUDGET)
-    fx["scanner 300"] = (_scanner(300), "", 0, 100000, DEFAULT_BUDGET)
+                                100000)
+    fx["scanner 300"] = (_scanner(300), "", 0, 100000)
     return fx
 
 
@@ -1438,7 +1442,7 @@ def main() -> int:
     except AssertionError as exc:
         bad += 1
         print(f"BAD pinned work: {exc}")
-    args = (_scanner(1200), "", 0, 100000, DEFAULT_BUDGET)
+    args = (_scanner(1200), "", 0, 100000)
     lib, ref = (engine_work(ENGINES[engine][1], *args) for engine in ENGINES)
     ok = lib[0] == ref_dovetail_leaves(*args) and lib[:2] == ref[:2]
     bad += not ok

@@ -236,27 +236,18 @@ def test_unreached_name_detected():
 KEPT_KNOBS = {
     "DovetailRecord.materialize(cap)": ("bounds the words a printed certificate expands",
                                         "test_inversion.py::test_materialize_cap"),
-    "Representation.__init__(budget)": ("the per-bit step budget of every search over the "
-                                        "representation",
-                                        "test_streams.py::test_budget_truncates"),
-    "evaluate(budget)": ("a small step budget shows a divergence after a few reads",
-                         "test_streams.py::test_divergence_budget"),
-    "evaluate_bit(budget)": ("shows that a bit's step budget pays only for work new to its tape",
-                             "test_constructions.py::test_even_bit_budget_pays_only_new_stages"),
+    "OracleTape.__init__(budget)": ("the per-bit step budget of every tape; a small one shows "
+                                    "a divergence after a few reads",
+                                    "test_streams.py::TestOracleTape::test_budget"),
     "extract_randomized(node_budget)": ("bounds the dovetail fork tree of an inverter whose "
                                         "reads do not settle",
                                         "test_inversion.py::test_fork_tree_budget"),
-    "extract_randomized(run_budget)": ("the step budget of every inverter run, audit included",
-                                       "test_inversion.py::TestExtractRandomized::"
-                                       "test_validation_divergence"),
     "fiber_branch_count(budget)": ("bounds the probe emitter runs, so a test can hold the "
                                    "probe to a few runs per target bit",
                                    "test_fork_differential.py::"
                                    "test_two2_hit_probe_runs_stay_linear_in_the_target"),
     "fiber_branch_count(probe_len)": ("moves the probe barrier off its default",
                                       "test_inversion.py::test_budget_exhaustion_is_a_desk_error"),
-    "inverts_at_finite_stage(budget)": ("a small step budget shows a diverging inverter after "
-                                        "a few reads", "test_inversion.py::test_diverged"),
     "unique_path_invert(survivor_cap)": ("stops a lossy inversion before its levels outgrow "
                                          "desk scale", "test_inversion.py::test_survivor_cap"),
 }

@@ -304,15 +304,13 @@ class TestExtractRandomized:
     def test_validation_divergence(self):
         _, f, w = self.fixture()
 
-        def spin(tape, m):
-            i = 0
-            while True:
-                tape.read(i)
-                i += 1
+        def stuck(tape, m):
+            tape.read(m)
+            raise DivergenceError(m, "stuck")
 
-        g = InverterUnderTest(RealFunction("spin", spin), binary=True)
+        g = InverterUnderTest(RealFunction("stuck", stuck), binary=True)
         with pytest.raises(DivergenceError, match="inverter validation diverged") as err:
-            extract_randomized(g, f, "", w, 2, run_budget=50)
+            extract_randomized(g, f, "", w, 2)
         # f's bit 0 reads g's bit 1 (the injection maps 0 to 1): the bit of
         # f∘g without a value is 0
         assert err.value.bit_index == 0
@@ -359,7 +357,7 @@ class TestExtractRandomized:
 
         g = InverterUnderTest(RealFunction("deep", deep), binary=True)
         with pytest.raises(MeasureThresholdError, match="exceeded 50 nodes"):
-            extract_randomized(g, f, "", w, 1, node_budget=50, run_budget=10**4)
+            extract_randomized(g, f, "", w, 1, node_budget=50)
 
     def test_validation_against_wrong_function(self):
         g, _, w = self.fixture()
@@ -411,7 +409,7 @@ class TestExtractRandomized:
                     return 1
             return 0
 
-        leaves = _dovetail_leaves(RealFunction("scan", emit), "", 0, 100000, 10**6)
+        leaves = _dovetail_leaves(RealFunction("scan", emit), "", 0, 100000)
         assert sorted(leaf.use for leaf in leaves) == list(range(1, 1201)) + [1200]
 
     def test_horizon_overrun_is_an_error(self):
@@ -423,7 +421,7 @@ class TestExtractRandomized:
             return 0
 
         with pytest.raises(HorizonError, match="stage 9 beyond horizon 8"):
-            _dovetail_leaves(RealFunction("horizon", emit), "", 0, 100, 10**6)
+            _dovetail_leaves(RealFunction("horizon", emit), "", 0, 100)
 
 
 class TestExtractTwoToOne:
@@ -650,24 +648,11 @@ class TestNegativeArguments:
         return RealFunction(f.name, emit), asked
 
     def test_tape_step_budget(self):
-        f, asked = self.watched(bit_select(identity_injection()))
         with pytest.raises(ValueError, match="^step budget must be a natural, got -1$"):
             OracleTape(zeros(), budget=-1)
-        with pytest.raises(ValueError, match="^step budget must be a natural, got -2$"):
-            evaluate(f, zeros(), 4, budget=-2)
-        g = InverterUnderTest(f)
-        with pytest.raises(ValueError, match="^step budget must be a natural, got -3$"):
-            inverts_at_finite_stage(f, g, zeros(), 4, budget=-3)
-        assert asked == []
         with pytest.raises(DivergenceError, match="step budget exhausted"):
-            OracleTape(zeros(), budget=0).emit(f, 0)  # the first read is over budget
-
-    def test_representation_step_budget(self):
-        # it used to search on and report `no 2-bit consensus by depth 4`
-        f, asked = self.watched(bit_select(double_injection()))
-        with pytest.raises(ValueError, match="^step budget must be a natural, got -1$"):
-            unique_path_invert(Representation(f, 4, budget=-1), finite("0101"), 2)
-        assert asked == []
+            # the first read is over budget
+            OracleTape(zeros(), budget=0).emit(bit_select(identity_injection()), 0)
 
     def test_fiber_probe_budget_and_length(self):
         # a negative budget used to read as exhausted, a negative length was clamped
@@ -688,8 +673,6 @@ class TestNegativeArguments:
         # a negative node budget used to report `dovetail fork tree exceeded -1 nodes`
         with pytest.raises(ValueError, match="^node budget must be a natural, got -1$"):
             extract_randomized(g, f, "", w, 2, node_budget=-1)
-        with pytest.raises(ValueError, match="^step budget must be a natural, got -1$"):
-            extract_randomized(g, f, "", w, 2, run_budget=-1)
         assert asked == []
         with pytest.raises(MeasureThresholdError, match="exceeded 0 nodes"):
             extract_randomized(g, f, "", w, 2, node_budget=0)
@@ -729,14 +712,12 @@ class TestInvertsAtFiniteStage:
     def test_diverged(self):
         w = enum([(1, 2)], 100)
 
-        def spin(tape, m):
-            i = 0
+        def spin(tape, m):  # runs out of the tape's step budget
             while True:
-                tape.read(i)
-                i += 1
+                tape.read(m)
 
         g = InverterUnderTest(RealFunction("spin", spin))
-        out = inverts_at_finite_stage(simple_one_way(w), g, zeros(), 8, budget=50)
+        out = inverts_at_finite_stage(simple_one_way(w), g, zeros(), 8)
         assert out.state == "diverged"
         # f's bit ⟨2,1⟩ = 7 reads g's bit 2, the first one f reads; the
         # divergence is named at the bit of f∘g, not at g's

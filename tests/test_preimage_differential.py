@@ -51,7 +51,7 @@ def ref_map_word(rep, sigma):
     check_word(sigma)
     if len(sigma) > rep.depth:
         raise ValueError(f"word of length {len(sigma)} exceeds depth {rep.depth}")
-    tape = OracleTape(finite(sigma), barrier=len(sigma), budget=rep.budget)
+    tape = OracleTape(finite(sigma), barrier=len(sigma))
     bits = []
     for j in range(rep.out_cap):
         try:
@@ -124,7 +124,7 @@ def invert_tree_fixtures():
 def cut(rep, depth):
     """rep searched to `depth`, the reference's `depth` or `depth_cap`
     argument (None: to rep's own depth)."""
-    return rep if depth is None else Representation(rep.f, depth, rep.out_cap, rep.budget)
+    return rep if depth is None else Representation(rep.f, depth, rep.out_cap)
 
 
 def counting(f):

@@ -10,9 +10,8 @@ tape, every family must give the same bit or error, the same `use` and the
 same positions read; representations and fiber counts must agree too.
 
 `evaluate` of a built-in selection over a source with a kernel, within its
-table bound and under a budget above 0, gathers its bits from one prefix by
-the selection's position map as data (`Gather`); any other selection it
-emits bit by bit.  The tests at the end hold the gather and `evaluate` to n
+table bound, gathers its bits from one prefix by the selection's position
+map as data (`Gather`); any other selection it emits bit by bit.  The tests at the end hold the gather and `evaluate` to n
 `emit` calls on one tape, the per-bit path that every search still takes,
 with the same bits, use, positions read and errors.
 """
@@ -439,10 +438,10 @@ def failure(exc):
     return type(exc), str(exc), getattr(exc, "bit_index", None)
 
 
-def per_bit(f, x, n, budget=10**6):
+def per_bit(f, x, n):
     """n `emit` calls on one fresh tape: the bits or the failure, then the
     use, `positions_read()` and the positions in first-read order."""
-    tape = OracleTape(x, budget=budget)
+    tape = OracleTape(x)
     got = []
     try:
         for m in range(n):
@@ -452,17 +451,17 @@ def per_bit(f, x, n, budget=10**6):
     return got, tape.use, tape.positions_read(), tuple(tape._reads)
 
 
-def evaluated(f, x, n, budget=10**6):
+def evaluated(f, x, n):
     """`evaluate`'s output and use, or its failure."""
     try:
-        return tuple(evaluate(f, x, n, budget))
+        return tuple(evaluate(f, x, n))
     except Exception as exc:  # the error is the outcome
         return failure(exc)
 
 
-def gathers(f, x, n, budget=10**6):
+def gathers(f, x, n):
     """Whether `evaluate` takes f's bits by its gather rather than a loop."""
-    return bool(f.gather and x.prefix and budget > 0 and n <= f.gather.bound)
+    return bool(f.gather and x.prefix and n <= f.gather.bound)
 
 
 def gathered(f, x, n):
@@ -524,7 +523,7 @@ def drawn_source(draw):
 def test_the_gather_asks_its_kernel_once_and_reads_nothing_raw():
     """Where `evaluate` gathers, it asks the source's kernel once, for P =
     use, and makes no raw read; where it does not (a selection without a
-    gather, budget 0, n past the table bound), it asks no kernel."""
+    gather, n past the table bound), it asks no kernel."""
     raw_reads, asked = [], []
 
     def counted(source):
@@ -535,14 +534,14 @@ def test_the_gather_asks_its_kernel_once_and_reads_nothing_raw():
     for make in SELECTIONS.values():
         f = make()
         for x in (random_source(3), interleaved(finite("1101"), ones())):
-            for n, budget in ((0, 1), (1, 1), (2, 1), (300, 1), (300, 0), (700, 1)):
+            for n in (0, 1, 2, 300, 700):
                 raw_reads.clear(), asked.clear()
-                got = evaluated(f, counted(x), n, budget)
-                assert got == evaluated(f, x, n, budget) == as_evaluated(per_bit(f, x, n, budget))
-                if gathers(f, x, n, budget):
+                got = evaluated(f, counted(x), n)
+                assert got == evaluated(f, x, n) == as_evaluated(per_bit(f, x, n))
+                if gathers(f, x, n):
                     assert (raw_reads, asked) == ([], [got[1]]), (f.name, n)
                 else:
-                    assert asked == [] and len(set(raw_reads)) == len(per_bit(f, x, n, budget)[3])
+                    assert asked == [] and len(set(raw_reads)) == len(per_bit(f, x, n)[3])
 
 
 @pytest.mark.parametrize("make", [zeros, lambda: periodic("0111")])
@@ -588,41 +587,37 @@ def test_one_pass_matches_emit_per_bit(family, data, n):
     assert evaluated(f, x, n) == as_evaluated(want)
 
 
-# (selection, source, bits, budget): each at an edge of where the gather runs
+# (selection, source, bits): each at an edge of where the gather runs
 GATHER_EDGES = {
-    "a table entry replaces the last run position": ("surj:16", ones, 2, 1),
-    "no bit": ("surj", lambda: random_source(2), 0, 1),
-    "one bit": ("witness:shift", lambda: random_source(2), 1, 1),
-    "simple's first entry only": ("simple:short", ones, pair(1, 2) + 1, 1),
-    "the last bit within the bound": ("surj:short", ones, pair(0, 13), 1),
-    "past the table bound": ("surj:short", ones, pair(0, 13) + 1, 1),
-    "budget 0": ("bitselect:double", ones, 9, 0),
-    "budget 0 reading nothing": ("simple:short", ones, 8, 0),
-    "no kernel": ("bitselect:shift", lambda: z_builder_v1(2, "0110"), 300, 1),
+    "a table entry replaces the last run position": ("surj:16", ones, 2),
+    "no bit": ("surj", lambda: random_source(2), 0),
+    "one bit": ("witness:shift", lambda: random_source(2), 1),
+    "simple's first entry only": ("simple:short", ones, pair(1, 2) + 1),
+    "the last bit within the bound": ("surj:short", ones, pair(0, 13)),
+    "past the table bound": ("surj:short", ones, pair(0, 13) + 1),
+    "no kernel": ("bitselect:shift", lambda: z_builder_v1(2, "0110"), 300),
     "an output source": ("witness:double",
-                         lambda: output_source(bit_select(shift_injection()), ones()), 300, 1),
+                         lambda: output_source(bit_select(shift_injection()), ones()), 300),
 }
 
 
 @pytest.mark.parametrize("case", sorted(GATHER_EDGES))
 def test_the_gather_edges_match_emit_per_bit(case):
-    label, source, n, budget = GATHER_EDGES[case]
+    label, source, n = GATHER_EDGES[case]
     f = SELECTIONS[label]()
-    want = per_bit(f, source(), n, budget)
-    assert gathers(f, source(), n, budget) == (case in (
+    want = per_bit(f, source(), n)
+    assert gathers(f, source(), n) == (case in (
         "a table entry replaces the last run position", "no bit", "one bit",
         "simple's first entry only", "the last bit within the bound"))
-    if gathers(f, source(), n, budget):
+    if gathers(f, source(), n):
         assert gathered(f, source(), n) == want
-    assert evaluated(f, source(), n, budget) == as_evaluated(want)
+    assert evaluated(f, source(), n) == as_evaluated(want)
     if case == "a table entry replaces the last run position":
         assert want == ([1, 1], 3, (1, 2), (1, 2))
 
 
 # (selection, source, bits): each fails at a bit that names its cause
 FAILURES = {
-    # positions 0..7 of simple(SHORT) are None, pair(1, 2) = 8 is not
-    "budget 0": (lambda: simple_one_way(SHORT), ones, 20),
     "negative position": (lambda: selection("down", lambda m: 5 - m), ones, 9),
     "source bit 2": (identity_function,
                      lambda: BitSource("two", lambda i: 2 if i == 7 else i & 1), 9),
@@ -634,7 +629,6 @@ FAILURES = {
     "surj horizon": (lambda: one_way_surjection(SHORT), ones, pair(0, 13) + 2),
 }
 FAILED = {
-    "budget 0": (DivergenceError, "no output bit at index 8: step budget exhausted", 8),
     "negative position": (ValueError, "tape position must be a natural, got -1", None),
     "source bit 2": (ValueError, "source two produced non-bit 2 at 7", None),
     "source bit True": (ValueError, "source true produced non-bit True at 4", None),
@@ -650,6 +644,6 @@ def test_one_pass_fails_as_emit_per_bit(case):
     """`evaluate` raises what n `emit` calls raise: the same type, text and
     bit index."""
     make, source, n = FAILURES[case]
-    f, budget = make(), 0 if case == "budget 0" else 10**6
-    assert per_bit(f, source(), n, budget)[0] == FAILED[case]
-    assert evaluated(f, source(), n, budget) == FAILED[case]
+    f = make()
+    assert per_bit(f, source(), n)[0] == FAILED[case]
+    assert evaluated(f, source(), n) == FAILED[case]

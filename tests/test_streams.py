@@ -41,7 +41,7 @@ def prefix_of(source, n):
 def image_with_reads(rep, sigma):
     """`rep.map_word(sigma)` and the sorted positions its emitted bits read,
     from its own barrier tape."""
-    tape = OracleTape(finite(sigma), barrier=len(sigma), budget=rep.budget)
+    tape = OracleTape(finite(sigma), barrier=len(sigma))
     image = "".join(map(str, barrier_image(rep.f, tape, rep.out_cap)))
     assert image == rep.map_word(sigma), sigma
     return image, tape.positions_read()
@@ -366,8 +366,9 @@ class TestEvaluate:
             while True:
                 tape.read(0)
 
+        tape = OracleTape(zeros(), budget=50)
         with pytest.raises(DivergenceError) as err:
-            evaluate(RealFunction("spin", spin), zeros(), 2, budget=50)
+            tape.emit(RealFunction("spin", spin), 0)
         assert err.value.bit_index == 0
 
     def test_negative_bit_or_count_rejected(self):
@@ -398,7 +399,8 @@ class TestEvaluate:
     def test_budget_is_per_output_bit(self):
         # 3 reads per bit never trips a 4-read budget, no matter how many bits
         probe = RealFunction("probe3", lambda tape, m: [tape.read(m) for _ in range(3)][-1])
-        assert evaluate(probe, zeros(), 20, budget=4).output == "0" * 20
+        tape = OracleTape(zeros(), budget=4)
+        assert [tape.emit(probe, m) for m in range(20)] == [0] * 20
 
 
 def test_output_source_memoizes():
@@ -459,7 +461,8 @@ class TestRepresentation:
     def test_budget_truncates(self):
         # output bit m reads positions 0..m, so from bit 3 on it needs more than 3 steps
         f = RealFunction("prefix-and", lambda tape, m: min(tape.read(i) for i in range(m + 1)))
-        assert Representation(f, 8, budget=3).map_word("11111111") == "111"
+        tape = OracleTape(finite("11111111"), barrier=8, budget=3)
+        assert barrier_image(f, tape, 8) == [1, 1, 1]
         assert Representation(f, 8).map_word("11111111") == "11111111"
 
     def test_divergence_truncates(self):
